@@ -10,13 +10,19 @@ Internally a scalar is a vector of integers of length phi(L) (the power basis
 cyclotomic polynomial) together with a positive common denominator.  The
 reduced form is canonical for a fixed L, so equality at equal orders is tuple
 comparison; at different orders both sides are embedded into Q(zeta_lcm).
+
+All ring arithmetic runs on integers: a result is an integer numerator vector
+over one common denominator, reduced by a single gcd.  A scalar known to be
+a rational multiple of one root of unity, q * zeta_L^k, also carries its
+exponent, so products with it are rotations rather than convolutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, NamedTuple, Union
+from functools import lru_cache
+from math import gcd, lcm
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath
 
@@ -82,28 +88,52 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
         if d < L:
             poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     result = tuple(poly)
-    assert len(result) == euler_phi(L) + 1
+    if len(result) != euler_phi(L) + 1 or result[-1] != 1:
+        raise ArithmeticError("Phi_%d came out with degree %d, expected monic "
+                              "of degree phi(%d) = %d"
+                              % (L, len(result) - 1, L, euler_phi(L)))
     _cyclo_cache[L] = result
     return result
 
 
+@lru_cache(maxsize=1024)
+def _taps(L: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(L), the nonzero taps (j, -c_j) of Phi_L below its leading term):
+    z^phi(L) = sum of t * z^j over the taps."""
+    cyclo = cyclotomic_polynomial(L)
+    phi = len(cyclo) - 1
+    return phi, tuple((j, -c) for j, c in enumerate(cyclo[:phi]) if c)
+
+
 def _reduce_vec(vec: list, L: int) -> list:
     """Reduce a coefficient vector (powers of zeta_L) mod Phi_L, in place."""
-    phi = euler_phi(L)
-    if len(vec) <= phi:
-        vec.extend([0] * (phi - len(vec)))
+    phi, taps = _taps(L)
+    n = len(vec)
+    if n <= phi:
+        vec.extend([0] * (phi - n))
         return vec
-    cyclo = cyclotomic_polynomial(L)
+    if n > L:
+        # zeta_L^L = 1: fold the tail onto the first L powers.
+        for i in range(L, n):
+            vec[i % L] += vec[i]
+        del vec[L:]
     for i in range(len(vec) - 1, phi - 1, -1):
         c = vec[i]
         if c:
-            vec[i] = 0
             base = i - phi
-            for j in range(phi):
-                if cyclo[j]:
-                    vec[base + j] -= c * cyclo[j]
+            for j, t in taps:
+                vec[base + j] += c * t
     del vec[phi:]
     return vec
+
+
+@lru_cache(maxsize=4096)
+def _root_vec(k: int, L: int) -> tuple[int, ...]:
+    """The reduced vector of zeta_L^k for 0 <= k < L: integers, and primitive
+    (their gcd is 1), since zeta_L^k is a unit."""
+    vec = [0] * (k + 1)
+    vec[k] = 1
+    return tuple(_reduce_vec(vec, L))
 
 
 class ExactScalar:
@@ -114,38 +144,24 @@ class ExactScalar:
     compositum Q(zeta_lcm); callers never pick L themselves.
     """
 
-    __slots__ = ("order", "_num", "_den")
+    __slots__ = ("order", "_num", "_den", "_mono")
 
-    def __init__(self, order: int, num: tuple[int, ...], den: int):
+    def __init__(self, order: int, num: tuple[int, ...], den: int,
+                 mono: Optional[Tuple[int, int]] = None):
         # Trusted constructor: num reduced, gcd(num..., den) = 1, den > 0.
+        # mono = (k, c) records that the value is c/den * zeta_order^k with
+        # 0 <= k < order; None when that is not known.
         self.order = order
         self._num = num
         self._den = den
-
-    @staticmethod
-    def _normalize(order: int, vec: list) -> "ExactScalar":
-        _reduce_vec(vec, order)
-        den = 1
-        for x in vec:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        nums = [int(x * den) if isinstance(x, Fraction) else x * den for x in vec]
-        g = den
-        for x in nums:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            nums = [x // g for x in nums]
-        if not any(nums):
-            return ExactScalar(1, (0,), 1)
-        return ExactScalar(order, tuple(nums), den)
+        self._mono = mono
 
     @staticmethod
     def from_rational(r: RationalLike) -> "ExactScalar":
-        r = Fraction(r)
-        return ExactScalar._normalize(1, [r])
+        n, d = _as_ratio(r)
+        if not n:
+            return _ZERO
+        return ExactScalar(1, (n,), d, (0, n))
 
     # -- embedding ---------------------------------------------------------
 
@@ -161,8 +177,7 @@ class ExactScalar:
     def _to_order(self, M: int) -> "ExactScalar":
         if M == self.order:
             return self
-        vec = self._embedded_vec(M)
-        return ExactScalar(M, tuple(vec), self._den)
+        return ExactScalar(M, tuple(self._embedded_vec(M)), self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -170,19 +185,21 @@ class ExactScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        L = self.order * other.order // gcd(self.order, other.order)
+        L = lcm(self.order, other.order)
         a, b = self._to_order(L), other._to_order(L)
         da, db = a._den, b._den
         g = gcd(da, db)
         ma, mb = db // g, da // g  # scale factors up to the lcm denominator
-        common = da * ma
         vec = [x * ma + y * mb for x, y in zip(a._num, b._num)]
-        return ExactScalar._normalize(L, [Fraction(v, common) for v in vec])
+        return _make(L, vec, da * ma)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(self.order, tuple(-x for x in self._num), self._den)
+        mono = self._mono
+        if mono is not None:
+            mono = (mono[0], -mono[1])
+        return ExactScalar(self.order, tuple(-x for x in self._num), self._den, mono)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -197,31 +214,45 @@ class ExactScalar:
         return other + (-self)
 
     def __mul__(self, other) -> "ExactScalar":
+        if isinstance(other, ExactScalar):
+            if other._mono is not None:
+                if self._mono is not None:
+                    return _monomial_product(self, other)
+                return _rotated(self, other)
+            if self._mono is not None:
+                return _rotated(other, self)
+            L = lcm(self.order, other.order)
+            av = self._num if self.order == L else self._embedded_vec(L)
+            bv = other._num if other.order == L else other._embedded_vec(L)
+            conv = [0] * (len(av) + len(bv) - 1)
+            for i, ai in enumerate(av):
+                if ai:
+                    for j, bj in enumerate(bv):
+                        if bj:
+                            conv[i + j] += ai * bj
+            return _make(L, _reduce_vec(conv, L), self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            den = self._den * r.denominator
-            return ExactScalar._normalize(
-                self.order, [Fraction(x * r.numerator, den) for x in self._num])
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        L = self.order * other.order // gcd(self.order, other.order)
-        a, b = self._to_order(L), other._to_order(L)
-        av, bv = a._num, b._num
-        conv = [0] * (len(av) + len(bv) - 1)
-        for i, ai in enumerate(av):
-            if ai:
-                for j, bj in enumerate(bv):
-                    if bj:
-                        conv[i + j] += ai * bj
-        _reduce_vec(conv, L)
-        den = a._den * b._den
-        return ExactScalar._normalize(L, [Fraction(v, den) for v in conv])
+            n, d = _as_ratio(other)
+            return self._scaled(n, d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
+    def _scaled(self, p: int, q: int) -> "ExactScalar":
+        """self * p/q for integers p and q > 0."""
+        if not p:
+            return _ZERO
+        if self._mono is not None:
+            k, c = self._mono
+            return _monomial(self.order, k, c * p, self._den * q)
+        return _make(self.order, [x * p for x in self._num], self._den * q)
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            n, d = _as_ratio(other)
+            if not n:
+                raise ZeroDivisionError("division by zero")
+            return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)
         if not isinstance(other, ExactScalar):
             return NotImplemented
         return self * other.inverse()
@@ -235,6 +266,10 @@ class ExactScalar:
     def __pow__(self, e: int) -> "ExactScalar":
         if e < 0:
             return self.inverse() ** (-e)
+        if e and self._mono is not None:
+            k, c = self._mono
+            L = self.order
+            return _monomial(L, k * e % L, c ** e, self._den ** e)
         result = ExactScalar.from_rational(1)
         base = self
         while e:
@@ -247,18 +282,25 @@ class ExactScalar:
         return result
 
     def inverse(self) -> "ExactScalar":
-        """Field inverse, by the extended Euclidean algorithm against Phi_L."""
+        """Field inverse: a rotation for q * zeta^k, otherwise the extended
+        Euclidean algorithm against Phi_L."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        Lp = cyclotomic_polynomial(self.order)
-        phi = [Fraction(c) for c in Lp]
+        L = self.order
+        if self._mono is not None:
+            k, c = self._mono
+            d = self._den
+            return _monomial(L, -k % L, -d if c < 0 else d, abs(c))
+        phi = [Fraction(c) for c in cyclotomic_polynomial(L)]
         poly = [Fraction(n, self._den) for n in self._num]
-        u = _poly_xgcd_inverse(poly, phi)
-        return ExactScalar._normalize(self.order, u)
+        return _from_fractions(L, _poly_xgcd_inverse(poly, phi))
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation, zeta_L -> zeta_L^(L-1)."""
         L = self.order
+        if self._mono is not None:
+            k, c = self._mono
+            return _monomial(L, -k % L, c, self._den)
         vec = [0] * L
         for k, c in enumerate(self._num):
             if c:
@@ -288,7 +330,7 @@ class ExactScalar:
             return NotImplemented
         if self.order == other.order:
             return self._num == other._num and self._den == other._den
-        L = self.order * other.order // gcd(self.order, other.order)
+        L = lcm(self.order, other.order)
         a, b = self._to_order(L), other._to_order(L)
         return a._num == b._num and a._den == b._den
 
@@ -329,10 +371,12 @@ class ExactScalar:
     def to_json(self) -> dict:
         """Portable form {order, coeffs}; coeffs are the phi(L) power-basis
         coordinates as exact rational strings.  Round-trips bit-exactly."""
-        return {
-            "order": self.order,
-            "coeffs": [str(Fraction(n, self._den)) for n in self._num],
-        }
+        den = self._den
+        coeffs = []
+        for n in self._num:
+            g = gcd(n, den)
+            coeffs.append(str(n // g) if g == den else "%d/%d" % (n // g, den // g))
+        return {"order": self.order, "coeffs": coeffs}
 
     @staticmethod
     def from_json(data: dict) -> "ExactScalar":
@@ -343,7 +387,78 @@ class ExactScalar:
         if len(coeffs) != euler_phi(L):
             raise ValueError("expected %d coefficients for order %d"
                              % (euler_phi(L), L))
-        return ExactScalar._normalize(L, coeffs)
+        return _from_fractions(L, coeffs)
+
+
+_ZERO = ExactScalar(1, (0,), 1)
+
+
+def _as_ratio(r) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of a rational."""
+    if isinstance(r, int):
+        return int(r), 1
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
+    return r.numerator, r.denominator
+
+
+def _make(order: int, vec: list, den: int) -> ExactScalar:
+    """The canonical scalar vec/den: vec is an integer vector already reduced
+    mod Phi_order and den > 0; one gcd brings the pair to lowest terms."""
+    if not any(vec):
+        return _ZERO
+    g = gcd(den, *vec)
+    if g > 1:
+        den //= g
+        vec = [x // g for x in vec]
+    mono = None
+    if len(vec) - vec.count(0) == 1:
+        k = next(i for i, x in enumerate(vec) if x)
+        mono = (k, vec[k])
+    return ExactScalar(order, tuple(vec), den, mono)
+
+
+def _from_fractions(order: int, coeffs: Sequence[Fraction]) -> ExactScalar:
+    """The scalar with rational power-basis coordinates `coeffs` (length
+    phi(order)), put over their common denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _make(order, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+
+def _monomial(L: int, k: int, c: int, d: int) -> ExactScalar:
+    """c/d * zeta_L^k for 0 <= k < L, c != 0 and d > 0."""
+    g = gcd(c, d)
+    if g > 1:
+        c //= g
+        d //= g
+    vec = _root_vec(k, L)
+    # vec is primitive, so c*vec over d is already in lowest terms.
+    return ExactScalar(L, vec if c == 1 else tuple(c * x for x in vec), d, (k, c))
+
+
+def _monomial_product(a: ExactScalar, b: ExactScalar) -> ExactScalar:
+    (ka, ca), (kb, cb) = a._mono, b._mono
+    M = lcm(a.order, b.order)
+    k = (ka * (M // a.order) + kb * (M // b.order)) % M
+    return _monomial(M, k, ca * cb, a._den * b._den)
+
+
+def _rotated(g: ExactScalar, m: ExactScalar) -> ExactScalar:
+    """g * m for a monomial m = c/d * zeta^k: shift g's coefficients by k
+    and reduce once, with no convolution."""
+    k, c = m._mono
+    M = lcm(g.order, m.order)
+    vec = g._num if g.order == M else g._embedded_vec(M)
+    s = k * (M // m.order)
+    if s:
+        buf = [0] * s
+        buf.extend(vec)
+        _reduce_vec(buf, M)
+    else:
+        buf = list(vec)
+    if c != 1:
+        buf = [x * c for x in buf]
+    return _make(M, buf, g._den * m._den)
 
 
 def _coerce(x) -> "ExactScalar":
@@ -391,7 +506,9 @@ def _poly_xgcd_inverse(poly: list[Fraction], mod: list[Fraction]) -> list[Fracti
     if len(r0) != 1:
         raise ZeroDivisionError("element not invertible modulo cyclotomic")
     c = r0[0]
-    return [x / c for x in s0]
+    out = [x / c for x in s0]
+    # The inverse has degree below phi; pad to the full power basis.
+    return out + [Fraction(0)] * (len(mod) - 1 - len(out))
 
 
 # -- public constructors ---------------------------------------------------
@@ -403,9 +520,7 @@ def root_of_unity(num: int, den: int) -> ExactScalar:
     num %= den
     g = gcd(num, den)
     num, den = num // g, den // g
-    vec = [0] * (num + 1)
-    vec[num] = 1
-    return ExactScalar._normalize(den, vec)
+    return ExactScalar(den, _root_vec(num, den), 1, (num, 1))
 
 
 def from_rational(r: RationalLike) -> ExactScalar:
@@ -431,7 +546,7 @@ def _sqrt_prime(p: int) -> ExactScalar:
         counts = [0] * p
         for k in range(p):
             counts[(k * k) % p] += 1
-        gauss = ExactScalar._normalize(p, list(counts))
+        gauss = _make(p, _reduce_vec(counts, p), 1)
         s = gauss if p % 4 == 1 else gauss * root_of_unity(3, 4)
     box = eval_numeric(s, 64)
     if not (box.real_lo > 0 and box.imag_lo <= 0 <= box.imag_hi):
@@ -486,18 +601,15 @@ def scalar_sum(terms: Iterable[ExactScalar]) -> ExactScalar:
     """Sum of many scalars with a single normalization at the end.
 
     Equivalent to repeated +, but embeds every term into the compositum once
-    and accumulates integer vectors; matrix products build dots of size
-    Delta_M from single-root terms, where the term-by-term path would
+    and accumulates integer vectors; the r0 sums and Braun's sum build
+    totals of many single-root terms, where the term-by-term path would
     renormalize at every step.
     """
     live = [t for t in terms if not t.is_zero()]
     if not live:
-        return ExactScalar(1, (0,), 1)
-    L = 1
-    den = 1
-    for t in live:
-        L = L * t.order // gcd(L, t.order)
-        den = den * t._den // gcd(den, t._den)
+        return _ZERO
+    L = lcm(*(t.order for t in live))
+    den = lcm(*(t._den for t in live))
     acc = [0] * euler_phi(L)
     for t in live:
         scale = den // t._den
@@ -505,25 +617,69 @@ def scalar_sum(terms: Iterable[ExactScalar]) -> ExactScalar:
         for k, c in enumerate(vec):
             if c:
                 acc[k] += c * scale
-    return ExactScalar._normalize(L, [Fraction(v, den) for v in acc])
+    return _make(L, acc, den)
 
 
-# -- functional aliases for the operator layer -----------------------------
+def scalar_matmul(a: Sequence[Sequence[ExactScalar]],
+                  b: Sequence[Sequence[ExactScalar]]) -> List[List[ExactScalar]]:
+    """The product of two square matrices of scalars.
 
-def scalar_add(a: ExactScalar, b: ExactScalar) -> ExactScalar:
-    return a + b
+    Cell (i, j) equals scalar_sum(a[i][k] * b[k][j] for k), at the same
+    order, but is built as one integer vector: row i of `a` and column j of
+    `b` are each put over one denominator, the products are accumulated
+    unreduced, and the cell is reduced mod Phi and normalised once.  A
+    factor q * zeta^k contributes a shifted copy of the other factor
+    instead of a convolution.
+    """
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a) or any(len(row) != n for row in b):
+        raise ValueError("scalar_matmul needs two square matrices of one size")
+    row_den = [lcm(*(x._den for x in row)) for row in a]
+    col_den = [lcm(*(b[k][j]._den for k in range(n))) for j in range(n)]
+    live_a = [[k for k in range(n) if any(a[i][k]._num)] for i in range(n)]
+    live_b = [[any(b[k][j]._num) for k in range(n)] for j in range(n)]
+    terms: dict = {}
 
+    def sparse(x: ExactScalar, scale: int, M: int) -> Tuple:
+        # (shift, terms): x * scale at order M is zeta_M^shift * sum of
+        # c * zeta_M^p over the terms (p, c).
+        if x._mono is not None:
+            k, c = x._mono
+            return k * (M // x.order), ((0, c * scale),)
+        vec = x._num if x.order == M else x._embedded_vec(M)
+        return 0, tuple((p, c * scale) for p, c in enumerate(vec) if c)
 
-def scalar_mul(a: ExactScalar, b: ExactScalar) -> ExactScalar:
-    return a * b
-
-
-def scalar_conj(a: ExactScalar) -> ExactScalar:
-    return a.conjugate()
-
-
-def scalar_eq(a: ExactScalar, b: ExactScalar) -> bool:
-    return a == b
+    out = []
+    for i in range(n):
+        row = a[i]
+        out_row = []
+        for j in range(n):
+            live = live_b[j]
+            ks = [k for k in live_a[i] if live[k]]
+            if not ks:
+                out_row.append(_ZERO)
+                continue
+            M = lcm(*(row[k].order for k in ks), *(b[k][j].order for k in ks))
+            pairs = []
+            for k in ks:
+                key_a, key_b = (0, i, k, M), (1, k, j, M)
+                ta = terms.get(key_a)
+                if ta is None:
+                    ta = terms[key_a] = sparse(row[k], row_den[i] // row[k]._den, M)
+                tb = terms.get(key_b)
+                if tb is None:
+                    tb = terms[key_b] = sparse(b[k][j], col_den[j] // b[k][j]._den, M)
+                pairs.append(((ta[0] + tb[0]) % M, ta[1], tb[1]))
+            # Every exponent is below shift + 2 phi(M) - 1.
+            acc = [0] * (max(p[0] for p in pairs) + 2 * euler_phi(M) - 1)
+            for shift, ta, tb in pairs:
+                for p, x in ta:
+                    base = shift + p
+                    for q, y in tb:
+                        acc[base + q] += x * y
+            out_row.append(_make(M, _reduce_vec(acc, M), row_den[i] * col_den[j]))
+        out.append(out_row)
+    return out
 
 
 # -- rigorous numeric evaluation ------------------------------------------

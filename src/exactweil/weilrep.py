@@ -26,8 +26,8 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import (ExactScalar, from_rational, root_of_unity, scalar_sum,
-                    sqrt_rat)
+from .exact import (ExactScalar, from_rational, root_of_unity, scalar_matmul,
+                    scalar_sum, sqrt_rat)
 from .jordan import (BRUTE_CAP, choose_xc, jordan_decompose, scale_component,
                      weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
@@ -96,20 +96,7 @@ class WeilOperator:
         if isinstance(other, WeilOperator):
             if self.dim != other.dim:
                 raise ValueError("operator dimensions differ")
-            n = self.dim
-            cells: List[List[List[ExactScalar]]] = \
-                [[[] for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                col_k = [self.entries[i][k] for i in range(n)]
-                live = [i for i in range(n) if not col_k[i].is_zero()]
-                row_k = other.entries[k]
-                for j in range(n):
-                    b = row_k[j]
-                    if b.is_zero():
-                        continue
-                    for i in live:
-                        cells[i][j].append(col_k[i] * b)
-            ent = [[scalar_sum(cells[i][j]) for j in range(n)] for i in range(n)]
+            ent = scalar_matmul(self.entries, other.entries)
             return WeilOperator(self.labels, ent, self.form)
         if isinstance(other, (int, Fraction, ExactScalar)):
             s = other if isinstance(other, ExactScalar) else from_rational(other)
@@ -268,7 +255,9 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
         for _ in range(abs(k)):
             op = op * factor
     achieved = word_mp(word)
-    assert achieved.mat == x.mat
+    if achieved.mat != x.mat:
+        raise ArithmeticError("the generator word evaluates to %r, not to %r"
+                              % (achieved.mat, x.mat))
     if achieved.eps != x.eps:
         op = op.scale(from_rational(-1 if form.signature % 2 else 1))
     return op

@@ -1,6 +1,7 @@
 """Unit tests for the cyclotomic scalar domain."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,8 @@ from exactweil.exact import (
     euler_phi,
     from_rational,
     root_of_unity,
-    scalar_add,
-    scalar_conj,
-    scalar_eq,
-    scalar_mul,
+    scalar_matmul,
+    scalar_sum,
     sqrt_rat,
 )
 
@@ -74,10 +73,10 @@ def test_sqrt_rejects_nonpositive():
 
 def test_conjugation():
     z8 = root_of_unity(1, 8)
-    assert scalar_conj(z8) == z8 ** 7
-    assert scalar_conj(sqrt_rat(5)) == sqrt_rat(5)
+    assert z8.conjugate() == z8 ** 7
+    assert sqrt_rat(5).conjugate() == sqrt_rat(5)
     mixed = sqrt_rat(3) * root_of_unity(2, 7) + from_rational(Fraction(1, 3))
-    assert scalar_conj(scalar_conj(mixed)) == mixed
+    assert mixed.conjugate().conjugate() == mixed
 
 
 def test_root_of_unity_order_sweep():
@@ -109,10 +108,10 @@ _small_scalars = st.builds(
 @given(a=_small_scalars, b=_small_scalars, c=_small_scalars)
 @settings(max_examples=50, deadline=None)
 def test_ring_axioms_spot(a, b, c):
-    assert scalar_add(a, b) == scalar_add(b, a)
-    assert scalar_mul(a, b) == scalar_mul(b, a)
-    assert scalar_mul(a, scalar_add(b, c)) == scalar_mul(a, b) + scalar_mul(a, c)
-    assert scalar_mul(scalar_mul(a, b), c) == scalar_mul(a, scalar_mul(b, c))
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
 
 
 @given(a=_small_scalars, b=_small_scalars)
@@ -120,15 +119,15 @@ def test_ring_axioms_spot(a, b, c):
 def test_equality_is_congruence(a, b):
     # a written at a different order must stay equal and behave identically.
     a_alt = a * root_of_unity(0, 7)
-    assert scalar_eq(a, a_alt)
-    assert scalar_eq(a + b, a_alt + b)
-    assert scalar_eq(a * b, a_alt * b)
+    assert a == a_alt
+    assert a + b == a_alt + b
+    assert a * b == a_alt * b
 
 
 @given(a=_small_scalars)
 @settings(max_examples=50, deadline=None)
 def test_conj_fixes_modulus(a):
-    m = a * scalar_conj(a)
+    m = a * a.conjugate()
     box = eval_numeric(m, 64)
     assert box.contains_zero_imag()
     assert box.real_lo >= -Fraction(1, 10**6)
@@ -136,7 +135,7 @@ def test_conj_fixes_modulus(a):
 
 def test_modulus_of_unimodular_times_sqrt():
     a = root_of_unity(3, 40) * sqrt_rat(Fraction(7, 3))
-    assert a * scalar_conj(a) == Fraction(7, 3)
+    assert a * a.conjugate() == Fraction(7, 3)
 
 
 @given(a=_small_scalars)
@@ -195,3 +194,155 @@ def test_rational_detection():
     assert (root_of_unity(1, 4) ** 2).as_rational() == -1
     with pytest.raises(ValueError):
         root_of_unity(1, 3).as_rational()
+
+
+# -- the integer core against independent oracles ---------------------------
+
+_ORDERS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 21, 24, 30])
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _general_scalars(draw, orders=_ORDERS):
+    """A scalar with arbitrary rational coordinates at a drawn order."""
+    L = draw(orders)
+    coeffs = draw(st.lists(_coeff, min_size=euler_phi(L), max_size=euler_phi(L)))
+    return ExactScalar.from_json({"order": L, "coeffs": [str(c) for c in coeffs]})
+
+
+def _monomial_scalars(dens=st.integers(1, 30)):
+    return st.builds(lambda k, n, q: root_of_unity(k, n) * q,
+                     st.integers(-40, 40), dens, _coeff.filter(lambda q: q != 0))
+
+
+_monomials = _monomial_scalars()
+_any_scalars = st.one_of(_general_scalars(), _monomials)
+
+
+def _sympy_poly(s: ExactScalar, M: int, x):
+    """s as a polynomial in x = zeta_M, read from its public encoding."""
+    data = s.to_json()
+    step = M // data["order"]
+    return sum(Fraction(c) * x ** (k * step) for k, c in enumerate(data["coeffs"]))
+
+
+def _sympy_coeffs(poly, M: int, sympy, x):
+    """Power-basis coordinates of a sympy polynomial of degree < phi(M)."""
+    coeffs = sympy.Poly(poly, x).all_coeffs()[::-1]
+    coeffs += [0] * (euler_phi(M) - len(coeffs))
+    return [Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, coeffs)]
+
+
+def _coords(s: ExactScalar):
+    return [Fraction(c) for c in s.to_json()["coeffs"]]
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for L in range(1, 201):
+        expected = tuple(int(c) for c in
+                         sympy.Poly(sympy.cyclotomic_poly(L, x), x).all_coeffs()[::-1])
+        assert cyclotomic_polynomial(L) == expected, L
+
+
+@given(a=_any_scalars, b=_any_scalars)
+@settings(max_examples=80, deadline=None)
+def test_products_match_sympy_remainder(a, b):
+    # Covers general x general, monomial x general and monomial x monomial.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    M = a.order * b.order // gcd(a.order, b.order)
+    product = a * b
+    if product.is_zero():
+        assert a.is_zero() or b.is_zero()
+        return
+    assert product.order == M
+    rem = sympy.rem(sympy.expand(_sympy_poly(a, M, x) * _sympy_poly(b, M, x)),
+                    sympy.cyclotomic_poly(M, x), x)
+    assert _coords(product) == _sympy_coeffs(rem, M, sympy, x)
+
+
+@given(m=_monomials, e=st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_negative_powers_of_monomials_match_sympy(m, e):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    M = m.order
+    inv = sympy.invert(sympy.expand(_sympy_poly(m, M, x) ** e),
+                       sympy.cyclotomic_poly(M, x), x)
+    power = m ** -e
+    assert power.order == M
+    assert _coords(power) == _sympy_coeffs(inv, M, sympy, x)
+    assert power * m ** e == 1
+
+
+# Orders dividing 24 keep the order of a whole matrix product small.
+_DIVISORS_24 = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24])
+_matrix_entries = st.one_of(st.just(from_rational(0)), _monomial_scalars(_DIVISORS_24),
+                            _general_scalars(_DIVISORS_24))
+
+
+@given(data=st.data(), n=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_matmul_matches_sum_of_products(data, n):
+    # scalar_sum over the products is the reference, encoding included.
+    square = st.lists(st.lists(_matrix_entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    a, b = data.draw(square), data.draw(square)
+    got = scalar_matmul(a, b)
+    for i in range(n):
+        for j in range(n):
+            ref = scalar_sum(a[i][k] * b[k][j] for k in range(n))
+            assert got[i][j].to_json() == ref.to_json()
+
+
+def test_ring_paths_build_no_fraction(monkeypatch):
+    import exactweil.exact as exact
+    mono, other = root_of_unity(3, 8) * Fraction(2, 3), root_of_unity(1, 12)
+    general = sqrt_rat(3) + root_of_unity(1, 5)
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built on an integer path")
+
+    monkeypatch.setattr(exact, "Fraction", NoFraction)
+    root_of_unity(7, 30)
+    for a, b in ((mono, other), (mono, general), (general, mono), (general, general)):
+        a * b, a + b, a - b, a * 3, scalar_sum([a, b, a])
+    mono ** -3, mono.inverse(), mono.conjugate(), general ** 3, general.conjugate()
+    scalar_matmul([[mono, general], [from_rational(0), other]],
+                  [[general, other], [mono, general]])
+
+
+def test_matmul_rejects_mismatched_shapes():
+    one = from_rational(1)
+    with pytest.raises(ValueError):
+        scalar_matmul([[one, one], [one, one]], [[one]])
+    with pytest.raises(ValueError):
+        scalar_matmul([[one, one]], [[one, one]])
+
+
+def _meets(lo1, hi1, lo2, hi2) -> bool:
+    return lo1 <= hi2 and lo2 <= hi1
+
+
+def _interval_mul(lo1, hi1, lo2, hi2):
+    ends = [lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2]
+    return min(ends), max(ends)
+
+
+@given(a=_any_scalars, b=_any_scalars)
+@settings(max_examples=60, deadline=None)
+def test_enclosures_of_sum_and_product_meet_interval_arithmetic(a, b):
+    ea, eb = eval_numeric(a, 64), eval_numeric(b, 64)
+    s = eval_numeric(a + b, 64)
+    assert _meets(s.real_lo, s.real_hi, ea.real_lo + eb.real_lo, ea.real_hi + eb.real_hi)
+    assert _meets(s.imag_lo, s.imag_hi, ea.imag_lo + eb.imag_lo, ea.imag_hi + eb.imag_hi)
+    p = eval_numeric(a * b, 64)
+    rr = _interval_mul(ea.real_lo, ea.real_hi, eb.real_lo, eb.real_hi)
+    ii = _interval_mul(ea.imag_lo, ea.imag_hi, eb.imag_lo, eb.imag_hi)
+    ri = _interval_mul(ea.real_lo, ea.real_hi, eb.imag_lo, eb.imag_hi)
+    ir = _interval_mul(ea.imag_lo, ea.imag_hi, eb.real_lo, eb.real_hi)
+    assert _meets(p.real_lo, p.real_hi, rr[0] - ii[1], rr[1] - ii[0])
+    assert _meets(p.imag_lo, p.imag_hi, ri[0] + ir[0], ri[1] + ir[1])

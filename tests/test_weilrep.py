@@ -1,10 +1,15 @@
 """Generator matrices, the word and r0 oracles, the closed formulas, phi,
 and the kernel machinery."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
 
+import exactweil
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -528,3 +533,36 @@ def test_operator_json():
     boxed = op.to_json(precision_bits=64)
     re, im = boxed["entries_numeric"][0][0]
     assert abs(re - 0.5) < 1e-12 and abs(im + 0.5) < 1e-12
+
+
+# Each snippet corrupts one invariant; the check must still raise under -O.
+_CORRUPTIONS = {
+    "cyclotomic degree": ("ArithmeticError", """
+        from exactweil import exact
+        exact._phi_cache[105] = 47
+        exact.cyclotomic_polynomial(105)
+    """),
+    "matmul shapes": ("ValueError", """
+        from exactweil.exact import from_rational, scalar_matmul
+        one = from_rational(1)
+        scalar_matmul([[one, one], [one, one]], [[one]])
+    """),
+    "oracle word": ("ArithmeticError", """
+        from exactweil import weilrep
+        from exactweil.lattice import GramLattice
+        from exactweil.metaplectic import MP_T, MpElement, SL2
+        weilrep.word_mp = lambda word: MP_T
+        weilrep.rho_oracle(GramLattice([[2]]), MpElement(SL2(0, -1, 1, 0), 1))
+    """),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_invariants_raise_under_optimize(case):
+    error, code = _CORRUPTIONS[case]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactweil.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode != 0
+    assert error in run.stderr
