@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import cos, gcd, lcm, pi
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
-
-import mpmath
 
 RationalLike = Union[int, Fraction]
 
@@ -535,8 +533,10 @@ def _sqrt_prime(p: int) -> ExactScalar:
 
     sum_k zeta_p^(k^2) equals sqrt(p) for p = 1 mod 4 and i*sqrt(p) for
     p = 3 mod 4 (with the principal embedding zeta_p = e(1/p)); sqrt(2) is
-    zeta_8 + zeta_8^-1.  Each cached value is guarded by a 64-bit interval
-    check that it lies on the positive real axis.
+    zeta_8 + zeta_8^-1.  Each cached value is guarded by an exact check
+    that s^2 = p and s is real, so s = +-sqrt(p); the sign is read off a
+    float sum of the real part, whose rounding error (below p * 2^-40) is
+    far less than sqrt(p).  So exact evaluation never imports mpmath.
     """
     if p in _sqrt_prime_cache:
         return _sqrt_prime_cache[p]
@@ -548,8 +548,8 @@ def _sqrt_prime(p: int) -> ExactScalar:
             counts[(k * k) % p] += 1
         gauss = _make(p, _reduce_vec(counts, p), 1)
         s = gauss if p % 4 == 1 else gauss * root_of_unity(3, 4)
-    box = eval_numeric(s, 64)
-    if not (box.real_lo > 0 and box.imag_lo <= 0 <= box.imag_hi):
+    real = sum(c * cos(2 * pi * k / s.order) for k, c in enumerate(s._num)) / s._den
+    if not (s * s == from_rational(p) and s.conjugate() == s and real > 0):
         raise AssertionError("square root of %d left the positive axis" % p)
     _sqrt_prime_cache[p] = s
     return s
@@ -710,6 +710,8 @@ class ComplexInterval(NamedTuple):
 
 
 def _raw_mpf_to_fraction(raw) -> Fraction:
+    import mpmath
+
     sign, man, exp, _ = raw
     if man == 0:
         if raw == mpmath.libmp.fzero:
@@ -728,6 +730,8 @@ def eval_numeric(a: ExactScalar, precision_bits: int = 64) -> ComplexInterval:
     """Rigorous complex enclosure of a scalar at the given working precision."""
     if precision_bits < 32:
         raise ValueError("precision_bits must be at least 32")
+    import mpmath  # only the numeric enclosures need it; exact output does not
+
     iv = mpmath.iv
     old = iv.prec
     try:

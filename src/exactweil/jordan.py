@@ -365,10 +365,9 @@ def choose_xc(decomp: JordanDecomposition, c: int) -> Tuple[DFElement, Optional[
         return df.zero(), comp.t
     vec = xc_vector(decomp, v)
     cls = df.class_from_dual_vector(vec, 2)
-    if df.delta <= 10 ** 5:
-        for mu in df.kernel_generators(c):
-            check = (c * df.qval(mu) + df.pairing(cls, mu)) % 1
-            assert check == 0, "x_c must lie in the c-star coset"
+    for mu in df.kernel_generators(c):
+        if (c * df.q_num(mu) + df.pairing_num(cls, mu)) % df.level:
+            raise ArithmeticError("x_c must lie in the c-star coset")
     return cls, comp.t
 
 

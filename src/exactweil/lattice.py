@@ -2,9 +2,13 @@
 
 A lattice is given by its Gram matrix: a nondegenerate symmetric integer
 matrix.  The discriminant group M*/M is presented through a Smith normal
-form of the Gram matrix; each element carries a canonical lift to the dual
-lattice (rational coordinates in the lattice basis), from which the
-bilinear form mod 1 and the quadratic value gamma^2/2 are read off.
+form of the Gram matrix, as tuples of residues on its generators g_i.  With
+N the level, every value of the bilinear form and of q(gamma) = gamma^2/2
+lies in (1/N)Z, so the form is stored as an integer Gram matrix mod N on
+the generators (Stromberg's coordinates for finite quadratic modules):
+pairing and q are integer dot products mod N, read as k/N.  Canonical lifts
+to the dual lattice (rational coordinates in the lattice basis) remain as
+the independent reference.
 
 Enumeration of the full group is capped at delta <= 10**5 and raises
 CapExceededError beyond that.
@@ -80,7 +84,8 @@ def smith_normal_form(
                 for j in range(t, n):
                     if m[i][j] and (piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]])):
                         piv = (i, j)
-            assert piv is not None  # nonsingular input always leaves a pivot
+            if piv is None:
+                raise ArithmeticError("no pivot left in a nonsingular matrix")
             if piv[0] != t:
                 m[t], m[piv[0]] = m[piv[0]], m[t]
                 u[t], u[piv[0]] = u[piv[0]], u[t]
@@ -287,17 +292,29 @@ class PPart:
         return out if out else [self.parent.zero()]
 
 
+def _times_level(n: int, value: Fraction) -> int:
+    """n * value mod n, which must be an integer."""
+    scaled = n * value
+    if scaled.denominator != 1:
+        raise ArithmeticError("%s times the level %d is not an integer" % (value, n))
+    return scaled.numerator % n
+
+
 class DiscriminantForm:
     """The finite quadratic module M*/M of a lattice.
 
-    Elements are tuples of residues against `orders`.  The canonical lift
-    of an element is the corresponding combination of the stored dual-basis
-    generators; quadratic values use that lift, reduced mod 1 for even
-    lattices and mod 1/2 for odd ones.
+    Elements are tuples of residues against `orders`, the coordinates on the
+    Smith generators g_i.  With N = level, the form is kept as integers mod
+    N: B = `gram_mod` with B[i][j] = N (g_i, g_j) mod N, and Q[i] =
+    N g_i^2/2 mod N.  So N (x, y) is x^T B y mod N, and N q(x) is
+    sum x_i^2 Q[i] + sum_{i<j} x_i x_j B[i][j], mod N for even lattices and
+    mod N/2 for odd ones; `pairing` and `qval` return those integers over N.  The canonical lift of an element (the matching
+    combination of the stored dual-basis generators) is the independent
+    reference that the integer form is built from and checked against.
     """
 
     __slots__ = ("lattice", "orders", "gens", "delta", "signature", "level",
-                 "exponent", "_u", "_d_full")
+                 "exponent", "gram_mod", "_q_gram", "_q_mod", "_u", "_d_full")
 
     def __init__(self, lattice: GramLattice):
         self.lattice = lattice
@@ -308,12 +325,27 @@ class DiscriminantForm:
         self.gens: Tuple[Vector, ...] = tuple(
             tuple(Fraction(v[r][i], d[i][i]) for r in range(m)) for i in keep)
         self.delta = lattice.delta()
-        assert prod(self.orders, start=1) == self.delta
+        if prod(self.orders, start=1) != self.delta:
+            raise ArithmeticError("the Smith orders multiply to %d, not to delta = %d"
+                                  % (prod(self.orders, start=1), self.delta))
         self.signature = lattice.signature()
         self.level = lattice.level()
         self.exponent = self.orders[-1] if self.orders else 1
         self._u = u
         self._d_full = [d[i][i] for i in range(m)]
+        n = self.level
+        self._q_mod = n if lattice.is_even else n // 2
+        if not lattice.is_even and n % 2:
+            raise ArithmeticError("odd lattice with odd level %d" % n)
+        k = len(self.gens)
+        self.gram_mod = tuple(
+            tuple(_times_level(n, self.pairing_of_lifts(self.gens[i], self.gens[j]))
+                  for j in range(k)) for i in range(k))
+        q_gram = [[self.gram_mod[i][j] if j > i else 0 for j in range(k)]
+                  for i in range(k)]
+        for i, g in enumerate(self.gens):
+            q_gram[i][i] = _times_level(n, self.q_of_lift(g))
+        self._q_gram = tuple(map(tuple, q_gram))
 
     # -- group structure ------------------------------------------------
 
@@ -356,13 +388,26 @@ class DiscriminantForm:
         m = self.lattice.rank
         return sum(a[i] * g[i][j] * b[j] for i in range(m) for j in range(m))
 
+    def pairing_row(self, y: DFElement) -> Tuple[int, ...]:
+        """The integers w with N (x, y) = sum x_i w_i mod N for every x."""
+        n = self.level
+        return tuple(sum(b * t for b, t in zip(row, y)) % n for row in self.gram_mod)
+
+    def pairing_num(self, x: DFElement, y: DFElement) -> int:
+        """N (x, y) mod N."""
+        return sum(a * w for a, w in zip(x, self.pairing_row(y))) % self.level
+
+    def q_num(self, x: DFElement) -> int:
+        """N x^2/2, mod N for even lattices and mod N/2 for odd."""
+        return sum(a * sum(b * t for b, t in zip(row, x))
+                   for a, row in zip(x, self._q_gram)) % self._q_mod
+
     def pairing(self, x: DFElement, y: DFElement) -> Fraction:
-        return self.pairing_of_lifts(self.lift(x), self.lift(y)) % 1
+        return Fraction(self.pairing_num(x, y), self.level)
 
     def qval(self, x: DFElement) -> Fraction:
         """q(x) = x^2/2, mod 1 for even lattices and mod 1/2 for odd."""
-        val = self.norm_of_lift(self.lift(x)) / 2
-        return val % 1 if self.lattice.is_even else val % Fraction(1, 2)
+        return Fraction(self.q_num(x), self.level)
 
     def q_of_lift(self, vec: Sequence[Fraction]) -> Fraction:
         return self.norm_of_lift(vec) / 2
@@ -450,23 +495,19 @@ class DiscriminantForm:
         """
         if not self.lattice.is_even and c % 2:
             raise ValueError("odd lattice requires even c here")
-        gens = self.kernel_generators(c)
-        targets = [(-c * self.qval(mu)) % 1 for mu in gens]
-        lifts = [self.lift(mu) for mu in gens]
-        out = []
-        for beta in self.elements():
-            bl = self.lift(beta)
-            if all((self.pairing_of_lifts(bl, ml)) % 1 == t
-                   for ml, t in zip(lifts, targets)):
-                out.append(beta)
-        return out
+        n = self.level
+        conditions = [(self.pairing_row(mu), (-c * self.q_num(mu)) % n)
+                      for mu in self.kernel_generators(c)]
+        return [beta for beta in self.elements()
+                if all(sum(a * w for a, w in zip(beta, row)) % n == t
+                       for row, t in conditions)]
 
-    def beta_c_sq_half(self, c: int, x_c: DFElement, beta: DFElement) -> Fraction:
-        """c*alpha^2/2 + (x_c, alpha) mod 1, where beta = x_c + c*alpha."""
+    def beta_c_sq_half_num(self, c: int, x_c: DFElement, beta: DFElement) -> int:
+        """N (c*alpha^2/2 + (x_c, alpha)) mod N, where beta = x_c + c*alpha."""
         if c == 0:
             if beta != x_c:
                 raise ValueError("for c = 0 only beta = x_c is admissible")
-            return Fraction(0)
+            return 0
         diff = self.add(beta, self.neg(x_c))
         alpha = []
         for r, d in zip(diff, self.orders):
@@ -475,8 +516,11 @@ class DiscriminantForm:
                 raise ValueError("beta is not in the x_c coset")
             alpha.append(((r // g) * pow(c // g, -1, d // g)) % d)
         alpha_t = tuple(alpha)
-        val = c * self.qval(alpha_t) + self.pairing(x_c, alpha_t)
-        return val % 1
+        return (c * self.q_num(alpha_t) + self.pairing_num(x_c, alpha_t)) % self.level
+
+    def beta_c_sq_half(self, c: int, x_c: DFElement, beta: DFElement) -> Fraction:
+        """c*alpha^2/2 + (x_c, alpha) mod 1, where beta = x_c + c*alpha."""
+        return Fraction(self.beta_c_sq_half_num(c, x_c, beta), self.level)
 
     # -- identities -------------------------------------------------------
 
@@ -484,10 +528,10 @@ class DiscriminantForm:
         """Sum of e(gamma^2/2) over the group; even lattices only."""
         if not self.lattice.is_even:
             raise ValueError("Milgram sum needs an even lattice")
+        n = self.level
         total = from_rational(0)
         for x in self.elements():
-            q = self.qval(x)
-            total = total + root_of_unity(q.numerator, q.denominator)
+            total = total + root_of_unity(self.q_num(x), n)
         return total
 
     def to_json(self) -> dict:

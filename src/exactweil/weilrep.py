@@ -46,6 +46,25 @@ def _e(x: Fraction) -> ExactScalar:
     return root_of_unity(x.numerator, x.denominator)
 
 
+class _PhaseCells(dict):
+    """coeff * e(k/N) by phase k mod N, each computed on its first use.
+
+    Closed-formula cells are one scalar times a root of unity of order
+    dividing the level N, so an operator has at most N distinct cells.
+    """
+
+    __slots__ = ("coeff", "level")
+
+    def __init__(self, coeff: ExactScalar, level: int):
+        super().__init__()
+        self.coeff = coeff
+        self.level = level
+
+    def __missing__(self, k: int) -> ExactScalar:
+        cell = self[k] = self.coeff * root_of_unity(k, self.level)
+        return cell
+
+
 # -- operators -------------------------------------------------------------
 
 
@@ -140,9 +159,19 @@ class WeilOperator:
         return "WeilOperator(dim=%d)" % self.dim
 
     def to_json(self, precision_bits: Optional[int] = None) -> dict:
+        # Cells often share one scalar object; encode each object once, but
+        # give every cell a dict and coefficient list of its own.
+        encoded: Dict[int, dict] = {}
+
+        def encode(x: ExactScalar) -> dict:
+            data = encoded.get(id(x))
+            if data is None:
+                data = encoded[id(x)] = x.to_json()
+            return {"order": data["order"], "coeffs": list(data["coeffs"])}
+
         out = {
             "dim": self.dim,
-            "entries": [[x.to_json() for x in row] for row in self.entries],
+            "entries": [[encode(x) for x in row] for row in self.entries],
         }
         if precision_bits is not None:
             numeric = []
@@ -165,10 +194,27 @@ def rho_T(form: DiscriminantForm) -> WeilOperator:
         raise ValueError("rho(T) requires an even lattice; "
                          "T is outside the parity subgroup of an odd one")
     elems = form.elements()
+    return WeilOperator(elems, _t_diagonal(form, elems), form)
+
+
+def _t_diagonal(form: DiscriminantForm,
+                elems: Sequence[DFElement]) -> List[List[ExactScalar]]:
+    """The diagonal matrix of e(gamma^2/2) over the given elements."""
     n = len(elems)
-    ent = [[_e(form.qval(elems[i])) if i == j else _ZERO for j in range(n)]
-           for i in range(n)]
-    return WeilOperator(elems, ent, form)
+    ent = [[_ZERO] * n for _ in range(n)]
+    for i, g in enumerate(elems):
+        ent[i][i] = root_of_unity(form.q_num(g), form.level)
+    return ent
+
+
+def _fourier(form: DiscriminantForm, elems: Sequence[DFElement],
+             coeff: ExactScalar) -> List[List[ExactScalar]]:
+    """coeff * e(-(gamma, delta)) at row delta, column gamma."""
+    n = form.level
+    cells = _PhaseCells(coeff, n)
+    rows = [form.pairing_row(g) for g in elems]
+    return [[cells[-sum(a * w for a, w in zip(delta, row)) % n] for row in rows]
+            for delta in elems]
 
 
 def rho_S(form: DiscriminantForm) -> WeilOperator:
@@ -179,11 +225,8 @@ def rho_S(form: DiscriminantForm) -> WeilOperator:
     subgroup.
     """
     elems = form.elements()
-    n = len(elems)
     coeff = root_of_unity(-form.signature, 8) * sqrt_rat(Fraction(1, form.delta))
-    ent = [[coeff * _e(-form.pairing(elems[j], elems[i])) for j in range(n)]
-           for i in range(n)]
-    return WeilOperator(elems, ent, form)
+    return WeilOperator(elems, _fourier(form, elems, coeff), form)
 
 
 def rho_Z(form: DiscriminantForm) -> WeilOperator:
@@ -210,21 +253,17 @@ def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[WeilOperator, WeilOp
     form = lattice.discriminant_form()
     part = form.p_part(p)
     elems = part.elements()
-    n = len(elems)
-    t_ent = [[_e(form.qval(elems[i])) if i == j else _ZERO for j in range(n)]
-             for i in range(n)]
     coeff = weil_index_lattice(lattice, p).conjugate() \
         * sqrt_rat(Fraction(1, part.delta))
-    s_ent = [[coeff * _e(-form.pairing(elems[j], elems[i])) for j in range(n)]
-             for i in range(n)]
-    return (WeilOperator(elems, t_ent, form), WeilOperator(elems, s_ent, form))
+    return (WeilOperator(elems, _t_diagonal(form, elems), form),
+            WeilOperator(elems, _fourier(form, elems, coeff), form))
 
 
 # -- the generator-word oracle ---------------------------------------------
 
 
 def _t_phases(form: DiscriminantForm, k: int) -> List[ExactScalar]:
-    return [_e(k * form.qval(g)) for g in form.elements()]
+    return [root_of_unity(k * form.q_num(g), form.level) for g in form.elements()]
 
 
 def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
@@ -377,33 +416,41 @@ def _rho_diagonal_block(form: DiscriminantForm, mat: SL2, eps: int) -> WeilOpera
         delta = from_rational(eps)
     else:
         delta = root_of_unity(-1, 4) * eps
-    coeff = delta ** (-(form.signature % 8))
+    cells = _PhaseCells(delta ** (-(form.signature % 8)), form.level)
     elems = form.elements()
     n = len(elems)
     idx = {g: i for i, g in enumerate(elems)}
     ent = [[_ZERO] * n for _ in range(n)]
+    bd = mat.b * mat.d
     for j, g in enumerate(elems):
-        phase = (mat.b * mat.d * form.qval(g)) % 1
-        ent[idx[form.smul(mat.d, g)]][j] = coeff * _e(phase)
+        ent[idx[form.smul(mat.d, g)]][j] = cells[bd * form.q_num(g) % form.level]
     return WeilOperator(elems, ent, form)
 
 
 def _closed_assembly(form: DiscriminantForm, mat: SL2,
                      coeff: ExactScalar, coset: List[DFElement],
                      x_c: DFElement) -> WeilOperator:
-    """Sum the closed-formula phases over the c-star coset."""
+    """Sum the closed-formula phases over the c-star coset.
+
+    Each phase is an integer k mod the level N, and the cell is
+    coeff * e(k/N).
+    """
     a, b, c, d = mat.a, mat.b, mat.c, mat.d
+    n = form.level
     elems = form.elements()
-    n = len(elems)
+    dim = len(elems)
     idx = {g: i for i, g in enumerate(elems)}
-    beta_data = [(beta, form.beta_c_sq_half(c, x_c, beta)) for beta in coset]
-    ent = [[_ZERO] * n for _ in range(n)]
+    cells = _PhaseCells(coeff, n)
+    # per beta: a N(c alpha^2/2 + (x_c, alpha)), and b times its pairing row
+    beta_data = [(beta, a * form.beta_c_sq_half_num(c, x_c, beta),
+                  tuple(b * w for w in form.pairing_row(beta))) for beta in coset]
+    ent = [[_ZERO] * dim for _ in range(dim)]
     for j, gamma in enumerate(elems):
-        tail = (b * d * form.qval(gamma)) % 1
+        tail = b * d * form.q_num(gamma)
         d_gamma = form.smul(d, gamma)
-        for beta, half_sq in beta_data:
-            phase = (a * half_sq + b * form.pairing(gamma, beta) + tail) % 1
-            ent[idx[form.add(beta, d_gamma)]][j] = coeff * _e(phase)
+        for beta, head, row in beta_data:
+            k = (head + sum(g * w for g, w in zip(gamma, row)) + tail) % n
+            ent[idx[form.add(beta, d_gamma)]][j] = cells[k]
     return WeilOperator(elems, ent, form)
 
 
@@ -433,21 +480,20 @@ def _coset_odd_c(form: DiscriminantForm, c: int) -> List[DFElement]:
     """The c-star coset for an odd lattice and odd c.
 
     The scale-1 part of the kernel at 2 is trivial, so only the odd-part
-    conditions survive; a value passes when its denominator is a power of 2,
-    since the half-integer ambiguity of q on an odd lattice is invisible to
-    the odd-prime characters.
+    conditions survive; a value k/N passes when its denominator
+    N/gcd(k, N) is a power of 2, since the half-integer ambiguity of q on
+    an odd lattice is invisible to the odd-prime characters.
     """
-    gens = form.kernel_generators(c)
+    n = form.level
+    conditions = [(form.pairing_row(mu), c * form.q_num(mu))
+                  for mu in form.kernel_generators(c)]
     out = []
     for beta in form.elements():
-        ok = True
-        for mu in gens:
-            val = (c * form.qval(mu) + form.pairing(beta, mu)) % 1
-            den = val.denominator
+        for row, head in conditions:
+            den = n // gcd((head + sum(a * w for a, w in zip(beta, row))) % n, n)
             if den & (den - 1):
-                ok = False
                 break
-        if ok:
+        else:
             out.append(beta)
     return out
 

@@ -1,13 +1,19 @@
 """Request parsing, dispatch, JSON output shape, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
+import exactweil
 import pytest
 
 from exactweil.cli import (
     EXIT_CAP,
     EXIT_INVALID,
+    EXIT_INVARIANT,
     EXIT_OK,
     Request,
     main,
@@ -149,3 +155,30 @@ def test_cli_gauss_and_pretty(capsys):
     assert code == EXIT_OK
     assert out.startswith("dim: 2")
     assert "1/2 - 1/2*z8^2" in out
+
+
+def test_cli_verify_fails_under_optimize():
+    # The suites must not rely on assert statements, which -O strips.
+    code = textwrap.dedent("""
+        import json
+        from exactweil import cli
+        from exactweil.weilrep import WeilOperator
+        def wrong_oracle(lattice, x):
+            form = lattice.discriminant_form()
+            return WeilOperator.identity(form.elements(), form)
+        cli.rho_oracle = wrong_oracle
+        payload, code = cli.run(cli.Request("verify", cli.parse_lattice("[[2]]")))
+        print(json.dumps({"payload": payload, "code": code}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactweil.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run_ = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert run_.returncode == 0, run_.stderr
+    out = json.loads(run_.stdout)
+    assert out["code"] == EXIT_INVARIANT and out["payload"]["ok"] is False
+    suites = {s["name"]: s for s in out["payload"]["suites"]}
+    assert suites["closed-vs-oracle"] == {
+        "name": "closed-vs-oracle", "ok": False,
+        "identity": "closed formula == generator-word oracle"}
+    assert suites["braun"]["ok"]

@@ -1,8 +1,13 @@
 """Unit tests for the cyclotomic scalar domain."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
 
+import exactweil
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -346,3 +351,24 @@ def test_enclosures_of_sum_and_product_meet_interval_arithmetic(a, b):
     ir = _interval_mul(ea.imag_lo, ea.imag_hi, eb.real_lo, eb.real_hi)
     assert _meets(p.real_lo, p.real_hi, rr[0] - ii[1], rr[1] - ii[0])
     assert _meets(p.imag_lo, p.imag_hi, ri[0] + ir[0], ri[1] + ir[1])
+
+
+def test_exact_output_does_not_load_mpmath():
+    code = textwrap.dedent("""
+        import sys
+        import exactweil.cli
+        from exactweil.cli import Request, parse_lattice, parse_matrix, run
+        for gram, mat in (("[[2, 1], [1, 2]]", "1,2,3,7"), ("[[2]]", "0,-1,1,0"),
+                          ("[[6]]", "0,-1,1,0"), ("[[1]]", "2,1,3,2")):
+            run(Request("rho", parse_lattice(gram), parse_matrix(mat), 1))
+        assert "mpmath" not in sys.modules
+        from exactweil.exact import eval_numeric, root_of_unity
+        print(repr(tuple(eval_numeric(root_of_unity(1, 12) * 3 + 1, 80))))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactweil.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    box = eval_numeric(root_of_unity(1, 12) * 3 + 1, 80)
+    assert run.stdout.strip() == repr(tuple(box))

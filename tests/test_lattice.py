@@ -4,10 +4,11 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EVEN_GRAMS, ODD_GRAMS
 from exactweil.exact import from_rational, root_of_unity, sqrt_rat
+from exactweil.jordan import choose_xc, jordan_decompose
 from exactweil.lattice import (
     CapExceededError,
     GramLattice,
@@ -17,6 +18,7 @@ from exactweil.lattice import (
     interesting_primes,
     smith_normal_form,
 )
+from exactweil.weilrep import _coset_odd_c
 
 ALL_GRAMS = EVEN_GRAMS + ODD_GRAMS
 
@@ -309,3 +311,103 @@ def test_json_shape():
     assert doc["orders"] == [2] and doc["delta"] == 2
     assert doc["quad"] == ["1/4"] and doc["bilinear"] == [["1/2"]]
     assert doc["signature"] == 1 and doc["level"] == 4
+
+
+# -- the integer form mod N against the lift-based reference ---------------
+
+
+def _ref_pairing(df, x, y):
+    return df.pairing_of_lifts(df.lift(x), df.lift(y)) % 1
+
+
+def _ref_qval(df, x):
+    modulus = 1 if df.lattice.is_even else Fraction(1, 2)
+    return df.norm_of_lift(df.lift(x)) / 2 % modulus
+
+
+def _check_integer_form(df, elems):
+    n = df.level
+    for x in elems:
+        assert 0 <= df.q_num(x) < (n if df.lattice.is_even else n // 2)
+        assert df.qval(x) == _ref_qval(df, x)
+        for y in elems:
+            assert 0 <= df.pairing_num(x, y) < n
+            assert df.pairing(x, y) == _ref_pairing(df, x, y)
+
+
+def test_integer_form_matches_lifts_on_corpus():
+    for gram in ALL_GRAMS:
+        df = GramLattice(gram).discriminant_form()
+        _check_integer_form(df, df.elements())
+
+
+@st.composite
+def _small_grams(draw):
+    """Nondegenerate symmetric integer matrices of rank <= 3 and delta <= 200."""
+    m = draw(st.integers(1, 3))
+    even = draw(st.booleans())
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        diag = draw(st.integers(-8, 8))
+        rows[i][i] = 2 * diag if even else diag
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    det = abs(_det_int(rows))
+    assume(0 < det <= 200)
+    return rows
+
+
+@given(_small_grams(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_integer_form_matches_lifts_property(gram, rng):
+    df = GramLattice(gram).discriminant_form()
+    elems = df.elements()
+    gens = [tuple(int(i == j) for j in range(len(df.orders)))
+            for i in range(len(df.orders))]
+    _check_integer_form(df, gens + rng.sample(elems, min(12, len(elems))))
+
+
+_COSET_GRAMS = ALL_GRAMS + [[[32]], [[2, 0], [0, 6]], [[4, 2], [2, 4]],
+                            [[6, 3], [3, 6]], [[8]], [[1, 0], [0, 4]]]
+
+
+def _brute_kernel(df, c):
+    return [mu for mu in df.elements() if df.smul(c, mu) == df.zero()]
+
+
+def test_cosets_match_lift_enumeration():
+    for gram in _COSET_GRAMS:
+        lat = GramLattice(gram)
+        df = lat.discriminant_form()
+        for c in range(-12, 13):
+            kernel = _brute_kernel(df, c)
+            values = {beta: [(c * _ref_qval(df, mu) + _ref_pairing(df, beta, mu)) % 1
+                             for mu in kernel] for beta in df.elements()}
+            if lat.is_even or c % 2 == 0:
+                expected = [b for b in df.elements() if not any(values[b])]
+                assert df.coset_Dcstar(c) == expected
+            else:
+                def two_power(v):
+                    return v.denominator & (v.denominator - 1) == 0
+                expected = [b for b in df.elements() if all(map(two_power, values[b]))]
+                assert _coset_odd_c(df, c) == expected
+
+
+def test_beta_c_sq_half_matches_lift_enumeration():
+    for gram in _COSET_GRAMS:
+        lat = GramLattice(gram)
+        df = lat.discriminant_form()
+        for c in range(-12, 13):
+            if c == 0:
+                continue
+            x_c, _ = choose_xc(jordan_decompose(lat, 2), c)
+            odd_c = not lat.is_even and c % 2
+            coset = _coset_odd_c(df, c) if odd_c else df.coset_Dcstar(c)
+            for beta in coset:
+                seen = {(c * _ref_qval(df, alpha) + _ref_pairing(df, x_c, alpha)) % 1
+                        for alpha in df.elements()
+                        if df.add(x_c, df.smul(c, alpha)) == beta}
+                val = df.beta_c_sq_half(c, x_c, beta)
+                assert val == Fraction(df.beta_c_sq_half_num(c, x_c, beta), df.level)
+                # odd c on an odd lattice: c*q(alpha) depends on alpha mod 1/2
+                assert val in seen if odd_c else seen == {val}

@@ -554,6 +554,27 @@ _CORRUPTIONS = {
         weilrep.word_mp = lambda word: MP_T
         weilrep.rho_oracle(GramLattice([[2]]), MpElement(SL2(0, -1, 1, 0), 1))
     """),
+    "smith pivot": ("ArithmeticError", """
+        from exactweil import lattice
+        lattice._det_int = lambda rows: 1
+        lattice.smith_normal_form([[0, 0], [0, 0]])
+    """),
+    "smith orders": ("ArithmeticError", """
+        from exactweil.lattice import DiscriminantForm, GramLattice
+        GramLattice.delta = lambda self: 7
+        DiscriminantForm(GramLattice([[2]]))
+    """),
+    "integral form": ("ArithmeticError", """
+        from exactweil.lattice import DiscriminantForm, GramLattice
+        GramLattice.level = lambda self: 2
+        DiscriminantForm(GramLattice([[2]]))
+    """),
+    "x_c coset": ("ArithmeticError", """
+        from exactweil.jordan import choose_xc, jordan_decompose
+        from exactweil.lattice import DiscriminantForm, GramLattice
+        DiscriminantForm.class_from_dual_vector = lambda self, vec, p: self.zero()
+        choose_xc(jordan_decompose(GramLattice([[4]]), 2), 4)
+    """),
 }
 
 
@@ -566,3 +587,51 @@ def test_invariants_raise_under_optimize(case):
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode != 0
     assert error in run.stderr
+
+
+def test_operator_json_cells_are_not_aliased():
+    lattice = GramLattice([[2, 0], [0, 6]])
+    op = rho_closed(lattice, MpElement(SL2(1, 1, 2, 3), 1))
+    out = op.to_json()
+    fresh = op.to_json()
+    assert out == fresh
+    cells = [(i, j) for i in range(op.dim) for j in range(op.dim)]
+    # the operator shares scalar objects between cells, so aliasing would show
+    assert len({id(op.entries[i][j]) for i, j in cells}) < len(cells)
+    i, j = cells[0]
+    out["entries"][i][j]["coeffs"].append("7")
+    out["entries"][i][j]["order"] = -1
+    for k, m in cells[1:]:
+        assert out["entries"][k][m] == fresh["entries"][k][m]
+
+
+def test_phase_paths_build_no_fraction(monkeypatch):
+    import exactweil.lattice as lattice_mod
+    import exactweil.weilrep as weilrep_mod
+
+    even, odd = GramLattice([[2, 0], [0, 6]]), GramLattice([[1, 0], [0, 4]])
+    mat, odd_mat = SL2(1, 1, 2, 3), SL2(2, 1, 3, 2)
+    prepared = []
+    for lattice, m in ((even, mat), (odd, odd_mat), (odd, SL2(1, 0, 2, 1))):
+        form = lattice.discriminant_form()
+        x_c, _ = weilrep_mod.choose_xc(jordan_decompose(lattice, 2), m.c)
+        prepared.append((form, m, x_c))
+    coeff = root_of_unity(1, 8) * sqrt_rat(Fraction(1, 3))
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built on an integer path")
+
+    monkeypatch.setattr(lattice_mod, "Fraction", NoFraction)
+    monkeypatch.setattr(weilrep_mod, "Fraction", NoFraction)
+    for form, m, x_c in prepared:
+        if form.lattice.is_even or m.c % 2 == 0:
+            coset = form.coset_Dcstar(m.c)
+        else:
+            coset = weilrep_mod._coset_odd_c(form, m.c)
+        weilrep_mod._closed_assembly(form, m, coeff, coset, x_c)
+        weilrep_mod._rho_diagonal_block(form, SL2(-1, 3, 0, -1), -1)
+        weilrep_mod._t_phases(form, 2)
+    form = even.discriminant_form()
+    rho_T(form), form.milgram_sum()
+    weilrep_mod._fourier(form, form.elements(), coeff)
