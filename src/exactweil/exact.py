@@ -525,6 +525,15 @@ def from_rational(r: RationalLike) -> ExactScalar:
     return ExactScalar.from_rational(r)
 
 
+def from_powers(coeffs: Sequence[int], L: int) -> ExactScalar:
+    """sum of coeffs[t] * zeta_L^t over t, for integer coefficients: an
+    element of the group ring Z[x]/(x^L - 1) read in Q(zeta_L), with one
+    reduction mod Phi_L."""
+    if L < 1:
+        raise ValueError("order must be positive")
+    return _make(L, _reduce_vec(list(coeffs), L), 1)
+
+
 _sqrt_prime_cache: dict[int, ExactScalar] = {}
 
 

@@ -152,7 +152,9 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
                 if _val(pr(i, i), p) != v_min:
                     # the other sign must work: the two attempts differ by 4*g_ij
                     vecs[i] = [x - 2 * y for x, y in zip(vecs[i], vecs[j])]
-                assert _val(pr(i, i), p) == v_min
+                if _val(pr(i, i), p) != v_min:
+                    raise ArithmeticError("no diagonal entry of valuation %d at p = %d"
+                                          % (v_min, p))
                 diag = i
             pivot(diag, active)
             raw_blocks.append((v_min, [diag]))
@@ -228,7 +230,9 @@ def _fuse_scale(gram, vecs, idxs: List[int], e: int) -> None:
         if i is None:
             # residual is even type: mix the last pivot back in to restore
             # an odd diagonal, and put that pivot back into play
-            assert last is not None
+            if last is None:
+                raise ArithmeticError("an even-type 2-adic scale of valuation %d "
+                                      "has no odd pivot to mix back in" % e)
             j = next(j for j in todo for k in todo
                      if j != k and _val(pr(j, k), 2) == e)
             vecs[j] = [x + y for x, y in zip(vecs[j], vecs[last])]
@@ -246,23 +250,33 @@ def _fuse_scale(gram, vecs, idxs: List[int], e: int) -> None:
 
 def _validate_blocks(decomp: JordanDecomposition) -> None:
     lattice, p = decomp.lattice, decomp.p
-    assert sum(c.n for c in decomp.components) == lattice.rank
-    assert prod(c.q ** c.n for c in decomp.components) == \
-        p ** valuation_split(lattice.delta(), p).valuation
+    if sum(c.n for c in decomp.components) != lattice.rank:
+        raise ArithmeticError("the Jordan components at p = %d do not have "
+                              "total rank %d" % (p, lattice.rank))
+    if prod(c.q ** c.n for c in decomp.components) != \
+            p ** valuation_split(lattice.delta(), p).valuation:
+        raise ArithmeticError("the Jordan components at p = %d do not multiply "
+                              "to the p-part of delta" % p)
     for idx, comp in enumerate(decomp.components):
         vec = decomp.component_vectors(idx)
         block = [[_pair(lattice.gram, u, v) for v in vec] for u in vec]
         det = _det_fraction(block)
-        assert valuation_split(det, p).valuation == comp.e * comp.n
-        for row in block:
-            for x in row:
-                assert x == 0 or valuation_split(x, p).valuation >= comp.e
+        if valuation_split(det, p).valuation != comp.e * comp.n:
+            raise ArithmeticError("Jordan component %d at p = %d has the wrong "
+                                  "determinant valuation" % (idx, p))
+        if any(x and valuation_split(x, p).valuation < comp.e
+               for row in block for x in row):
+            raise ArithmeticError("Jordan component %d at p = %d has an entry "
+                                  "below its scale" % (idx, p))
     # distinct components are orthogonal
     for idx in range(len(decomp.components)):
         for jdx in range(idx + 1, len(decomp.components)):
             for u in decomp.component_vectors(idx):
                 for v in decomp.component_vectors(jdx):
-                    assert _pair(lattice.gram, u, v) == 0
+                    if _pair(lattice.gram, u, v) != 0:
+                        raise ArithmeticError("Jordan components %d and %d at "
+                                              "p = %d are not orthogonal"
+                                              % (idx, jdx, p))
 
 
 def _det_fraction(rows: List[List[Fraction]]) -> Fraction:

@@ -10,8 +10,8 @@ pairing and q are integer dot products mod N, read as k/N.  Canonical lifts
 to the dual lattice (rational coordinates in the lattice basis) remain as
 the independent reference.
 
-Enumeration of the full group is capped at delta <= 10**5 and raises
-CapExceededError beyond that.
+Enumeration of the full group is capped at delta <= 10**5, and a dense
+operator on it at 10**7 integers; both raise CapExceededError beyond that.
 """
 
 from fractions import Fraction
@@ -25,6 +25,9 @@ DFElement = Tuple[int, ...]
 Vector = Tuple[Fraction, ...]
 
 ENUMERATION_CAP = 10 ** 5
+# Integers a dense operator may hold: delta^2 cells, times the level N for
+# the word oracle's matrix over Z[x]/(x^N - 1).
+DENSE_CAP = 10 ** 7
 
 
 class CapExceededError(RuntimeError):
@@ -366,6 +369,14 @@ class DiscriminantForm:
             raise CapExceededError(f"discriminant group has {self.delta} elements")
         return [coords for coords in product(*(range(d) for d in self.orders))] \
             if self.orders else [()]
+
+    def require_dense(self, per_cell: int = 1) -> None:
+        """Raise CapExceededError unless a delta x delta matrix of per_cell
+        integers each stays within DENSE_CAP; call before allocating it."""
+        size = self.delta ** 2 * per_cell
+        if size > DENSE_CAP:
+            raise CapExceededError("a dense operator on %d elements would hold "
+                                   "%d integers (cap %d)" % (self.delta, size, DENSE_CAP))
 
     # -- lifts and values ------------------------------------------------
 

@@ -173,10 +173,16 @@ def _peel(mat: SL2, step: int) -> Word:
     return head
 
 
+def _check_word(word: Word, mat: SL2) -> None:
+    if word_matrix(word) != mat:
+        raise ArithmeticError("the word multiplies out to %r, not to %r"
+                              % (word_matrix(word), mat))
+
+
 def decompose_ST(mat: SL2) -> Word:
     """A word in T-powers and S^(+-1) multiplying out to the matrix."""
     word = _peel(mat, 1)
-    assert word_matrix(word) == mat
+    _check_word(word, mat)
     return word
 
 
@@ -190,8 +196,9 @@ def decompose_T2S(mat: SL2) -> Word:
     if not gamma_odd_member(mat):
         raise ValueError("matrix has odd ac or bd")
     word = _peel(mat, 2)
-    assert word_matrix(word) == mat
-    assert all(kind == "S" or k % 2 == 0 for kind, k in word)
+    _check_word(word, mat)
+    if any(kind == "T" and k % 2 for kind, k in word):
+        raise ArithmeticError("the word for %r has an odd power of T" % (mat,))
     return word
 
 

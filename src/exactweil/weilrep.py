@@ -5,7 +5,10 @@ algebra C[D_M]; the metaplectic group over SL_2(Z) acts on that space by a
 finite unitary representation rho_M.  This module evaluates rho_M three ways:
 
   * generator words: decompose the matrix into T and S steps and multiply
-    the generator matrices, tracking the metaplectic sign exactly;
+    the generator matrices, tracking the metaplectic sign exactly.  Each
+    generator is a scalar times a matrix of N-th roots of unity (N the
+    level), so the word multiplies only those matrices, over the group ring
+    Z[x]/(x^N - 1), and applies the product of the scalars once;
   * the direct r0 character sum over M/cM (for c != 0), which gives the
     operator up to a single scalar;
   * the closed local-to-global formula: a product of p-adic root-of-unity
@@ -23,16 +26,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import (ExactScalar, from_rational, root_of_unity, scalar_matmul,
-                    scalar_sum, sqrt_rat)
+from .exact import (ExactScalar, from_powers, from_rational, root_of_unity,
+                    scalar_matmul, scalar_sum, sqrt_rat)
 from .jordan import (BRUTE_CAP, choose_xc, jordan_decompose, scale_component,
                      weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
                       GramLattice, interesting_primes)
-from .metaplectic import (MpElement, SL2, decompose_ST, decompose_T2S,
+from .metaplectic import (MpElement, SL2, Word, decompose_ST, decompose_T2S,
                           gamma_odd_member, word_mp)
 from .numth import eps_parity, legendre, two_over, valuation_split
 
@@ -103,12 +106,6 @@ class WeilOperator:
 
     def scale(self, s: ExactScalar) -> "WeilOperator":
         ent = [[s * x for x in row] for row in self.entries]
-        return WeilOperator(self.labels, ent, self.form)
-
-    def scale_columns(self, phases: Sequence[ExactScalar]) -> "WeilOperator":
-        """Right multiplication by the diagonal operator diag(phases)."""
-        ent = [[row[j] * phases[j] for j in range(self.dim)]
-               for row in self.entries]
         return WeilOperator(self.labels, ent, self.form)
 
     def __mul__(self, other) -> "WeilOperator":
@@ -193,6 +190,7 @@ def rho_T(form: DiscriminantForm) -> WeilOperator:
     if not form.lattice.is_even:
         raise ValueError("rho(T) requires an even lattice; "
                          "T is outside the parity subgroup of an odd one")
+    form.require_dense()
     elems = form.elements()
     return WeilOperator(elems, _t_diagonal(form, elems), form)
 
@@ -224,6 +222,7 @@ def rho_S(form: DiscriminantForm) -> WeilOperator:
     the same formula covers odd lattices, whose S lies in the parity
     subgroup.
     """
+    form.require_dense()
     elems = form.elements()
     coeff = root_of_unity(-form.signature, 8) * sqrt_rat(Fraction(1, form.delta))
     return WeilOperator(elems, _fourier(form, elems, coeff), form)
@@ -231,6 +230,7 @@ def rho_S(form: DiscriminantForm) -> WeilOperator:
 
 def rho_Z(form: DiscriminantForm) -> WeilOperator:
     """rho(Z) = rho(S)^2: e_gamma -> zeta_8^(-2 sgn) e_{-gamma}."""
+    form.require_dense()
     elems = form.elements()
     n = len(elems)
     coeff = root_of_unity(-2 * form.signature, 8)
@@ -262,8 +262,53 @@ def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[WeilOperator, WeilOp
 # -- the generator-word oracle ---------------------------------------------
 
 
-def _t_phases(form: DiscriminantForm, k: int) -> List[ExactScalar]:
-    return [root_of_unity(k * form.q_num(g), form.level) for g in form.elements()]
+def _group_ring_product(form: DiscriminantForm,
+                        word: Word) -> Tuple[List[List[List[int]]], int, int]:
+    """The root-of-unity part of the generator product along a word.
+
+    rho(T^k) is diag(zeta_N^(k N q(gamma))) and rho(S^(+-1)) is a scalar
+    times [zeta_N^(-+N (gamma, delta))], N the level; so the product is one
+    scalar times a matrix over the group ring Z[x]/(x^N - 1), x = zeta_N.
+    Cell (i, j) is the list of its N coefficients, all nonnegative integers.
+    Returns the matrix and the numbers of S and S^-1 steps.
+    """
+    n = form.level
+    form.require_dense(n)
+    elems = form.elements()
+    dim = len(elems)
+    q = [form.q_num(g) for g in elems]
+    rows = [form.pairing_row(g) for g in elems]
+    pairs = [[sum(a * w for a, w in zip(g, row)) % n for row in rows] for g in elems]
+    ent = [[[int(i == j and t == 0) for t in range(n)] for j in range(dim)]
+           for i in range(dim)]
+    gathers: Dict[int, list] = {}
+    steps = {1: 0, -1: 0}
+    for sym, k in word:
+        if sym == "T":
+            # Column gamma times x^(k N q(gamma)): a rotation of each cell.
+            shifts = [k * qj % n for qj in q]
+            for row in ent:
+                for j, s in enumerate(shifts):
+                    if s:
+                        row[j] = row[j][-s:] + row[j][:-s]
+            continue
+        sign = 1 if k > 0 else -1
+        steps[sign] += abs(k)
+        # Coefficient t of cell (i, j) of the product gathers, from each cell
+        # (i, l), the coefficient that x^(-sign N (gamma_l, gamma_j)) moves
+        # to t; flat index l N + (t + sign N (gamma_l, gamma_j)) mod N.
+        gather = gathers.get(sign)
+        if gather is None:
+            gather = gathers[sign] = [
+                [[l * n + (t + sign * pairs[l][j]) % n for l in range(dim)]
+                 for t in range(n)] for j in range(dim)]
+        for _ in range(abs(k)):
+            new = []
+            for row in ent:
+                get = [c for cell in row for c in cell].__getitem__
+                new.append([[sum(map(get, ix)) for ix in cell] for cell in gather])
+            ent = new
+    return ent, steps[1], steps[-1]
 
 
 def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
@@ -272,34 +317,33 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
     The word is an exact decomposition of the matrix (T and S steps for even
     lattices, T^2 and S steps for odd ones); the metaplectic sign of the
     word is recomputed through the cocycle and a mismatch against the
-    requested sign is corrected by rho(Z^2) = (-1)^sgn.  No closed-formula
-    machinery enters, which is what makes this an oracle.
+    requested sign is corrected by rho(Z^2) = (-1)^sgn.  The roots of unity
+    of the generators are multiplied in Z[x]/(x^N - 1); the scalar of the n+
+    steps S and the n- steps S^-1, zeta_8^(sgn (n- - n+)) Delta^(-(n+ + n-)/2),
+    is applied once at the end.  No closed-formula machinery enters, which
+    is what makes this an oracle.
     """
     form = lattice.discriminant_form()
     if lattice.is_even:
         word = decompose_ST(x.mat)
     else:
         word = decompose_T2S(x.mat)
-    op = WeilOperator.identity(form.elements(), form)
-    s_op: Optional[WeilOperator] = None
-    s_inv: Optional[WeilOperator] = None
-    for sym, k in word:
-        if sym == "T":
-            op = op.scale_columns(_t_phases(form, k))
-            continue
-        if s_op is None:
-            s_op = rho_S(form)
-            s_inv = s_op.conj_transpose()
-        factor = s_op if k > 0 else s_inv
-        for _ in range(abs(k)):
-            op = op * factor
     achieved = word_mp(word)
     if achieved.mat != x.mat:
         raise ArithmeticError("the generator word evaluates to %r, not to %r"
                               % (achieved.mat, x.mat))
-    if achieved.eps != x.eps:
-        op = op.scale(from_rational(-1 if form.signature % 2 else 1))
-    return op
+    ring, n_plus, n_minus = _group_ring_product(form, word)
+    sgn = form.signature
+    scalar = root_of_unity(sgn * (n_minus - n_plus), 8) \
+        * sqrt_rat(Fraction(1, form.delta ** (n_plus + n_minus)))
+    if achieved.eps != x.eps and sgn % 2:
+        scalar = -scalar
+    # One scalar object per distinct cell, as in the closed formula.
+    keys = [[tuple(coeffs) for coeffs in row] for row in ring]
+    cells = {key: scalar * from_powers(key, form.level)
+             for key in {key for row in keys for key in row}}
+    return WeilOperator(form.elements(), [[cells[key] for key in row] for row in keys],
+                        form)
 
 
 # -- the direct r0 sum -----------------------------------------------------
@@ -320,6 +364,7 @@ def r0_direct(lattice: GramLattice, mat: SL2) -> WeilOperator:
     if abs(mat.c) ** m > BRUTE_CAP:
         raise CapExceededError("M/cM has %d^%d elements" % (abs(mat.c), m))
     form = lattice.discriminant_form()
+    form.require_dense()
     elems = form.elements()
     n = len(elems)
     lifts = [form.lift(g) for g in elems]
@@ -416,6 +461,7 @@ def _rho_diagonal_block(form: DiscriminantForm, mat: SL2, eps: int) -> WeilOpera
         delta = from_rational(eps)
     else:
         delta = root_of_unity(-1, 4) * eps
+    form.require_dense()
     cells = _PhaseCells(delta ** (-(form.signature % 8)), form.level)
     elems = form.elements()
     n = len(elems)
@@ -433,24 +479,33 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2,
     """Sum the closed-formula phases over the c-star coset.
 
     Each phase is an integer k mod the level N, and the cell is
-    coeff * e(k/N).
+    coeff * e(k/N).  Elements are addressed by their mixed-radix index in
+    form.elements(); for each beta the phases and the rows of beta + d gamma
+    are computed for all gamma at once, one coordinate at a time.
     """
     a, b, c, d = mat.a, mat.b, mat.c, mat.d
     n = form.level
+    form.require_dense()
     elems = form.elements()
     dim = len(elems)
-    idx = {g: i for i, g in enumerate(elems)}
     cells = _PhaseCells(coeff, n)
-    # per beta: a N(c alpha^2/2 + (x_c, alpha)), and b times its pairing row
-    beta_data = [(beta, a * form.beta_c_sq_half_num(c, x_c, beta),
-                  tuple(b * w for w in form.pairing_row(beta))) for beta in coset]
+    strides = [prod(form.orders[r + 1:]) for r in range(len(form.orders))]
+    coords = list(zip(*elems))
+    d_coords = [[d * g % o for g in col] for col, o in zip(coords, form.orders)]
+    tails = [b * d * form.q_num(gamma) for gamma in elems]
     ent = [[_ZERO] * dim for _ in range(dim)]
-    for j, gamma in enumerate(elems):
-        tail = b * d * form.q_num(gamma)
-        d_gamma = form.smul(d, gamma)
-        for beta, head, row in beta_data:
-            k = (head + sum(g * w for g, w in zip(gamma, row)) + tail) % n
-            ent[idx[form.add(beta, d_gamma)]][j] = cells[k]
+    for beta in coset:
+        # a N(c alpha^2/2 + (x_c, alpha)) + b N(gamma, beta) + bd N q(gamma)
+        head = a * form.beta_c_sq_half_num(c, x_c, beta)
+        ks = [head + t for t in tails]
+        rows = [0] * dim
+        for w, col, dcol, o, stride, x in zip(form.pairing_row(beta), coords,
+                                              d_coords, form.orders, strides, beta):
+            bw = b * w
+            ks = [k + bw * g for k, g in zip(ks, col)]
+            rows = [i + (x + y) % o * stride for i, y in zip(rows, dcol)]
+        for j, (i, k) in enumerate(zip(rows, ks)):
+            ent[i][j] = cells[k % n]
     return WeilOperator(elems, ent, form)
 
 

@@ -143,6 +143,18 @@ def test_cli_exit_codes(capsys):
         main(["frobnicate", "--lattice", "[[2]]"])
 
 
+def test_cli_rho_dense_cap(capsys, monkeypatch):
+    import exactweil.lattice as lattice_mod
+
+    argv = ["rho", "--lattice", "[[2, 0], [0, 4]]", "--matrix", "1,1,1,2"]
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 8 * 8)
+    code, _ = invoke(capsys, argv)
+    assert code == EXIT_OK
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 8 * 8 - 1)
+    code, out = invoke(capsys, argv)
+    assert code == EXIT_CAP and "cap 63" in json.loads(out)["error"]
+
+
 def test_cli_gauss_and_pretty(capsys):
     code, out = invoke(capsys, ["gauss", "--lattice", "[[2]]", "--prime", "2",
                                 "--a", "3", "--c", "2", "--format", "both"])

@@ -17,6 +17,7 @@ from exactweil.exact import (
     cyclotomic_polynomial,
     eval_numeric,
     euler_phi,
+    from_powers,
     from_rational,
     root_of_unity,
     scalar_matmul,
@@ -302,6 +303,18 @@ def test_matmul_matches_sum_of_products(data, n):
             assert got[i][j].to_json() == ref.to_json()
 
 
+@given(L=st.integers(1, 60), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_powers_is_the_sum_of_roots(L, data):
+    # Lengths below, at and above L: powers past L wrap around.
+    coeffs = data.draw(st.lists(st.integers(0, 10 ** 12), max_size=2 * L + 1))
+    got = from_powers(coeffs, L)
+    ref = scalar_sum(c * root_of_unity(t, L) for t, c in enumerate(coeffs))
+    assert got == ref
+    with pytest.raises(ValueError):
+        from_powers([1], 0)
+
+
 def test_ring_paths_build_no_fraction(monkeypatch):
     import exactweil.exact as exact
     mono, other = root_of_unity(3, 8) * Fraction(2, 3), root_of_unity(1, 12)
@@ -312,7 +325,7 @@ def test_ring_paths_build_no_fraction(monkeypatch):
             raise AssertionError("Fraction built on an integer path")
 
     monkeypatch.setattr(exact, "Fraction", NoFraction)
-    root_of_unity(7, 30)
+    root_of_unity(7, 30), from_powers([3, 0, 1, 5], 6)
     for a, b in ((mono, other), (mono, general), (general, mono), (general, general)):
         a * b, a + b, a - b, a * 3, scalar_sum([a, b, a])
     mono ** -3, mono.inverse(), mono.conjugate(), general ** 3, general.conjugate()

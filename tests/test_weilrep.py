@@ -30,6 +30,8 @@ from exactweil.metaplectic import (
     MpElement,
     S_MAT,
     SL2,
+    decompose_ST,
+    decompose_T2S,
     gamma4_lift,
     mp_inv,
     mp_mul,
@@ -43,6 +45,7 @@ from exactweil.weilrep import (
     kernel_descriptor,
     phi_char,
     r0_direct,
+    _group_ring_product,
     rho_S,
     rho_T,
     rho_Z,
@@ -215,6 +218,85 @@ def test_oracle_examples():
     st3 = mp_mul(st, mp_mul(st, st))
     assert rho_oracle(A1, st3) == rho_S(f) * rho_S(f)
     assert rho_oracle(A1, MpElement(SL2(1, 0, 4, 1), 1)).is_identity()
+
+
+def dense_word_product(lattice, x):
+    """rho(x) as the product of the dense generator matrices along the word
+    of x, with the sign correction: the reference for rho_oracle."""
+    form = lattice.discriminant_form()
+    elems = form.elements()
+    word = decompose_ST(x.mat) if lattice.is_even else decompose_T2S(x.mat)
+    s = rho_S(form)
+    op = WeilOperator.identity(elems, form)
+    for sym, k in word:
+        if sym == "S":
+            factor = s if k > 0 else s.conj_transpose()
+            for _ in range(abs(k)):
+                op = op * factor
+        elif lattice.is_even:
+            t = rho_T(form) if k > 0 else rho_T(form).conj_transpose()
+            for _ in range(abs(k)):
+                op = op * t
+        else:
+            diag = WeilOperator.identity(elems, form)
+            for i, g in enumerate(elems):
+                diag.entries[i][i] = root_of_unity(k * form.q_num(g), form.level)
+            op = op * diag
+    if word_mp(word).eps != x.eps:
+        op = op.scale(from_rational(-1 if form.signature % 2 else 1))
+    return op
+
+
+def test_oracle_equals_dense_generator_product():
+    rng = random.Random(9)
+    s2 = mp_mul(MP_S, MP_S)
+    for gram in EVEN_GRAMS + ODD_GRAMS:
+        lattice = GramLattice(gram)
+        step = 1 if lattice.is_even else 2
+        t = MpElement(SL2(1, step, 0, 1), 1)
+        # the identity, a word with no S, and words with S^2, S^3 and S^-2
+        elements = [MP_ONE, MpElement(SL2(1, -3 * step, 0, 1), 1), s2,
+                    mp_mul(s2, MP_S), mp_mul(S_INV, S_INV), mp_mul(mp_mul(s2, t), s2)]
+        elements += [mp_word(rng, step=step) for _ in range(6)]
+        for x in elements:
+            for eps in (1, -1):
+                y = MpElement(x.mat, eps)
+                assert rho_oracle(lattice, y) == dense_word_product(lattice, y), \
+                    (gram, y.mat, eps)
+        form = lattice.discriminant_form()
+        # S^k tokens with |k| >= 2 are repeated steps of the group ring product.
+        for k in (2, -3):
+            assert _group_ring_product(form, [("S", k)]) \
+                == _group_ring_product(form, [("S", k // abs(k))] * abs(k))
+
+
+def test_dense_operators_are_capped(monkeypatch):
+    import exactweil.lattice as lattice_mod
+
+    lattice = GramLattice([[2, 0], [0, 4]])  # delta 8, level 8
+    form = lattice.discriminant_form()
+    x = MpElement(SL2(1, 1, 1, 2), 1)
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 8 * 8 * 8)
+    assert rho_oracle(lattice, x) == rho_closed(lattice, x)
+    # The caps are checked before the elements are even enumerated.
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 8 * 8 * 8 - 1)
+    with pytest.raises(CapExceededError):
+        rho_oracle(lattice, x)
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 8 * 8 - 1)
+    with pytest.raises(CapExceededError):
+        rho_closed(lattice, x)
+    with pytest.raises(CapExceededError):
+        rho_closed_odd(GramLattice([[1, 0], [0, 8]]), MpElement(SL2(1, 0, 2, 1), 1))
+
+    def no_enumeration(self):
+        raise AssertionError("elements enumerated past the cap")
+
+    monkeypatch.setattr(lattice_mod.DiscriminantForm, "elements", no_enumeration)
+    for build in (lambda: rho_closed(lattice, MpElement(SL2(-1, 2, 0, -1), 1)),
+                  lambda: rho_T(form), lambda: rho_S(form), lambda: rho_Z(form),
+                  lambda: rho_oracle(lattice, x), lambda: r0_direct(lattice, x.mat)):
+        with pytest.raises(CapExceededError):
+            build()
 
 
 def test_closed_examples():
@@ -569,6 +651,19 @@ _CORRUPTIONS = {
         GramLattice.level = lambda self: 2
         DiscriminantForm(GramLattice([[2]]))
     """),
+    "jordan blocks": ("ArithmeticError", """
+        from fractions import Fraction
+        from exactweil import jordan
+        from exactweil.lattice import GramLattice
+        jordan._det_fraction = lambda rows: Fraction(3)
+        jordan.jordan_decompose(GramLattice([[2]]), 2)
+    """),
+    "decomposed word": ("ArithmeticError", """
+        from exactweil import metaplectic
+        from exactweil.metaplectic import IDENTITY, SL2
+        metaplectic.word_matrix = lambda word: IDENTITY
+        metaplectic.decompose_ST(SL2(0, -1, 1, 0))
+    """),
     "x_c coset": ("ArithmeticError", """
         from exactweil.jordan import choose_xc, jordan_decompose
         from exactweil.lattice import DiscriminantForm, GramLattice
@@ -631,7 +726,7 @@ def test_phase_paths_build_no_fraction(monkeypatch):
             coset = weilrep_mod._coset_odd_c(form, m.c)
         weilrep_mod._closed_assembly(form, m, coeff, coset, x_c)
         weilrep_mod._rho_diagonal_block(form, SL2(-1, 3, 0, -1), -1)
-        weilrep_mod._t_phases(form, 2)
+        weilrep_mod._group_ring_product(form, [("T", 2), ("S", 1), ("T", -2), ("S", -1)])
     form = even.discriminant_form()
     rho_T(form), form.milgram_sum()
     weilrep_mod._fourier(form, form.elements(), coeff)
