@@ -28,7 +28,6 @@ from .weilrep import (
     rho_T,
     rho_Z,
     rho_closed,
-    rho_closed_odd,
     rho_oracle,
     rho_p_generators,
     tensor_check,
@@ -152,8 +151,7 @@ def run_rho(req: Request) -> dict:
     if req.matrix is None:
         raise ValueError("rho needs --matrix (and optionally --eps)")
     x = MpElement(req.matrix, req.eps)
-    lattice = req.lattice
-    op = rho_closed(lattice, x) if lattice.is_even else rho_closed_odd(lattice, x)
+    op = rho_closed(req.lattice, x)
     bits = None
     if req.fmt in ("numeric", "both"):
         bits = req.precision or DEFAULT_BITS
@@ -236,12 +234,11 @@ def verify_suites(lattice: GramLattice) -> List[dict]:
     rng = random.Random(12)
     even = lattice.is_even
     step = 1 if even else 2
-    rho_fn = rho_closed if even else rho_closed_odd
 
     def closed_vs_oracle() -> int:
         for _ in range(24):
             x = _mp_word(rng, step)
-            _holds(rho_fn(lattice, x) == rho_oracle(lattice, x),
+            _holds(rho_closed(lattice, x) == rho_oracle(lattice, x),
                    "closed formula == generator-word oracle")
         return 24
 
@@ -249,8 +246,8 @@ def verify_suites(lattice: GramLattice) -> List[dict]:
         checks = 0
         for _ in range(10):
             x, y = _mp_word(rng, step), _mp_word(rng, step)
-            product = rho_fn(lattice, mp_mul(x, y))
-            _holds(product == rho_fn(lattice, x) * rho_fn(lattice, y),
+            product = rho_closed(lattice, mp_mul(x, y))
+            _holds(product == rho_closed(lattice, x) * rho_closed(lattice, y),
                    "rho(xy) == rho(x) rho(y)")
             _holds(product.is_unitary(), "rho(x) rho(x)* == 1")
             checks += 2

@@ -567,14 +567,14 @@ def _sqrt_prime(p: int) -> ExactScalar:
 def sqrt_rat(r: RationalLike) -> ExactScalar:
     """Exact positive square root of a positive rational.
 
-    sqrt(a/b) is computed as sqrt(ab)/b, with the squarefree part of ab
-    handled prime by prime through _sqrt_prime.
+    sqrt(a/b) is computed as sqrt(ab)/b, with the primes of odd exponent
+    in ab, found in one pass of trial division, handled through _sqrt_prime.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("sqrt_rat requires a positive rational, got %s" % r)
     n = r.numerator * r.denominator
-    square, free = 1, 1
+    square, free = 1, []
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -584,26 +584,14 @@ def sqrt_rat(r: RationalLike) -> ExactScalar:
                 e += 1
             square *= d ** (e // 2)
             if e % 2:
-                free *= d
+                free.append(d)
         d += 1 if d == 2 else 2
     if n > 1:
-        free *= n
+        free.append(n)
     result = ExactScalar.from_rational(Fraction(square, r.denominator))
-    for p in _prime_factors(free):
+    for p in free:
         result = result * _sqrt_prime(p)
     return result
-
-
-def _prime_factors(n: int) -> Iterable[int]:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        yield n
 
 
 def scalar_sum(terms: Iterable[ExactScalar]) -> ExactScalar:

@@ -17,7 +17,7 @@ operator on it at 10**7 integers; both raise CapExceededError beyond that.
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import ExactScalar, from_rational, root_of_unity
 
@@ -187,8 +187,10 @@ class GramLattice:
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         m = len(rows)
-        if m == 0 or any(len(r) != m for r in rows):
+        if m == 0 or any(not isinstance(r, (list, tuple)) or len(r) != m for r in rows):
             raise ValueError("Gram matrix must be square and nonempty")
+        if any(type(x) is bool or not isinstance(x, int) for r in rows for x in r):
+            raise ValueError("Gram matrix entries must be integers")
         gram = tuple(tuple(int(x) for x in r) for r in rows)
         if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(m)):
             raise ValueError("Gram matrix must be symmetric")
@@ -498,40 +500,25 @@ class DiscriminantForm:
                 out.append(tuple(e))
         return out
 
-    def coset_Dcstar(self, c: int) -> List[DFElement]:
-        """All beta with c*q(mu) + (beta, mu) = 0 mod 1 on the c-kernel.
+    def coset_Dcstar(self, c: int, x_c: DFElement) -> List[Tuple[DFElement, int]]:
+        """The coset D^{c*} = x_c + cD, as pairs (beta, h) with beta = x_c + c alpha.
 
-        For odd lattices c must be even, so that c*q(mu) is independent of
-        the lift; odd c on odd lattices is the caller's business.
+        alpha runs over the box prod range(d_i / gcd(c, d_i)), one
+        representative of each class of D/D_c, so each beta occurs once;
+        h = N (c alpha^2/2 + (x_c, alpha)) mod N.  x_c must lie in the coset
+        (choose_xc checks it against the kernel of c).
         """
-        if not self.lattice.is_even and c % 2:
-            raise ValueError("odd lattice requires even c here")
+        steps = [range(d // gcd(c, d)) for d in self.orders]
+        if prod(map(len, steps)) > ENUMERATION_CAP:
+            raise CapExceededError("the c-star coset exceeds the enumeration cap")
         n = self.level
-        conditions = [(self.pairing_row(mu), (-c * self.q_num(mu)) % n)
-                      for mu in self.kernel_generators(c)]
-        return [beta for beta in self.elements()
-                if all(sum(a * w for a, w in zip(beta, row)) % n == t
-                       for row, t in conditions)]
-
-    def beta_c_sq_half_num(self, c: int, x_c: DFElement, beta: DFElement) -> int:
-        """N (c*alpha^2/2 + (x_c, alpha)) mod N, where beta = x_c + c*alpha."""
-        if c == 0:
-            if beta != x_c:
-                raise ValueError("for c = 0 only beta = x_c is admissible")
-            return 0
-        diff = self.add(beta, self.neg(x_c))
-        alpha = []
-        for r, d in zip(diff, self.orders):
-            g = gcd(c, d)
-            if r % g:
-                raise ValueError("beta is not in the x_c coset")
-            alpha.append(((r // g) * pow(c // g, -1, d // g)) % d)
-        alpha_t = tuple(alpha)
-        return (c * self.q_num(alpha_t) + self.pairing_num(x_c, alpha_t)) % self.level
-
-    def beta_c_sq_half(self, c: int, x_c: DFElement, beta: DFElement) -> Fraction:
-        """c*alpha^2/2 + (x_c, alpha) mod 1, where beta = x_c + c*alpha."""
-        return Fraction(self.beta_c_sq_half_num(c, x_c, beta), self.level)
+        row = self.pairing_row(x_c)
+        out = []
+        for alpha in product(*steps):
+            beta = tuple((x + c * t) % d for x, t, d in zip(x_c, alpha, self.orders))
+            h = c * self.q_num(alpha) + sum(t * w for t, w in zip(alpha, row))
+            out.append((beta, h % n))
+        return out
 
     # -- identities -------------------------------------------------------
 

@@ -170,18 +170,7 @@ def hilbert_product_check(a: int, b: int) -> bool:
     if a == 0 or b == 0:
         raise ValueError("needs nonzero integers")
     product = hilbert(a, b, REAL_PLACE)
-    seen = set()
-    for n in (2 * abs(a), 2 * abs(b)):
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                seen.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            seen.add(n)
-    for p in seen:
+    for p in set(prime_factors(2 * a) + prime_factors(2 * b)):
         product *= hilbert(a, b, p)
     return product == 1
 

@@ -12,7 +12,8 @@ finite unitary representation rho_M.  This module evaluates rho_M three ways:
   * the direct r0 character sum over M/cM (for c != 0), which gives the
     operator up to a single scalar;
   * the closed local-to-global formula: a product of p-adic root-of-unity
-    factors xi_p times one character sum over a coset of D_M.
+    factors xi_p times one character sum over the coset x_c + cD of D_M,
+    enumerated over D/D_c; one function covers both parities.
 
 The routes share no formulas, so their exact agreement is the central
 correctness check of the package.  Odd lattices are supported on the index-3
@@ -474,9 +475,8 @@ def _rho_diagonal_block(form: DiscriminantForm, mat: SL2, eps: int) -> WeilOpera
 
 
 def _closed_assembly(form: DiscriminantForm, mat: SL2,
-                     coeff: ExactScalar, coset: List[DFElement],
-                     x_c: DFElement) -> WeilOperator:
-    """Sum the closed-formula phases over the c-star coset.
+                     coeff: ExactScalar, x_c: DFElement) -> WeilOperator:
+    """Sum the closed-formula phases over the c-star coset x_c + cD.
 
     Each phase is an integer k mod the level N, and the cell is
     coeff * e(k/N).  Elements are addressed by their mixed-radix index in
@@ -494,10 +494,9 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2,
     d_coords = [[d * g % o for g in col] for col, o in zip(coords, form.orders)]
     tails = [b * d * form.q_num(gamma) for gamma in elems]
     ent = [[_ZERO] * dim for _ in range(dim)]
-    for beta in coset:
+    for beta, h in form.coset_Dcstar(c, x_c):
         # a N(c alpha^2/2 + (x_c, alpha)) + b N(gamma, beta) + bd N q(gamma)
-        head = a * form.beta_c_sq_half_num(c, x_c, beta)
-        ks = [head + t for t in tails]
+        ks = [a * h + t for t in tails]
         rows = [0] * dim
         for w, col, dcol, o, stride, x in zip(form.pairing_row(beta), coords,
                                               d_coords, form.orders, strides, beta):
@@ -510,79 +509,38 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2,
 
 
 def rho_closed(lattice: GramLattice, x: MpElement) -> WeilOperator:
-    """rho_M(x) for an even lattice by the closed formula.
+    """rho_M(x) by the closed formula, for even and odd lattices.
 
     For c != 0 the operator is Pi_p xi_p * sqrt(Delta_{M,c}/Delta_M) times
-    the character sum over the coset D_M^{c*}, with the distinguished class
-    x_c entering the quadratic phases.  For c = 0 the operator is diagonal
-    up to the index flip, with scalar delta^(-sgn).
+    the character sum over the coset D_M^{c*} = x_c + cD, enumerated as
+    beta = x_c + c alpha over D/D_c.  For c = 0 it is diagonal up to the
+    index flip, with scalar delta^(-sgn).  An odd lattice needs x in the
+    parity subgroup, where odd c forces even a, so a (c alpha^2/2) is well
+    defined although q is only defined mod 1/2; for odd c its x_c is
+    reported as zero (the half-sum is not dual) and xi_2 picks up
+    zeta_8^(-a_2 c_2 t_1), t_1 the oddity of the scale-1 component.
     """
-    if not lattice.is_even:
-        raise ValueError("rho_closed handles even lattices; "
-                         "use rho_closed_odd on the parity subgroup")
-    form = lattice.discriminant_form()
-    mat, eps = x.mat, x.eps
-    if mat.c == 0:
-        return _rho_diagonal_block(form, mat, eps)
-    coeff = _xi_product(lattice, mat, eps) \
-        * sqrt_rat(Fraction(_kernel_size(form, mat.c), form.delta))
-    x_c, _ = choose_xc(jordan_decompose(lattice, 2), mat.c)
-    coset = form.coset_Dcstar(mat.c)
-    return _closed_assembly(form, mat, coeff, coset, x_c)
-
-
-def _coset_odd_c(form: DiscriminantForm, c: int) -> List[DFElement]:
-    """The c-star coset for an odd lattice and odd c.
-
-    The scale-1 part of the kernel at 2 is trivial, so only the odd-part
-    conditions survive; a value k/N passes when its denominator
-    N/gcd(k, N) is a power of 2, since the half-integer ambiguity of q on
-    an odd lattice is invisible to the odd-prime characters.
-    """
-    n = form.level
-    conditions = [(form.pairing_row(mu), c * form.q_num(mu))
-                  for mu in form.kernel_generators(c)]
-    out = []
-    for beta in form.elements():
-        for row, head in conditions:
-            den = n // gcd((head + sum(a * w for a, w in zip(beta, row))) % n, n)
-            if den & (den - 1):
-                break
-        else:
-            out.append(beta)
-    return out
-
-
-def rho_closed_odd(lattice: GramLattice, x: MpElement) -> WeilOperator:
-    """rho_M(x) for an odd lattice, defined on the parity subgroup.
-
-    The even-lattice formula carries over with one extra ingredient at 2:
-    for odd c the distinguished element x_c is not dual, so the sum runs
-    over the classes beta = c alpha with x_c dropped and xi_2 picks up the
-    compensating factor zeta_8^(-a_2 c_2 t_1), with t_1 the oddity of the
-    scale-1 component.  For even c (forcing odd a) nothing changes.
-    """
-    if lattice.is_even:
-        raise ValueError("rho_closed_odd requires an odd lattice")
-    if not gamma_odd_member(x.mat):
+    if not lattice.is_even and not gamma_odd_member(x.mat):
         raise ValueError("matrix outside the parity subgroup: "
                          "no Weil action is defined")
     form = lattice.discriminant_form()
+    form.require_dense()
     mat, eps = x.mat, x.eps
     if mat.c == 0:
         return _rho_diagonal_block(form, mat, eps)
     coeff = _xi_product(lattice, mat, eps) \
         * sqrt_rat(Fraction(_kernel_size(form, mat.c), form.delta))
     x_c, t1 = choose_xc(jordan_decompose(lattice, 2), mat.c)
-    if mat.c % 2:
-        a2 = _unit_at(mat.a, 2)
-        c2 = _unit_at(mat.c, 2)
-        if t1 is not None:
-            coeff = coeff * root_of_unity(-a2 * c2 * t1, 8)
-        coset = _coset_odd_c(form, mat.c)
-    else:
-        coset = form.coset_Dcstar(mat.c)
-    return _closed_assembly(form, mat, coeff, coset, x_c)
+    if mat.c % 2 and t1 is not None:
+        coeff = coeff * root_of_unity(-_unit_at(mat.a, 2) * _unit_at(mat.c, 2) * t1, 8)
+    return _closed_assembly(form, mat, coeff, x_c)
+
+
+def rho_closed_odd(lattice: GramLattice, x: MpElement) -> WeilOperator:
+    """rho_closed, for an odd lattice only."""
+    if lattice.is_even:
+        raise ValueError("rho_closed_odd requires an odd lattice")
+    return rho_closed(lattice, x)
 
 
 # -- characters and kernels ------------------------------------------------
@@ -658,8 +616,7 @@ def kernel_descriptor(lattice: GramLattice) -> dict:
 
 
 def is_in_kernel(lattice: GramLattice, x: MpElement) -> bool:
-    op = rho_closed(lattice, x) if lattice.is_even else rho_closed_odd(lattice, x)
-    return op.is_identity()
+    return rho_closed(lattice, x).is_identity()
 
 
 # -- global consistency checks ---------------------------------------------

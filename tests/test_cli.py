@@ -155,6 +155,28 @@ def test_cli_rho_dense_cap(capsys, monkeypatch):
     assert code == EXIT_CAP and "cap 63" in json.loads(out)["error"]
 
 
+def test_cli_rho_checks_the_dense_cap_before_the_scalar(capsys, monkeypatch):
+    import exactweil.weilrep as weilrep_mod
+
+    def no_scalar(*args):
+        raise AssertionError("the closed-formula scalar was computed past the cap")
+
+    # Q(zeta_1000003) arithmetic, and trial division of a 19-digit delta.
+    monkeypatch.setattr(weilrep_mod, "_xi_product", no_scalar)
+    for gram in ("[[2000006]]", "[[2000000000000000006]]"):
+        code, out = invoke(capsys, ["rho", "--lattice", gram, "--matrix", "0,-1,1,0"])
+        assert code == EXIT_CAP and "cap" in json.loads(out)["error"]
+
+
+def test_cli_rejects_non_integer_gram_entries(capsys):
+    for gram in ("[[2.5]]", '[[true, 0], [0, "4"]]', "[[2.0]]", "[[null]]", "[2]",
+                 "[[2, 2], 3]"):
+        code, _ = invoke(capsys, ["discform", "--lattice", gram])
+        assert code == EXIT_INVALID
+    code, _ = invoke(capsys, ["discform", "--lattice", "[[2]]"])
+    assert code == EXIT_OK
+
+
 def test_cli_gauss_and_pretty(capsys):
     code, out = invoke(capsys, ["gauss", "--lattice", "[[2]]", "--prime", "2",
                                 "--a", "3", "--c", "2", "--format", "both"])

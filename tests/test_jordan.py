@@ -179,7 +179,13 @@ def test_xc_membership_in_coset():
         d = jordan_decompose(lat, 2)
         for c in (1, 2, 4, 8, -2, 6):
             xc, _ = choose_xc(d, c)
-            assert xc in df.coset_Dcstar(c)
+            # the definition of D^{c*} on the lifts: c q(mu) + (x_c, mu) in Z
+            # for every mu with c mu = 0
+            for mu in df.elements():
+                if df.smul(c, mu) == df.zero():
+                    value = c * df.q_of_lift(df.lift(mu)) \
+                        + df.pairing_of_lifts(df.lift(xc), df.lift(mu))
+                    assert value.denominator == 1
 
 
 def test_xc_phase_examples_and_direct_evaluation():

@@ -1,13 +1,14 @@
 """Lattice invariants, Smith forms, and discriminant-form structure."""
 
 from fractions import Fraction
-from math import prod
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EVEN_GRAMS, ODD_GRAMS
-from exactweil.exact import from_rational, root_of_unity, sqrt_rat
+from exactweil.exact import root_of_unity, sqrt_rat
 from exactweil.jordan import choose_xc, jordan_decompose
 from exactweil.lattice import (
     CapExceededError,
@@ -18,13 +19,20 @@ from exactweil.lattice import (
     interesting_primes,
     smith_normal_form,
 )
-from exactweil.weilrep import _coset_odd_c
 
 ALL_GRAMS = EVEN_GRAMS + ODD_GRAMS
 
 
 def lattices():
     return [GramLattice(g) for g in ALL_GRAMS]
+
+
+def test_gram_entries_must_be_integers():
+    for rows in ([[2.5]], [[2.0]], [[True, 0], [0, 4]], [[1, 0], [0, "4"]],
+                 [[Fraction(2)]], [[None]], [2], [[2, 2], 3]):
+        with pytest.raises(ValueError):
+            GramLattice(rows)
+    assert GramLattice(((2, 1), (1, 2))).gram == ((2, 1), (1, 2))
 
 
 def test_smith_examples():
@@ -209,24 +217,25 @@ def test_subsets_c_zero():
 
 
 def test_coset_dcstar_examples():
-    d1 = GramLattice([[2]]).discriminant_form()
-    assert set(d1.coset_Dcstar(1)) == {(0,), (1,)}
-    assert d1.coset_Dcstar(2) == [(1,)]
+    d1 = GramLattice([[2]]).discriminant_form()  # Z/2, level 4, q(1) = 1/4
+    assert d1.coset_Dcstar(1, (0,)) == [((0,), 0), ((1,), 1)]
+    assert d1.coset_Dcstar(2, (1,)) == [((1,), 0)]
     du = GramLattice([[0, 1], [1, 0]]).discriminant_form()
-    assert du.coset_Dcstar(7) == [()]
+    assert du.coset_Dcstar(7, ()) == [((), 0)]
 
 
 def test_coset_dcstar_is_coset_of_image():
     for gram in EVEN_GRAMS:
-        df = GramLattice(gram).discriminant_form()
+        lat = GramLattice(gram)
+        df = lat.discriminant_form()
         for c in range(-8, 9):
             if c == 0:
                 continue
-            star = df.coset_Dcstar(c)
+            x_c, _ = choose_xc(jordan_decompose(lat, 2), c)
+            star = [beta for beta, _ in df.coset_Dcstar(c, x_c)]
             _, image = df.subsets_c(c)
-            assert len(star) == len(image) > 0
-            base = star[0]
-            assert {df.add(b, df.neg(base)) for b in star} == set(image)
+            assert len(star) == len(set(star)) == len(image) > 0
+            assert {df.add(b, df.neg(x_c)) for b in star} == set(image)
             # direct filter definition against the full kernel
             kernel, _ = df.subsets_c(c)
             for beta in star:
@@ -235,34 +244,35 @@ def test_coset_dcstar_is_coset_of_image():
                     assert val == 0
 
 
-def test_coset_dcstar_odd_lattice_requires_even_c():
-    df = GramLattice([[3]]).discriminant_form()
-    with pytest.raises(ValueError):
-        df.coset_Dcstar(3)
-    assert len(df.coset_Dcstar(2)) == 3
+def test_coset_dcstar_odd_lattice_odd_c():
+    # [[3]]: D = Z/3, level 6, q(1) = 1/6 mod 1/2.  For odd c, x_c is
+    # reported as zero and the coset is cD: 3D = {0} and 1D = D.
+    lat = GramLattice([[3]])
+    df = lat.discriminant_form()
+    assert choose_xc(jordan_decompose(lat, 2), 3) == ((0,), 3)
+    assert df.coset_Dcstar(3, (0,)) == [((0,), 0)]
+    assert df.coset_Dcstar(1, (0,)) == [((0,), 0), ((1,), 1), ((2,), 1)]
+    assert len(df.coset_Dcstar(2, (0,))) == 3
 
 
 def test_beta_c_sq_half_examples_and_well_defined():
+    # h = N (c alpha^2/2 + (x_c, alpha)) mod N for beta = x_c + c alpha
     d1 = GramLattice([[2]]).discriminant_form()
-    assert d1.beta_c_sq_half(2, (1,), (1,)) == 0
-    assert d1.beta_c_sq_half(1, (0,), (1,)) == Fraction(1, 4)
-    assert d1.beta_c_sq_half(0, (0,), (0,)) == 0
-    with pytest.raises(ValueError):
-        d1.beta_c_sq_half(2, (1,), (0,))  # (0,) not in the coset x_c + 2D
+    assert d1.coset_Dcstar(2, (1,)) == [((1,), 0)]
+    assert d1.coset_Dcstar(1, (0,))[1] == ((1,), 1)  # 1/4
+    assert d1.coset_Dcstar(0, (0,)) == [((0,), 0)]
     for gram in EVEN_GRAMS:
-        df = GramLattice(gram).discriminant_form()
+        lat = GramLattice(gram)
+        df = lat.discriminant_form()
         for c in (1, 2, 3, 4, 6, -2):
-            star = df.coset_Dcstar(c)
-            x_c = star[0]
-            kernel, _ = df.subsets_c(c)
-            for beta in star:
-                val = df.beta_c_sq_half(c, x_c, beta)
+            x_c, _ = choose_xc(jordan_decompose(lat, 2), c)
+            for beta, h in df.coset_Dcstar(c, x_c):
                 # every preimage alpha of (beta - x_c)/c gives the same value
                 seen = set()
                 for alpha in df.elements():
                     if df.add(x_c, df.smul(c, alpha)) == beta:
                         seen.add((c * df.qval(alpha) + df.pairing(x_c, alpha)) % 1)
-                assert seen == {val}
+                assert seen == {Fraction(h, df.level)}
 
 
 def test_class_of_dual_vector_roundtrip():
@@ -385,12 +395,13 @@ def test_cosets_match_lift_enumeration():
                              for mu in kernel] for beta in df.elements()}
             if lat.is_even or c % 2 == 0:
                 expected = [b for b in df.elements() if not any(values[b])]
-                assert df.coset_Dcstar(c) == expected
             else:
                 def two_power(v):
                     return v.denominator & (v.denominator - 1) == 0
                 expected = [b for b in df.elements() if all(map(two_power, values[b]))]
-                assert _coset_odd_c(df, c) == expected
+            x_c = choose_xc(jordan_decompose(lat, 2), c)[0] if c else df.zero()
+            # each beta once, and exactly the betas of the definition
+            assert sorted(beta for beta, _ in df.coset_Dcstar(c, x_c)) == expected
 
 
 def test_beta_c_sq_half_matches_lift_enumeration():
@@ -402,12 +413,18 @@ def test_beta_c_sq_half_matches_lift_enumeration():
                 continue
             x_c, _ = choose_xc(jordan_decompose(lat, 2), c)
             odd_c = not lat.is_even and c % 2
-            coset = _coset_odd_c(df, c) if odd_c else df.coset_Dcstar(c)
-            for beta in coset:
+            box = list(product(*(range(d // gcd(c, d)) for d in df.orders)))
+            for beta, h in df.coset_Dcstar(c, x_c):
+                val = Fraction(h, df.level)
                 seen = {(c * _ref_qval(df, alpha) + _ref_pairing(df, x_c, alpha)) % 1
                         for alpha in df.elements()
                         if df.add(x_c, df.smul(c, alpha)) == beta}
-                val = df.beta_c_sq_half(c, x_c, beta)
-                assert val == Fraction(df.beta_c_sq_half_num(c, x_c, beta), df.level)
-                # odd c on an odd lattice: c*q(alpha) depends on alpha mod 1/2
-                assert val in seen if odd_c else seen == {val}
+                (alpha,) = [t for t in box if df.add(x_c, df.smul(c, t)) == beta]
+                assert val == (c * _ref_qval(df, alpha) + _ref_pairing(df, x_c, alpha)) % 1
+                if odd_c:
+                    # c*q(alpha) depends on alpha mod 1/2; an even a, which
+                    # odd c forces on the parity subgroup, removes that
+                    assert {2 * v % 1 for v in seen} == {2 * val % 1}
+                else:
+                    assert seen == {val}
+

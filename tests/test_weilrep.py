@@ -1,7 +1,9 @@
 """Generator matrices, the word and r0 oracles, the closed formulas, phi,
 and the kernel machinery."""
 
+import ast
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import EVEN_GRAMS, ODD_GRAMS
 from exactweil.exact import from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
+    choose_xc,
     jordan_decompose,
     scale_component,
     weil_index_component,
@@ -270,6 +273,18 @@ def test_oracle_equals_dense_generator_product():
                 == _group_ring_product(form, [("S", k // abs(k))] * abs(k))
 
 
+def test_rho_closed_checks_the_dense_cap_before_the_scalar(monkeypatch):
+    import exactweil.weilrep as weilrep_mod
+
+    def no_scalar(*args):
+        raise AssertionError("the closed-formula scalar was computed past the cap")
+
+    monkeypatch.setattr(weilrep_mod, "_xi_product", no_scalar)
+    for gram in ([[2000006]], [[2000000000000000006]], [[1, 0], [0, 4001]]):
+        with pytest.raises(CapExceededError):
+            rho_closed(GramLattice(gram), MP_S)
+
+
 def test_dense_operators_are_capped(monkeypatch):
     import exactweil.lattice as lattice_mod
 
@@ -322,6 +337,7 @@ def test_closed_equals_oracle_even():
 def test_closed_odd_examples():
     op = rho_closed_odd(ODD1, MpElement(S_MAT, 1))
     assert op.dim == 1 and op.entries[0][0] == root_of_unity(-1, 8)
+    assert rho_closed(ODD1, MpElement(S_MAT, 1)) == op
     assert rho_closed_odd(ODD1, MpElement(SL2(1, 2, 0, 1), 1)).is_identity()
     l3 = GramLattice([[3]])
     x = MpElement(SL2(1, 0, 2, 1), 1)
@@ -496,7 +512,8 @@ def test_column_support():
             if x.mat.c == 0:
                 continue
             op = rho_closed(lattice, x)
-            coset = form.coset_Dcstar(x.mat.c)
+            x_c, _ = choose_xc(jordan_decompose(lattice, 2), x.mat.c)
+            coset = [beta for beta, _ in form.coset_Dcstar(x.mat.c, x_c)]
             for g in form.elements():
                 j = op.index_of(g)
                 support = {op.labels[i] for i in range(op.dim)
@@ -593,7 +610,7 @@ def test_braun():
 
 def test_rejections_and_caps():
     with pytest.raises(ValueError):
-        rho_closed(ODD1, MpElement(S_MAT, 1))
+        rho_closed(ODD1, MP_T)
     with pytest.raises(ValueError):
         rho_closed_odd(A1, MpElement(S_MAT, 1))
     with pytest.raises(ValueError):
@@ -720,13 +737,21 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     monkeypatch.setattr(lattice_mod, "Fraction", NoFraction)
     monkeypatch.setattr(weilrep_mod, "Fraction", NoFraction)
     for form, m, x_c in prepared:
-        if form.lattice.is_even or m.c % 2 == 0:
-            coset = form.coset_Dcstar(m.c)
-        else:
-            coset = weilrep_mod._coset_odd_c(form, m.c)
-        weilrep_mod._closed_assembly(form, m, coeff, coset, x_c)
+        form.coset_Dcstar(m.c, x_c)
+        weilrep_mod._closed_assembly(form, m, coeff, x_c)
         weilrep_mod._rho_diagonal_block(form, SL2(-1, 3, 0, -1), -1)
         weilrep_mod._group_ring_product(form, [("T", 2), ("S", 1), ("T", -2), ("S", -1)])
     form = even.discriminant_form()
     rho_T(form), form.milgram_sum()
     weilrep_mod._fourier(form, form.elements(), coeff)
+
+
+def test_no_assert_statements_in_src():
+    # Runtime invariants raise explicitly so that they hold under python -O.
+    src = pathlib.Path(exactweil.__file__).resolve().parent
+    modules = sorted(src.rglob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, "%s has assert statements at lines %s" % (path.name, found)
