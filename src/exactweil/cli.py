@@ -4,7 +4,8 @@ Parses a Gram matrix from the command line or a file, dispatches one of the
 computations (discriminant form, Jordan symbols, Milgram sum, a Weil
 operator, a local Gauss sum, kernel data) or the per-lattice verification
 runner, and emits a single JSON document on standard output.  Exit codes:
-0 success, 1 a checked identity failed, 2 invalid input, 3 enumeration cap.
+0 success, 1 a checked identity failed, 2 invalid input, 3 a resource cap
+(enumeration, dense operator, trial division or numeric precision).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional
 
-from .exact import ExactScalar, root_of_unity, sqrt_rat
+from .exact import ExactScalar, check_precision, root_of_unity, sqrt_rat
 from .jordan import gauss_sum_brute, gauss_sum_closed, jordan_decompose
 from .lattice import CapExceededError, GramLattice
 from .metaplectic import SL2, MpElement, mp_mul
@@ -376,6 +377,8 @@ def run(request: Request):
     handler = HANDLERS.get(request.command)
     if handler is None:
         raise ValueError("unknown command %r" % request.command)
+    if request.fmt != "exact" and request.precision is not None:
+        check_precision(request.precision)  # before any work is done
     payload = handler(request)
     code = EXIT_OK if payload.get("ok", True) else EXIT_INVARIANT
     return payload, code

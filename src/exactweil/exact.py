@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, gcd, lcm, pi
+from math import cos, gcd, lcm, pi, prod
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -29,20 +29,50 @@ RationalLike = Union[int, Fraction]
 _cyclo_cache: dict[int, tuple[int, ...]] = {}
 _phi_cache: dict[int, int] = {}
 
+# Trial division tries no divisor above this, so every n <= 10**12 factors.
+TRIAL_DIVISION_CAP = 10 ** 6
+# Working precision above which a numeric enclosure is refused.
+PRECISION_CAP = 2 ** 14
+
+
+class CapExceededError(RuntimeError):
+    """An operation would exceed one of the package's resource caps."""
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, e) with p^e exactly dividing |n| (n != 0), p ascending.
+
+    Trial division stops at TRIAL_DIVISION_CAP: a cofactor above its
+    square with no divisor up to it raises CapExceededError.
+    """
+    n = abs(n)
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    out = []
+    d = 2
+    while d * d <= n:
+        if d > TRIAL_DIVISION_CAP:
+            raise CapExceededError("%d has no prime factor up to the trial-division "
+                                   "cap %d" % (n, TRIAL_DIVISION_CAP))
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
 
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial division (orders stay desk-sized)."""
     if n in _phi_cache:
         return _phi_cache[n]
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    result = n
+    for p, _ in factorize(n):
+        result -= result // p
     _phi_cache[n] = result
     return result
 
@@ -280,8 +310,8 @@ class ExactScalar:
         return result
 
     def inverse(self) -> "ExactScalar":
-        """Field inverse: a rotation for q * zeta^k, otherwise the extended
-        Euclidean algorithm against Phi_L."""
+        """Field inverse: a rotation for q * zeta^k, otherwise the product
+        of the other Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         L = self.order
@@ -289,9 +319,24 @@ class ExactScalar:
             k, c = self._mono
             d = self._den
             return _monomial(L, -k % L, -d if c < 0 else d, abs(c))
-        phi = [Fraction(c) for c in cyclotomic_polynomial(L)]
-        poly = [Fraction(n, self._den) for n in self._num]
-        return _from_fractions(L, _poly_xgcd_inverse(poly, phi))
+        others = ExactScalar.from_rational(1)
+        for k in range(2, L):
+            if gcd(k, L) == 1:
+                others = others * self._galois(k)
+        norm = self * others
+        if not norm.is_rational():
+            raise ArithmeticError("the norm of %r came out irrational" % (self,))
+        n, d = norm._num[0], norm._den
+        return others._scaled(d if n > 0 else -d, abs(n))
+
+    def _galois(self, k: int) -> "ExactScalar":
+        """The conjugate sigma_k(self), zeta_L -> zeta_L^k, for k prime to L."""
+        L = self.order
+        vec = [0] * L
+        for j, c in enumerate(self._num):
+            if c:
+                vec[j * k % L] += c
+        return _make(L, _reduce_vec(vec, L), self._den)
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation, zeta_L -> zeta_L^(L-1)."""
@@ -467,48 +512,6 @@ def _coerce(x) -> "ExactScalar":
     return NotImplemented
 
 
-def _poly_xgcd_inverse(poly: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Return u with u*poly = 1 mod `mod` (mod irreducible, poly nonzero)."""
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def divmod_poly(a, b):
-        a = list(a)
-        q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-        inv = 1 / b[-1]
-        for i in range(len(a) - 1, len(b) - 2, -1):
-            c = a[i] * inv
-            if c:
-                q[i - len(b) + 1] = c
-                for j, bj in enumerate(b):
-                    a[i - len(b) + 1 + j] -= c * bj
-        return trim(q), trim(a)
-
-    r0, r1 = trim(list(mod)), trim(list(poly))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = divmod_poly(r0, r1)
-        # s_next = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1 if q and s1 else 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        s_next = [(s0[i] if i < len(s0) else Fraction(0)) -
-                  (prod[i] if i < len(prod) else Fraction(0))
-                  for i in range(max(len(s0), len(prod)))]
-        r0, r1 = r1, r
-        s0, s1 = s1, trim(s_next)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible modulo cyclotomic")
-    c = r0[0]
-    out = [x / c for x in s0]
-    # The inverse has degree below phi; pad to the full power basis.
-    return out + [Fraction(0)] * (len(mod) - 1 - len(out))
-
-
 # -- public constructors ---------------------------------------------------
 
 def root_of_unity(num: int, den: int) -> ExactScalar:
@@ -568,29 +571,17 @@ def sqrt_rat(r: RationalLike) -> ExactScalar:
     """Exact positive square root of a positive rational.
 
     sqrt(a/b) is computed as sqrt(ab)/b, with the primes of odd exponent
-    in ab, found in one pass of trial division, handled through _sqrt_prime.
+    in ab handled through _sqrt_prime.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("sqrt_rat requires a positive rational, got %s" % r)
-    n = r.numerator * r.denominator
-    square, free = 1, []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            square *= d ** (e // 2)
-            if e % 2:
-                free.append(d)
-        d += 1 if d == 2 else 2
-    if n > 1:
-        free.append(n)
+    factors = factorize(r.numerator * r.denominator)
+    square = prod(p ** (e // 2) for p, e in factors)
     result = ExactScalar.from_rational(Fraction(square, r.denominator))
-    for p in free:
-        result = result * _sqrt_prime(p)
+    for p, e in factors:
+        if e % 2:
+            result = result * _sqrt_prime(p)
     return result
 
 
@@ -723,10 +714,18 @@ def _interval_bounds(x) -> tuple[Fraction, Fraction]:
     return _raw_mpf_to_fraction(lo), _raw_mpf_to_fraction(hi)
 
 
-def eval_numeric(a: ExactScalar, precision_bits: int = 64) -> ComplexInterval:
-    """Rigorous complex enclosure of a scalar at the given working precision."""
+def check_precision(precision_bits: int) -> None:
+    """Raise unless 32 <= precision_bits <= PRECISION_CAP."""
     if precision_bits < 32:
         raise ValueError("precision_bits must be at least 32")
+    if precision_bits > PRECISION_CAP:
+        raise CapExceededError("precision_bits %d exceeds the cap %d"
+                               % (precision_bits, PRECISION_CAP))
+
+
+def eval_numeric(a: ExactScalar, precision_bits: int = 64) -> ComplexInterval:
+    """Rigorous complex enclosure of a scalar at the given working precision."""
+    check_precision(precision_bits)
     import mpmath  # only the numeric enclosures need it; exact output does not
 
     iv = mpmath.iv

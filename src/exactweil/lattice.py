@@ -2,13 +2,14 @@
 
 A lattice is given by its Gram matrix: a nondegenerate symmetric integer
 matrix.  The discriminant group M*/M is presented through a Smith normal
-form of the Gram matrix, as tuples of residues on its generators g_i.  With
-N the level, every value of the bilinear form and of q(gamma) = gamma^2/2
-lies in (1/N)Z, so the form is stored as an integer Gram matrix mod N on
-the generators (Stromberg's coordinates for finite quadratic modules):
-pairing and q are integer dot products mod N, read as k/N.  Canonical lifts
-to the dual lattice (rational coordinates in the lattice basis) remain as
-the independent reference.
+form U G V = D of the Gram matrix, as tuples of residues on the dual basis
+h_i = v_i/d_i.  Everything is built from integers: the level N and an
+integer Gram matrix mod N on the h_i (Stromberg's coordinates for finite
+quadratic modules) come from W = V^T G V, and the signature from the
+characteristic polynomial.  Pairing and q are integer dot products mod N,
+read as k/N.  Canonical lifts to the dual lattice (rational coordinates in
+the lattice basis) remain as the independent reference the integer form is
+checked against.
 
 Enumeration of the full group is capped at delta <= 10**5, and a dense
 operator on it at 10**7 integers; both raise CapExceededError beyond that.
@@ -19,7 +20,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import ExactScalar, from_rational, root_of_unity
+from .exact import CapExceededError, ExactScalar, from_rational, root_of_unity
 
 DFElement = Tuple[int, ...]
 Vector = Tuple[Fraction, ...]
@@ -28,10 +29,6 @@ ENUMERATION_CAP = 10 ** 5
 # Integers a dense operator may hold: delta^2 cells, times the level N for
 # the word oracle's matrix over Z[x]/(x^N - 1).
 DENSE_CAP = 10 ** 7
-
-
-class CapExceededError(RuntimeError):
-    """An operation would enumerate more elements than the cap allows."""
 
 
 def _det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -132,58 +129,27 @@ def smith_normal_form(
     return u, m, v
 
 
-def _fraction_matrix(rows: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in r] for r in rows]
+def _charpoly(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Coefficients of det(x I - A), leading first, by Faddeev-LeVerrier.
 
-
-def _mat_inv_fraction(rows: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
+    For an integer matrix every division in the recursion is exact."""
     n = len(rows)
-    a = _fraction_matrix(rows)
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-def _signature_rec(mat: List[List[Fraction]]) -> int:
-    n = len(mat)
-    if n == 0:
-        return 0
-    for i in range(n):
-        if mat[i][i] != 0:
-            piv = mat[i][i]
-            rest = [j for j in range(n) if j != i]
-            sub = [[mat[r][s] - mat[r][i] * mat[i][s] / piv for s in rest] for r in rest]
-            return (1 if piv > 0 else -1) + _signature_rec(sub)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat[i][j] != 0:
-                # hyperbolic 2x2 block: inertia (+1, -1), net contribution 0
-                b = mat[i][j]
-                rest = [k for k in range(n) if k not in (i, j)]
-                sub = [[mat[r][s] - (mat[r][i] * mat[s][j] + mat[r][j] * mat[s][i]) / b
-                        for s in rest] for r in rest]
-                return _signature_rec(sub)
-    return 0
+    coeffs = [1]
+    m = _identity(n)
+    for k in range(1, n + 1):
+        am = _mat_mul(rows, m)
+        c = -sum(am[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    return coeffs
 
 
 class GramLattice:
     """A nondegenerate integer lattice described by its Gram matrix."""
 
-    __slots__ = ("gram", "rank", "is_even", "_df")
+    __slots__ = ("gram", "rank", "is_even", "_det", "_df")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         m = len(rows)
@@ -194,7 +160,8 @@ class GramLattice:
         gram = tuple(tuple(int(x) for x in r) for r in rows)
         if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(m)):
             raise ValueError("Gram matrix must be symmetric")
-        if _det_int(gram) == 0:
+        self._det = _det_int(gram)
+        if self._det == 0:
             raise ValueError("Gram matrix must be nondegenerate")
         self.gram = gram
         self.rank = m
@@ -202,26 +169,22 @@ class GramLattice:
         self._df: Optional["DiscriminantForm"] = None
 
     def det(self) -> int:
-        return _det_int(self.gram)
+        return self._det
 
     def delta(self) -> int:
         return abs(self.det())
 
     def signature(self) -> int:
-        return _signature_rec(_fraction_matrix(self.gram))
-
-    def dual_gram(self) -> List[List[Fraction]]:
-        return _mat_inv_fraction(self.gram)
+        """Positive minus negative eigenvalues.  The characteristic
+        polynomial is real-rooted with no zero root, so by Descartes' rule
+        its sign changes count the positive eigenvalues."""
+        coeffs = [c for c in _charpoly(self.gram) if c]
+        changes = sum(a * b < 0 for a, b in zip(coeffs, coeffs[1:]))
+        return 2 * changes - self.rank
 
     def level(self) -> int:
         """Smallest N >= 1 with N * gamma^2/2 integral for all dual vectors."""
-        inv = self.dual_gram()
-        n = 1
-        for i in range(self.rank):
-            n = lcm(n, (inv[i][i] / 2).denominator)
-            for j in range(i + 1, self.rank):
-                n = lcm(n, inv[i][j].denominator)
-        return n
+        return self.discriminant_form().level
 
     def discriminant_form(self) -> "DiscriminantForm":
         if self._df is None:
@@ -297,59 +260,59 @@ class PPart:
         return out if out else [self.parent.zero()]
 
 
-def _times_level(n: int, value: Fraction) -> int:
-    """n * value mod n, which must be an integer."""
-    scaled = n * value
-    if scaled.denominator != 1:
-        raise ArithmeticError("%s times the level %d is not an integer" % (value, n))
-    return scaled.numerator % n
-
-
 class DiscriminantForm:
     """The finite quadratic module M*/M of a lattice.
 
-    Elements are tuples of residues against `orders`, the coordinates on the
-    Smith generators g_i.  With N = level, the form is kept as integers mod
-    N: B = `gram_mod` with B[i][j] = N (g_i, g_j) mod N, and Q[i] =
-    N g_i^2/2 mod N.  So N (x, y) is x^T B y mod N, and N q(x) is
-    sum x_i^2 Q[i] + sum_{i<j} x_i x_j B[i][j], mod N for even lattices and
-    mod N/2 for odd ones; `pairing` and `qval` return those integers over N.  The canonical lift of an element (the matching
-    combination of the stored dual-basis generators) is the independent
-    reference that the integer form is built from and checked against.
+    A Smith normal form U G V = D gives the basis h_i = v_i/d_i of M*, with
+    (h_i, h_j) = W_ij/(d_i d_j) for the integer matrix W = V^T G V.  The
+    level N is the lcm of the denominators of q(h_i) and of (h_i, h_j) for
+    i < j, over all m columns (the d_i = 1 columns carry the factor 2 of
+    odd lattices).  Elements are tuples of residues against `orders`, the
+    coordinates on the h_i with d_i > 1, and the form is kept as integers
+    mod N: B = `gram_mod` with B[i][j] = N (h_i, h_j) mod N, and Q[i] =
+    N h_i^2/2 mod N, both exact integer divisions of N W_ij.  So N (x, y)
+    is x^T B y mod N, and N q(x) is sum x_i^2 Q[i] + sum_{i<j} x_i x_j
+    B[i][j], mod N for even lattices and mod N/2 for odd ones; `pairing`
+    and `qval` return those integers over N.  The canonical lift of an
+    element, sum x_i h_i as a rational vector, is the independent reference
+    the integer form is checked against.
     """
 
-    __slots__ = ("lattice", "orders", "gens", "delta", "signature", "level",
-                 "exponent", "gram_mod", "_q_gram", "_q_mod", "_u", "_d_full")
+    __slots__ = ("lattice", "orders", "delta", "signature", "level", "exponent",
+                 "gram_mod", "_q_gram", "_q_mod", "_cols", "_u", "_d_full")
 
     def __init__(self, lattice: GramLattice):
         self.lattice = lattice
         u, d, v = smith_normal_form(lattice.gram)
         m = lattice.rank
-        keep = [i for i in range(m) if d[i][i] > 1]
-        self.orders = tuple(d[i][i] for i in keep)
-        self.gens: Tuple[Vector, ...] = tuple(
-            tuple(Fraction(v[r][i], d[i][i]) for r in range(m)) for i in keep)
+        diag = [d[i][i] for i in range(m)]
+        w = _mat_mul([list(col) for col in zip(*v)], _mat_mul(lattice.gram, v))
+        keep = [i for i in range(m) if diag[i] > 1]
+        self.orders = tuple(diag[i] for i in keep)
         self.delta = lattice.delta()
         if prod(self.orders, start=1) != self.delta:
             raise ArithmeticError("the Smith orders multiply to %d, not to delta = %d"
                                   % (prod(self.orders, start=1), self.delta))
         self.signature = lattice.signature()
-        self.level = lattice.level()
+        n = 1
+        for i in range(m):
+            n = lcm(n, 2 * diag[i] ** 2 // gcd(w[i][i], 2 * diag[i] ** 2))
+            for j in range(i + 1, m):
+                n = lcm(n, diag[i] * diag[j] // gcd(w[i][j], diag[i] * diag[j]))
+        self.level = n
         self.exponent = self.orders[-1] if self.orders else 1
+        self._cols = tuple(tuple(v[r][i] for r in range(m)) for i in keep)
         self._u = u
-        self._d_full = [d[i][i] for i in range(m)]
-        n = self.level
+        self._d_full = diag
         self._q_mod = n if lattice.is_even else n // 2
         if not lattice.is_even and n % 2:
             raise ArithmeticError("odd lattice with odd level %d" % n)
-        k = len(self.gens)
-        self.gram_mod = tuple(
-            tuple(_times_level(n, self.pairing_of_lifts(self.gens[i], self.gens[j]))
-                  for j in range(k)) for i in range(k))
-        q_gram = [[self.gram_mod[i][j] if j > i else 0 for j in range(k)]
-                  for i in range(k)]
-        for i, g in enumerate(self.gens):
-            q_gram[i][i] = _times_level(n, self.q_of_lift(g))
+        self.gram_mod = tuple(tuple(n * w[i][j] // (diag[i] * diag[j]) % n for j in keep)
+                              for i in keep)
+        q_gram = [[b if t > s else 0 for t, b in enumerate(row)]
+                  for s, row in enumerate(self.gram_mod)]
+        for s, i in enumerate(keep):
+            q_gram[s][s] = n * w[i][i] // (2 * diag[i] ** 2) % n
         self._q_gram = tuple(map(tuple, q_gram))
 
     # -- group structure ------------------------------------------------
@@ -383,12 +346,11 @@ class DiscriminantForm:
     # -- lifts and values ------------------------------------------------
 
     def lift(self, x: DFElement) -> Vector:
-        m = self.lattice.rank
-        out = [Fraction(0)] * m
-        for a, g in zip(x, self.gens):
-            for r in range(m):
-                out[r] += a * g[r]
-        return tuple(out)
+        """The dual vector sum x_i h_i, in the lattice basis."""
+        e = self.exponent
+        scaled = [(e // d) * a for a, d in zip(x, self.orders)]
+        return tuple(Fraction(sum(a * col[r] for a, col in zip(scaled, self._cols)), e)
+                     for r in range(self.lattice.rank))
 
     def norm_of_lift(self, vec: Sequence[Fraction]) -> Fraction:
         """gamma^2 = vec^T G vec for an explicit dual vector."""

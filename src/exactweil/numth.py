@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
 
-from .exact import ExactScalar, from_rational, root_of_unity
+from .exact import ExactScalar, factorize, from_rational, root_of_unity
 
 RationalLike = Union[int, Fraction]
 
@@ -176,21 +176,8 @@ def hilbert_product_check(a: int, b: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Sorted prime divisors of |n| (n != 0)."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    """Sorted prime divisors of |n| (n != 0); see exact.factorize for the cap."""
+    return [p for p, _ in factorize(n)]
 
 
 def char_p_exponent(x: RationalLike, p: int) -> Fraction:

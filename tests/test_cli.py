@@ -168,6 +168,38 @@ def test_cli_rho_checks_the_dense_cap_before_the_scalar(capsys, monkeypatch):
         assert code == EXIT_CAP and "cap" in json.loads(out)["error"]
 
 
+def test_cli_trial_division_cap():
+    # each ran for minutes in the trial division of a 19-digit prime
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactweil.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    big = "1000000000000000003"
+    for argv in (["jordan", "--lattice", "[[2000000000000000006]]"],
+                 ["jordan", "--lattice", "[[2]]", "--prime", big],
+                 ["gauss", "--lattice", "[[2]]", "--prime", big, "--a", "1", "--c", "2"]):
+        run = subprocess.run([sys.executable, "-m", "exactweil.cli"] + argv,
+                             capture_output=True, text=True, env=env, timeout=20)
+        assert run.returncode == EXIT_CAP, run.stderr
+        assert "trial-division cap" in json.loads(run.stdout)["error"]
+
+
+def test_cli_precision_cap(capsys, monkeypatch):
+    import exactweil.cli as cli_mod
+    from exactweil.exact import PRECISION_CAP
+
+    argv = ["rho", "--lattice", "[[2, 1], [1, 2]]", "--matrix", "0,-1,1,0",
+            "--format", "numeric", "--precision"]
+    code, _ = invoke(capsys, argv + ["128"])
+    assert code == EXIT_OK
+
+    def no_operator(*args):
+        raise AssertionError("the operator was computed past the precision cap")
+
+    # the cap is checked before the operator is computed
+    monkeypatch.setattr(cli_mod, "rho_closed", no_operator)
+    code, out = invoke(capsys, argv + [str(PRECISION_CAP + 1)])
+    assert code == EXIT_CAP and "cap" in json.loads(out)["error"]
+
+
 def test_cli_rejects_non_integer_gram_entries(capsys):
     for gram in ("[[2.5]]", '[[true, 0], [0, "4"]]', "[[2.0]]", "[[null]]", "[2]",
                  "[[2, 2], 3]"):

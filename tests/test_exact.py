@@ -177,6 +177,23 @@ def test_eval_numeric_precision_shrinks_width():
         eval_numeric(a, 16)
 
 
+def test_eval_numeric_precision_is_capped():
+    # the cap is checked before mpmath is loaded
+    code = textwrap.dedent("""
+        import sys
+        from exactweil.exact import CapExceededError, PRECISION_CAP, eval_numeric, sqrt_rat
+        try:
+            eval_numeric(sqrt_rat(2), PRECISION_CAP + 1)
+        except CapExceededError:
+            print("mpmath" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactweil.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 def test_json_roundtrip_bit_exact():
     samples = [
         from_rational(0),
@@ -329,6 +346,7 @@ def test_ring_paths_build_no_fraction(monkeypatch):
     for a, b in ((mono, other), (mono, general), (general, mono), (general, general)):
         a * b, a + b, a - b, a * 3, scalar_sum([a, b, a])
     mono ** -3, mono.inverse(), mono.conjugate(), general ** 3, general.conjugate()
+    general.inverse(), general ** -2
     scalar_matmul([[mono, general], [from_rational(0), other]],
                   [[general, other], [mono, general]])
 

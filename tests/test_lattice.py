@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -83,6 +83,106 @@ def test_signature_congruence_invariant(gram, entries):
     pt = [[p[j][i] for j in range(m)] for i in range(m)]
     conj = _mat_mul(pt, _mat_mul(gram, p))
     assert GramLattice(conj).signature() == GramLattice(gram).signature()
+
+
+# -- the integer construction against the Fraction references ---------------
+
+
+def _ref_inverse(rows):
+    """Exact inverse by Gauss-Jordan elimination over Fraction."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] for r in rows]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def _ref_level(rows):
+    """lcm of the denominators of q and of the off-diagonal pairings on the
+    dual basis, the columns of G^-1."""
+    inv = _ref_inverse(rows)
+    n = 1
+    for i in range(len(rows)):
+        n = lcm(n, (inv[i][i] / 2).denominator)
+        for j in range(i + 1, len(rows)):
+            n = lcm(n, inv[i][j].denominator)
+    return n
+
+
+def _ref_signature(mat):
+    """Inertia by symmetric pivoting over Fraction."""
+    n = len(mat)
+    if n == 0:
+        return 0
+    for i in range(n):
+        if mat[i][i] != 0:
+            piv = Fraction(mat[i][i])
+            rest = [j for j in range(n) if j != i]
+            sub = [[mat[r][s] - mat[r][i] * mat[i][s] / piv for s in rest] for r in rest]
+            return (1 if piv > 0 else -1) + _ref_signature(sub)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mat[i][j] != 0:
+                # hyperbolic 2x2 block: inertia (+1, -1), net contribution 0
+                b = Fraction(mat[i][j])
+                rest = [k for k in range(n) if k not in (i, j)]
+                sub = [[mat[r][s] - (mat[r][i] * mat[s][j] + mat[r][j] * mat[s][i]) / b
+                        for s in rest] for r in rest]
+                return _ref_signature(sub)
+    return 0
+
+
+@st.composite
+def _rank4_grams(draw):
+    """Nondegenerate symmetric integer matrices of rank <= 4, often with
+    zero diagonal entries (the hyperbolic case of the pivot recursion)."""
+    m = draw(st.integers(1, 4))
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = draw(st.sampled_from([0, 0, 0, -4, -3, -2, -1, 1, 2, 3, 4]))
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    assume(_det_int(rows) != 0)
+    return rows
+
+
+def test_level_and_signature_match_references_on_corpus():
+    for gram in ALL_GRAMS + [[[0, 1], [1, 0]], [[1]], [[-1]], [[0, 2], [2, 1]]]:
+        lat = GramLattice(gram)
+        assert lat.level() == _ref_level(gram)
+        assert lat.signature() == _ref_signature(gram)
+
+
+@given(_rank4_grams())
+@settings(max_examples=300, deadline=None)
+def test_level_and_signature_match_references(gram):
+    lat = GramLattice(gram)
+    assert lat.level() == _ref_level(gram)
+    assert lat.signature() == _ref_signature(gram)
+
+
+def test_construction_builds_no_fraction(monkeypatch):
+    import exactweil.lattice as lattice_mod
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built while constructing a lattice")
+
+    monkeypatch.setattr(lattice_mod, "Fraction", NoFraction)
+    for gram in ALL_GRAMS + [[[0, 1], [1, 0]], [[1]], [[0, 2], [2, 1]]]:
+        lat = GramLattice(gram)
+        lat.discriminant_form(), lat.det(), lat.delta(), lat.level(), lat.signature()
 
 
 def test_level_examples():

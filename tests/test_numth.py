@@ -201,6 +201,19 @@ def test_prime_factors():
     assert prime_factors(97) == [97]
 
 
+def test_prime_factors_trial_division_is_capped():
+    import exactweil.lattice as lattice_mod
+    from exactweil.exact import CapExceededError
+
+    # every n <= 10**12 still factors fully
+    assert prime_factors(999983 * 1000003) == [999983, 1000003]
+    assert prime_factors(2 ** 5 * 999983 ** 2) == [2, 999983]
+    # two primes near 10**7: no divisor up to the cap, cofactor above its square
+    with pytest.raises(CapExceededError):
+        prime_factors(10000019 * 10000079)
+    assert lattice_mod.CapExceededError is CapExceededError
+
+
 @given(num=st.integers(-150, 150).filter(bool), den=st.integers(1, 150))
 @settings(max_examples=150, deadline=None)
 def test_char_p_partial_fractions(num, den):

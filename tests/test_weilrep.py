@@ -663,10 +663,11 @@ _CORRUPTIONS = {
         GramLattice.delta = lambda self: 7
         DiscriminantForm(GramLattice([[2]]))
     """),
-    "integral form": ("ArithmeticError", """
+    "odd level": ("ArithmeticError", """
+        from exactweil import lattice
         from exactweil.lattice import DiscriminantForm, GramLattice
-        GramLattice.level = lambda self: 2
-        DiscriminantForm(GramLattice([[2]]))
+        lattice.smith_normal_form = lambda rows: ([[1]], [[1]], [[2]])
+        DiscriminantForm(GramLattice([[1]]))
     """),
     "jordan blocks": ("ArithmeticError", """
         from fractions import Fraction
