@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .exact import ExactScalar, check_precision, root_of_unity, sqrt_rat
-from .jordan import gauss_sum_brute, gauss_sum_closed, jordan_decompose
+from .jordan import gauss_sum_brute, gauss_sum_closed, jordan_components
 from .lattice import CapExceededError, GramLattice
 from .metaplectic import SL2, MpElement, mp_mul
 from .numth import prime_factors
@@ -119,14 +119,14 @@ def run_jordan(req: Request) -> dict:
         primes = sorted(set(prime_factors(2 * lattice.delta())))
     blocks = []
     for p in primes:
-        decomp = jordan_decompose(lattice, p)
+        components = jordan_components(lattice, p)
         blocks.append({
             "p": p,
-            "symbol": decomp.symbol(),
+            "symbol": " ".join(comp.symbol() for comp in components),
             "components": [
                 {"q": comp.q, "n": comp.n, "eps": comp.eps, "t": comp.t,
                  "type_II": comp.is_type_II}
-                for comp in decomp.components
+                for comp in components
             ],
         })
     return {"delta": lattice.delta(), "jordan": blocks}

@@ -1,11 +1,15 @@
 """p-adic Jordan decompositions, Weil indices, and local Gauss sums.
 
-Decomposition works over rationals whose denominators are coprime to p, so
-every step is exact.  For p = 2 a scale that mixes diagonal and even 2x2
-blocks is fused and fully diagonalized; the trace of the resulting diagonal
-units mod 8 is the oddity index t.  Symbols at p = 2 are not canonical
-across different decompositions, but every value derived from them
-downstream is.
+At an odd prime p the Jordan symbol (scale, rank and Legendre sign of each
+block) is fixed by the Gram matrix modulo p^(v+1), v = v_p(det), so
+jordan_components reads it off by integer elimination modulo that power,
+with no Fraction and no basis.  jordan_decompose, the reference, works over
+rationals whose denominators are coprime to p and keeps the basis, so every
+step is exact; it is the path at p = 2, where a scale that mixes diagonal
+and even 2x2 blocks is fused and fully diagonalized and the trace of the
+resulting diagonal units mod 8 is the oddity index t.  Symbols at p = 2 are
+not canonical across different decompositions, but every value derived
+from them downstream is.
 """
 
 from fractions import Fraction
@@ -15,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import ExactScalar, from_rational, root_of_unity, sqrt_rat
 from .lattice import CapExceededError, DFElement, GramLattice
-from .numth import _unit_mod, char_p_value, legendre, prime_factors, two_over, valuation_split
+from .numth import _unit_mod, char_p_value, is_prime, legendre, two_over, valuation_split
 
 BRUTE_CAP = 10 ** 6
 
@@ -23,7 +27,7 @@ Vector = Tuple[Fraction, ...]
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or prime_factors(p) != [p]:
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
@@ -299,6 +303,76 @@ def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
     return det
 
 
+def _vp(n: int, p: int) -> int:
+    """v_p of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ...]:
+    """The Jordan components of the p-local lattice, by increasing scale.
+
+    At odd p the integer Gram matrix is eliminated modulo p^(k+1),
+    k = v_p(det), with unit-inverse pivots on an entry of least valuation.
+    Every pivot has valuation at most k, so its unit part is known modulo
+    p and each elimination step keeps the precision p^(k+1).  At p = 2 this
+    is jordan_decompose(lattice, 2).components.
+    """
+    if p == 2:
+        return jordan_decompose(lattice, 2).components
+    _check_prime(p)
+    k = _vp(lattice.det(), p)
+    mod = p ** (k + 1)
+    g = [[x % mod for x in row] for row in lattice.gram]
+    active = list(range(lattice.rank))
+
+    def add(i: int, j: int, s: int) -> None:
+        # the change of basis x_i -> x_i + s x_j, on rows and columns
+        for r in active:
+            g[i][r] = (g[i][r] + s * g[j][r]) % mod
+        for r in active:
+            g[r][i] = (g[r][i] + s * g[r][j]) % mod
+
+    pivots: List[Tuple[int, int]] = []
+    while active:
+        entries = [(_vp(g[i][j], p), i, j) for i in active for j in active if g[i][j]]
+        if not entries:
+            raise ArithmeticError("the Gram matrix vanishes modulo p^%d at p = %d"
+                                  % (k + 1, p))
+        e = min(entries)[0]
+        i = next((i for v, i, j in entries if v == e and i == j), None)
+        if i is None:
+            i, j = next((i, j) for v, i, j in entries if v == e)
+            add(i, j, 1)
+            if _vp(g[i][i], p) != e:
+                add(i, j, -2)
+            if _vp(g[i][i], p) != e:
+                raise ArithmeticError("no diagonal entry of valuation %d at p = %d"
+                                      % (e, p))
+        scale = p ** e
+        unit = g[i][i] // scale
+        inv = pow(unit, -1, mod)
+        for r in active:
+            if r != i and g[r][i]:
+                add(r, i, -(g[r][i] // scale) * inv)
+        pivots.append((e, unit % p))
+        active.remove(i)
+
+    components = []
+    for e in sorted({e for e, _ in pivots}):
+        units = [u for be, u in pivots if be == e]
+        components.append(JordanComponent(p, e, len(units), legendre(prod(units), p)))
+    if sum(c.n for c in components) != lattice.rank \
+            or sum(c.e * c.n for c in components) != k:
+        raise ArithmeticError("the Jordan components at p = %d do not have total "
+                              "rank %d and determinant valuation %d"
+                              % (p, lattice.rank, k))
+    return tuple(components)
+
+
 # -- Weil indices -------------------------------------------------------
 
 
@@ -338,7 +412,7 @@ def weil_index_scaled(comp: JordanComponent, a: int) -> ExactScalar:
 
 def weil_index_lattice(lattice: GramLattice, p: int) -> ExactScalar:
     out = from_rational(1)
-    for comp in jordan_decompose(lattice, p).components:
+    for comp in jordan_components(lattice, p):
         out = out * weil_index_component(comp)
     return out
 
@@ -395,11 +469,9 @@ def xc_phase(decomp: JordanDecomposition, a: int, c: int) -> ExactScalar:
     return root_of_unity(a2 * c2 * t, 8)
 
 
-def _local_kernel_size(decomp: JordanDecomposition, v: int) -> int:
+def _local_kernel_size(components: Sequence[JordanComponent], v: int) -> int:
     """Delta_{M,c}: the kernel of c on the p-part, from the symbols."""
-    p = decomp.p
-    return prod(c.q ** c.n if c.e <= v else p ** (v * c.n)
-                for c in decomp.components)
+    return prod(c.q ** c.n if c.e <= v else c.p ** (v * c.n) for c in components)
 
 
 def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:
@@ -409,14 +481,14 @@ def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScala
         raise ValueError("c must be nonzero")
     if a % p == 0 and c % p == 0:
         raise ValueError("a and c must be coprime at p")
-    decomp = jordan_decompose(lattice, p)
+    components = jordan_components(lattice, p)
     v = valuation_split(c, p).valuation
     a_p = valuation_split(a, p).unit_part if a else 1
     delta = from_rational(1)
-    for comp in decomp.components:
+    for comp in components:
         if comp.e < v:
             delta = delta * weil_index_component(scale_component(comp, a_p * c))
-    return sqrt_rat(p ** (lattice.rank * v) * _local_kernel_size(decomp, v)) * delta
+    return sqrt_rat(p ** (lattice.rank * v) * _local_kernel_size(components, v)) * delta
 
 
 def gauss_sum_brute(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:

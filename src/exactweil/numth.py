@@ -122,6 +122,8 @@ def legendre(x: RationalLike, y: int) -> int:
     n = abs(y)
     if n == 1:
         return 1
+    if isinstance(x, int):
+        return _jacobi(x, n)
     x = Fraction(x)
     if x.denominator == 1:
         return _jacobi(x.numerator % n, n)
@@ -178,6 +180,42 @@ def hilbert_product_check(a: int, b: int) -> bool:
 def prime_factors(n: int) -> list[int]:
     """Sorted prime divisors of |n| (n != 0); see exact.factorize for the cap."""
     return [p for p, _ in factorize(n)]
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The first 13 primes as Miller-Rabin bases decide primality below this
+# bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Primality by deterministic Miller-Rabin below _MR_LIMIT.
+
+    Above it the answer comes from prime_factors, whose trial-division cap
+    applies.
+    """
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        return prime_factors(n) == [n]
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def char_p_exponent(x: RationalLike, p: int) -> Fraction:

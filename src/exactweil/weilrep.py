@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (ExactScalar, from_powers, from_rational, root_of_unity,
                     scalar_matmul, scalar_sum, sqrt_rat)
-from .jordan import (BRUTE_CAP, choose_xc, jordan_decompose, scale_component,
-                     weil_index_component, weil_index_lattice)
+from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
+                     scale_component, weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
                       GramLattice, interesting_primes)
 from .metaplectic import (MpElement, SL2, Word, decompose_ST, decompose_T2S,
@@ -408,21 +408,23 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> ExactScalar:
     scaled by a_p c.  At p = 2 the quadratic symbols in a_2 and c_2 and the
     power gamma(f_2)^(a_2 - 1) enter as well.  For a = 0 the unit a_p is
     taken to be 1 (the value does not depend on the choice); for c = 0 the
-    component product is empty and c_2 = +1 by convention.
+    component product is empty and c_2 = +1 by convention.  The components
+    come from jordan_components: at odd p by integer elimination modulo
+    p^(v_p(det)+1), at p = 2 from jordan_decompose.
     """
     m = lattice.rank
     a, c = mat.a, mat.c
-    decomp = jordan_decompose(lattice, p)
+    components = jordan_components(lattice, p)
     a_p = _unit_at(a, p)
     # v_p(c) compared against component scales; c = 0 is divisible by all q.
     v = valuation_split(c, p).valuation if c else None
     comp_prod = _ONE
     if c != 0:
-        for comp in decomp.components:
+        for comp in components:
             if comp.e > v:
                 scaled = scale_component(comp, a_p * c)
                 comp_prod = comp_prod * weil_index_component(scaled).conjugate()
-    delta_p = p ** sum(comp.e * comp.n for comp in decomp.components)
+    delta_p = p ** sum(comp.e * comp.n for comp in components)
     if p != 2:
         return from_rational(legendre(a_p, delta_p)) * comp_prod
     c2 = _unit_at(c, 2)

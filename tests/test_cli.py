@@ -169,17 +169,29 @@ def test_cli_rho_checks_the_dense_cap_before_the_scalar(capsys, monkeypatch):
 
 
 def test_cli_trial_division_cap():
-    # each ran for minutes in the trial division of a 19-digit prime
+    # each ran for minutes in the trial division of a 19-digit prime; a
+    # prime given by --prime is now certified by Miller-Rabin instead
     src = os.path.dirname(os.path.dirname(os.path.abspath(exactweil.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     big = "1000000000000000003"
-    for argv in (["jordan", "--lattice", "[[2000000000000000006]]"],
-                 ["jordan", "--lattice", "[[2]]", "--prime", big],
-                 ["gauss", "--lattice", "[[2]]", "--prime", big, "--a", "1", "--c", "2"]):
-        run = subprocess.run([sys.executable, "-m", "exactweil.cli"] + argv,
+
+    def cli(*argv):
+        run = subprocess.run([sys.executable, "-m", "exactweil.cli"] + list(argv),
                              capture_output=True, text=True, env=env, timeout=20)
-        assert run.returncode == EXIT_CAP, run.stderr
-        assert "trial-division cap" in json.loads(run.stdout)["error"]
+        return run.returncode, json.loads(run.stdout), run.stderr
+
+    code, out, err = cli("jordan", "--lattice", "[[2000000000000000006]]")
+    assert code == EXIT_CAP, err
+    assert "trial-division cap" in out["error"]
+    code, out, err = cli("jordan", "--lattice", "[[2]]", "--prime", big)
+    assert code == EXIT_OK, err
+    assert out["jordan"][0]["symbol"] == "1^-1"
+    code, out, err = cli("gauss", "--lattice", "[[2]]", "--prime", big,
+                         "--a", "1", "--c", "2")
+    assert code == EXIT_OK, err
+    assert out["ok"] is True
+    code, out, err = cli("jordan", "--lattice", "[[2]]", "--prime", "10000000000037")
+    assert code == EXIT_OK, err
 
 
 def test_cli_precision_cap(capsys, monkeypatch):

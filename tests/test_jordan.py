@@ -1,10 +1,13 @@
 """Jordan decompositions, Weil indices, and the local Gauss sums."""
 
+import os
+import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EVEN_GRAMS, ODD_GRAMS
 from exactweil.exact import from_rational, root_of_unity, sqrt_rat
@@ -13,6 +16,7 @@ from exactweil.jordan import (
     choose_xc,
     gauss_sum_brute,
     gauss_sum_closed,
+    jordan_components,
     jordan_decompose,
     scale_component,
     weil_index_component,
@@ -22,7 +26,10 @@ from exactweil.jordan import (
     xc_vector,
 )
 from exactweil.lattice import CapExceededError, GramLattice, direct_sum
-from exactweil.numth import char_p_value, legendre, valuation_split
+from exactweil.numth import char_p_value, legendre, prime_factors, valuation_split
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench import workloads  # noqa: E402
 
 ALL_GRAMS = EVEN_GRAMS + ODD_GRAMS
 
@@ -35,6 +42,58 @@ def test_decomposition_examples():
     assert sum(c.n for c in d.components) == 2
     with pytest.raises(ValueError):
         jordan_decompose(GramLattice([[2]]), 4)
+
+
+def _assert_components_match_reference(gram):
+    lat = GramLattice(gram)
+    for p in prime_factors(2 * lat.delta()):
+        if p != 2:
+            assert jordan_components(lat, p) == jordan_decompose(lat, p).components, \
+                (gram, p)
+
+
+def test_components_match_reference_on_corpus_and_workloads():
+    grams = ALL_GRAMS + [g for w in workloads.WORKLOADS.values() for g in w.grams]
+    grams.append(workloads.FRESH_WARMUP_GRAM)
+    for gram in grams:
+        _assert_components_match_reference(gram)
+    assert jordan_components(GramLattice([[2]]), 2) == \
+        jordan_decompose(GramLattice([[2]]), 2).components
+
+
+def test_components_match_reference_on_fresh_lattices():
+    # drawn by the benchmark's rho-fresh generator: rank 1-4, |det| <= 12
+    rng = random.Random("jordan-components")
+    for _ in range(200):
+        _assert_components_match_reference(workloads.fresh_gram(rng))
+
+
+@given(data=st.data(), n=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_components_match_reference_hypothesis(data, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(-9, 9))
+    assume(0 < abs(workloads.det(rows)) <= 200)
+    _assert_components_match_reference(rows)
+
+
+def test_components_build_no_fraction(monkeypatch):
+    import exactweil.jordan as jordan_mod
+    import exactweil.numth as numth_mod
+
+    lattices = [GramLattice(g) for g in ALL_GRAMS + [[[6, 3], [3, 6]], [[18, 9], [9, 0]]]]
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built on an integer path")
+
+    monkeypatch.setattr(jordan_mod, "Fraction", NoFraction)
+    monkeypatch.setattr(numth_mod, "Fraction", NoFraction)
+    for lat in lattices:
+        for p in (3, 5, 7, 11):
+            jordan_components(lat, p)
 
 
 def test_component_validation():

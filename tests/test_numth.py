@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactweil.exact import from_rational, root_of_unity
+from exactweil.exact import CapExceededError, from_rational, root_of_unity
 from exactweil.numth import (
     REAL_PLACE,
     char_p_exponent,
@@ -14,6 +14,7 @@ from exactweil.numth import (
     eps_parity,
     hilbert,
     hilbert_product_check,
+    is_prime,
     legendre,
     prime_factors,
     sigma,
@@ -229,3 +230,29 @@ def test_char_p_examples():
     assert char_p_exponent(Fraction(1, 6), 2) == Fraction(1, 2)
     assert char_p_exponent(Fraction(3, 4), 3) == 0
     assert char_p_exponent(5, 2) == 0
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(-5, 3000):
+        assert is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for n in (2 ** 61 - 1, 10 ** 18 + 3, 10000000000037, 2 ** 81 - 1):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+@given(n=st.integers(2, 3317044064679887385961980))
+@settings(max_examples=300, deadline=None)
+def test_is_prime_matches_sympy_below_the_bound(n):
+    sympy = pytest.importorskip("sympy")
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_above_the_bound_uses_the_capped_factorization():
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 fools the
+    # first 12 prime bases and is the bound itself; trial division gives up
+    with pytest.raises(CapExceededError):
+        is_prime(3317044064679887385961981)
+    assert not is_prime(3 * 10 ** 25)

@@ -676,6 +676,12 @@ _CORRUPTIONS = {
         jordan._det_fraction = lambda rows: Fraction(3)
         jordan.jordan_decompose(GramLattice([[2]]), 2)
     """),
+    "jordan symbol valuation": ("ArithmeticError", """
+        from exactweil import jordan
+        from exactweil.lattice import GramLattice
+        GramLattice.det = lambda self: 54
+        jordan.jordan_components(GramLattice([[2]]), 3)
+    """),
     "decomposed word": ("ArithmeticError", """
         from exactweil import metaplectic
         from exactweil.metaplectic import IDENTITY, SL2
