@@ -690,9 +690,6 @@ class ComplexInterval(NamedTuple):
     def imag_mid(self) -> Fraction:
         return (self.imag_lo + self.imag_hi) / 2
 
-    def to_complex(self) -> complex:
-        return complex(self.real_mid, self.imag_mid)
-
     def contains_zero_imag(self) -> bool:
         return self.imag_lo <= 0 <= self.imag_hi
 

@@ -474,15 +474,29 @@ def _local_kernel_size(components: Sequence[JordanComponent], v: int) -> int:
     return prod(c.q ** c.n if c.e <= v else c.p ** (v * c.n) for c in components)
 
 
-def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:
-    """The closed value p^(m v/2) sqrt(Delta_{M,c}) delta of the local sum."""
+def _gauss_valuation(lattice: GramLattice, p: int, a: int, c: int) -> int:
+    """v_p(c), once the arguments of a local Gauss sum are checked.
+
+    The sum has p^(v m) terms in Q(zeta_(p^v)), so p^(v (m + 1)) bounds
+    both sides' work (the closed side takes sqrt(p) in Q(zeta_4p)); it must
+    stay within BRUTE_CAP.
+    """
     _check_prime(p)
     if c == 0:
         raise ValueError("c must be nonzero")
     if a % p == 0 and c % p == 0:
         raise ValueError("a and c must be coprime at p")
-    components = jordan_components(lattice, p)
     v = valuation_split(c, p).valuation
+    if p ** (v * (lattice.rank + 1)) > BRUTE_CAP:
+        raise CapExceededError("a Gauss sum of %d^%d terms in Q(zeta_%d^%d) exceeds "
+                               "the cap %d" % (p, v * lattice.rank, p, v, BRUTE_CAP))
+    return v
+
+
+def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:
+    """The closed value p^(m v/2) sqrt(Delta_{M,c}) delta of the local sum."""
+    v = _gauss_valuation(lattice, p, a, c)
+    components = jordan_components(lattice, p)
     a_p = valuation_split(a, p).unit_part if a else 1
     delta = from_rational(1)
     for comp in components:
@@ -497,15 +511,8 @@ def gauss_sum_brute(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar
     Over Z_p the quotient M/cM is (Z/p^v)^m; representatives are taken in
     the original basis.
     """
-    _check_prime(p)
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    if a % p == 0 and c % p == 0:
-        raise ValueError("a and c must be coprime at p")
+    v = _gauss_valuation(lattice, p, a, c)
     m = lattice.rank
-    v = valuation_split(c, p).valuation
-    if p ** (v * m) > BRUTE_CAP:
-        raise CapExceededError("Gauss sum enumeration exceeds the cap")
     xc = None
     if p == 2:
         xc = xc_vector(jordan_decompose(lattice, 2), v)

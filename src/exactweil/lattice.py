@@ -210,6 +210,13 @@ def interesting_primes(lattice: GramLattice) -> set:
     return set(prime_factors(lattice.delta()))
 
 
+def _require_dense(delta: int, per_cell: int) -> None:
+    size = delta ** 2 * per_cell
+    if size > DENSE_CAP:
+        raise CapExceededError("a dense operator on %d elements would hold "
+                               "%d integers (cap %d)" % (delta, size, DENSE_CAP))
+
+
 class PPart:
     """The p-Sylow component of a discriminant form.
 
@@ -247,6 +254,11 @@ class PPart:
         for q, i, g in zip(self.orders, self._positions, self._unit_gens):
             out[i] = (elem[i] * g) % self.parent.orders[i]
         return tuple(out)
+
+    def require_dense(self) -> None:
+        """Raise CapExceededError unless a delta_p x delta_p matrix stays
+        within DENSE_CAP."""
+        _require_dense(self.delta, 1)
 
     def elements(self) -> List[DFElement]:
         if self.delta > ENUMERATION_CAP:
@@ -338,10 +350,7 @@ class DiscriminantForm:
     def require_dense(self, per_cell: int = 1) -> None:
         """Raise CapExceededError unless a delta x delta matrix of per_cell
         integers each stays within DENSE_CAP; call before allocating it."""
-        size = self.delta ** 2 * per_cell
-        if size > DENSE_CAP:
-            raise CapExceededError("a dense operator on %d elements would hold "
-                                   "%d integers (cap %d)" % (self.delta, size, DENSE_CAP))
+        _require_dense(self.delta, per_cell)
 
     # -- lifts and values ------------------------------------------------
 

@@ -13,7 +13,8 @@ finite unitary representation rho_M.  This module evaluates rho_M three ways:
     operator up to a single scalar;
   * the closed local-to-global formula: a product of p-adic root-of-unity
     factors xi_p times one character sum over the coset x_c + cD of D_M,
-    enumerated over D/D_c; one function covers both parities.
+    enumerated over D/D_c; one function covers both parities, and c = 0 is
+    the same sum over the coset {0}, with scalar delta^(-sgn).
 
 The routes share no formulas, so their exact agreement is the central
 correctness check of the package.  Odd lattices are supported on the index-3
@@ -27,11 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import (ExactScalar, from_powers, from_rational, root_of_unity,
-                    scalar_matmul, scalar_sum, sqrt_rat)
+from .exact import (ExactScalar, euler_phi, from_powers, from_rational,
+                    root_of_unity, scalar_matmul, scalar_sum, sqrt_rat)
 from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
                      scale_component, weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
@@ -101,9 +102,6 @@ class WeilOperator:
 
     def index_of(self, elem: DFElement) -> int:
         return self._index[elem]
-
-    def column(self, j: int) -> List[ExactScalar]:
-        return [self.entries[i][j] for i in range(self.dim)]
 
     def scale(self, s: ExactScalar) -> "WeilOperator":
         ent = [[s * x for x in row] for row in self.entries]
@@ -253,6 +251,7 @@ def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[WeilOperator, WeilOp
         raise ValueError("p-part generators are defined for even lattices")
     form = lattice.discriminant_form()
     part = form.p_part(p)
+    part.require_dense()
     elems = part.elements()
     coeff = weil_index_lattice(lattice, p).conjugate() \
         * sqrt_rat(Fraction(1, part.delta))
@@ -449,45 +448,26 @@ def _xi_product(lattice: GramLattice, mat: SL2, eps: int) -> ExactScalar:
 # -- the closed formula ----------------------------------------------------
 
 
-def _kernel_size(form: DiscriminantForm, c: int) -> int:
-    """Delta_{M,c}: the order of the kernel of multiplication by c."""
-    out = 1
-    for d in form.orders:
-        out *= gcd(c, d)
-    return out
+def _c0_scalar(signature: int, a: int, eps: int) -> ExactScalar:
+    """delta^(-sgn), the scalar of rho at c = 0: delta = eps for a = d = 1
+    and -i eps for a = d = -1."""
+    delta = from_rational(eps) if a == 1 else root_of_unity(-1, 4) * eps
+    return delta ** (-(signature % 8))
 
 
-def _rho_diagonal_block(form: DiscriminantForm, mat: SL2, eps: int) -> WeilOperator:
-    """The c = 0 case: rho(A, eps) = delta^(-sgn) e(bd gamma^2/2) e_{d gamma},
-    where delta = eps for a = d = 1 and -i eps for a = d = -1."""
-    if mat.a == 1:
-        delta = from_rational(eps)
-    else:
-        delta = root_of_unity(-1, 4) * eps
-    form.require_dense()
-    cells = _PhaseCells(delta ** (-(form.signature % 8)), form.level)
-    elems = form.elements()
-    n = len(elems)
-    idx = {g: i for i, g in enumerate(elems)}
-    ent = [[_ZERO] * n for _ in range(n)]
-    bd = mat.b * mat.d
-    for j, g in enumerate(elems):
-        ent[idx[form.smul(mat.d, g)]][j] = cells[bd * form.q_num(g) % form.level]
-    return WeilOperator(elems, ent, form)
-
-
-def _closed_assembly(form: DiscriminantForm, mat: SL2,
-                     coeff: ExactScalar, x_c: DFElement) -> WeilOperator:
+def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar,
+                     coset: List[Tuple[DFElement, int]]) -> WeilOperator:
     """Sum the closed-formula phases over the c-star coset x_c + cD.
 
-    Each phase is an integer k mod the level N, and the cell is
-    coeff * e(k/N).  Elements are addressed by their mixed-radix index in
-    form.elements(); for each beta the phases and the rows of beta + d gamma
-    are computed for all gamma at once, one coordinate at a time.
+    `coset` is form.coset_Dcstar(c, x_c).  Each phase is an integer k mod
+    the level N, and the cell is coeff * e(k/N).  Elements are addressed by
+    their mixed-radix index in form.elements(); for each beta the phases and
+    the rows of beta + d gamma are computed for all gamma at once, one
+    coordinate at a time.  At c = 0 the coset is {0}, and the cells are
+    coeff * e(bd gamma^2/2) at (d gamma, gamma).
     """
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
+    a, b, d = mat.a, mat.b, mat.d
     n = form.level
-    form.require_dense()
     elems = form.elements()
     dim = len(elems)
     cells = _PhaseCells(coeff, n)
@@ -496,7 +476,7 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2,
     d_coords = [[d * g % o for g in col] for col, o in zip(coords, form.orders)]
     tails = [b * d * form.q_num(gamma) for gamma in elems]
     ent = [[_ZERO] * dim for _ in range(dim)]
-    for beta, h in form.coset_Dcstar(c, x_c):
+    for beta, h in coset:
         # a N(c alpha^2/2 + (x_c, alpha)) + b N(gamma, beta) + bd N q(gamma)
         ks = [a * h + t for t in tails]
         rows = [0] * dim
@@ -513,14 +493,16 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2,
 def rho_closed(lattice: GramLattice, x: MpElement) -> WeilOperator:
     """rho_M(x) by the closed formula, for even and odd lattices.
 
-    For c != 0 the operator is Pi_p xi_p * sqrt(Delta_{M,c}/Delta_M) times
-    the character sum over the coset D_M^{c*} = x_c + cD, enumerated as
-    beta = x_c + c alpha over D/D_c.  For c = 0 it is diagonal up to the
-    index flip, with scalar delta^(-sgn).  An odd lattice needs x in the
-    parity subgroup, where odd c forces even a, so a (c alpha^2/2) is well
-    defined although q is only defined mod 1/2; for odd c its x_c is
-    reported as zero (the half-sum is not dual) and xi_2 picks up
-    zeta_8^(-a_2 c_2 t_1), t_1 the oddity of the scale-1 component.
+    The operator is a scalar times the character sum over the coset
+    D_M^{c*} = x_c + cD, enumerated as beta = x_c + c alpha over D/D_c.
+    For c != 0 the scalar is Pi_p xi_p * sqrt(Delta_{M,c}/Delta_M); for
+    c = 0 the coset is {0} and the scalar is delta^(-sgn) (see _c0_scalar).
+    Delta_{M,c}/Delta_M = 1/|D/D_c| is read off the enumerated coset.  An
+    odd lattice needs x in the parity subgroup, where odd c forces even a,
+    so a (c alpha^2/2) is well defined although q is only defined mod 1/2;
+    for odd c its x_c is reported as zero (the half-sum is not dual) and
+    xi_2 picks up zeta_8^(-a_2 c_2 t_1), t_1 the oddity of the scale-1
+    component.
     """
     if not lattice.is_even and not gamma_odd_member(x.mat):
         raise ValueError("matrix outside the parity subgroup: "
@@ -529,13 +511,18 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> WeilOperator:
     form.require_dense()
     mat, eps = x.mat, x.eps
     if mat.c == 0:
-        return _rho_diagonal_block(form, mat, eps)
-    coeff = _xi_product(lattice, mat, eps) \
-        * sqrt_rat(Fraction(_kernel_size(form, mat.c), form.delta))
-    x_c, t1 = choose_xc(jordan_decompose(lattice, 2), mat.c)
-    if mat.c % 2 and t1 is not None:
-        coeff = coeff * root_of_unity(-_unit_at(mat.a, 2) * _unit_at(mat.c, 2) * t1, 8)
-    return _closed_assembly(form, mat, coeff, x_c)
+        coeff, x_c = _c0_scalar(form.signature, mat.a, eps), form.zero()
+    else:
+        coeff = _xi_product(lattice, mat, eps)
+        x_c, t1 = choose_xc(jordan_decompose(lattice, 2), mat.c)
+        if mat.c % 2 and t1 is not None:
+            coeff = coeff * root_of_unity(-_unit_at(mat.a, 2) * _unit_at(mat.c, 2) * t1, 8)
+    coset = form.coset_Dcstar(mat.c, x_c)
+    coeff = coeff * sqrt_rat(Fraction(1, len(coset)))
+    # Every cell is coeff times an N-th root of unity, so it carries
+    # phi(lcm(order, N)) coefficients.
+    form.require_dense(euler_phi(lcm(coeff.order, form.level)))
+    return _closed_assembly(form, mat, coeff, coset)
 
 
 def rho_closed_odd(lattice: GramLattice, x: MpElement) -> WeilOperator:
@@ -565,8 +552,7 @@ def phi_char(lattice: GramLattice, x: MpElement) -> ExactScalar:
     m = lattice.rank
     form = lattice.discriminant_form()
     if c == 0:
-        delta = from_rational(x.eps) if a == 1 else root_of_unity(-1, 4) * x.eps
-        return delta ** (-(form.signature % 8))
+        return _c0_scalar(form.signature, a, x.eps)
     c2 = _unit_at(c, 2)
     v2 = valuation_split(c, 2).valuation
     v2_delta = valuation_split(form.delta, 2).valuation

@@ -57,10 +57,21 @@ S_INV = mp_inv(MP_S)
 
 def uniform_mp(rng, bound=ENTRY_BOUND):
     """Uniform over SL2(Z) matrices with entries in [-bound, bound],
-    paired with a uniform metaplectic sign (plain rejection sampling)."""
+    paired with a uniform metaplectic sign (plain rejection sampling).
+
+    Each entry is drawn as randint(-bound, bound) draws it on Python 3.11
+    (getrandbits of the width's bit length, redrawn while out of range),
+    inlined because nearly every matrix drawn is rejected."""
+    width = 2 * bound + 1
+    bits = width.bit_length()
+    draw = rng.getrandbits
     while True:
-        a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
-        c, d = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        entries = []
+        while len(entries) < 4:
+            r = draw(bits)
+            if r < width:
+                entries.append(r - bound)
+        a, b, c, d = entries
         if a * d - b * c == 1:
             return MpElement(SL2(a, b, c, d), rng.choice((1, -1)))
 

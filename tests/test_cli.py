@@ -146,13 +146,24 @@ def test_cli_exit_codes(capsys):
 def test_cli_rho_dense_cap(capsys, monkeypatch):
     import exactweil.lattice as lattice_mod
 
+    # 8 x 8 cells in Q(zeta_8), 4 coefficients each
     argv = ["rho", "--lattice", "[[2, 0], [0, 4]]", "--matrix", "1,1,1,2"]
-    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 8 * 8)
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 8 * 8 * 4)
     code, _ = invoke(capsys, argv)
     assert code == EXIT_OK
-    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 8 * 8 - 1)
-    code, out = invoke(capsys, argv)
-    assert code == EXIT_CAP and "cap 63" in json.loads(out)["error"]
+    for cap in (8 * 8 * 4 - 1, 8 * 8 - 1):
+        monkeypatch.setattr(lattice_mod, "DENSE_CAP", cap)
+        code, out = invoke(capsys, argv)
+        assert code == EXIT_CAP and "cap %d" % cap in json.loads(out)["error"]
+
+
+def test_cli_rho_dense_cap_counts_coefficients(capsys, monkeypatch):
+    import exactweil.lattice as lattice_mod
+
+    # 106^2 cells in Q(zeta_424), 208 coefficients each: 2.3 * 10^6 integers
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 2 * 10 ** 6)
+    code, out = invoke(capsys, ["rho", "--lattice", "[[106]]", "--matrix", "0,-1,1,0"])
+    assert code == EXIT_CAP and "cap 2000000" in json.loads(out)["error"]
 
 
 def test_cli_rho_checks_the_dense_cap_before_the_scalar(capsys, monkeypatch):
@@ -168,18 +179,19 @@ def test_cli_rho_checks_the_dense_cap_before_the_scalar(capsys, monkeypatch):
         assert code == EXIT_CAP and "cap" in json.loads(out)["error"]
 
 
+def cli(*argv):
+    """Run exactweil in a subprocess with a 20-s timeout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactweil.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "exactweil.cli"] + list(argv),
+                         capture_output=True, text=True, env=env, timeout=20)
+    return run.returncode, json.loads(run.stdout), run.stderr
+
+
 def test_cli_trial_division_cap():
     # each ran for minutes in the trial division of a 19-digit prime; a
     # prime given by --prime is now certified by Miller-Rabin instead
-    src = os.path.dirname(os.path.dirname(os.path.abspath(exactweil.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     big = "1000000000000000003"
-
-    def cli(*argv):
-        run = subprocess.run([sys.executable, "-m", "exactweil.cli"] + list(argv),
-                             capture_output=True, text=True, env=env, timeout=20)
-        return run.returncode, json.loads(run.stdout), run.stderr
-
     code, out, err = cli("jordan", "--lattice", "[[2000000000000000006]]")
     assert code == EXIT_CAP, err
     assert "trial-division cap" in out["error"]
@@ -192,6 +204,14 @@ def test_cli_trial_division_cap():
     assert out["ok"] is True
     code, out, err = cli("jordan", "--lattice", "[[2]]", "--prime", "10000000000037")
     assert code == EXIT_OK, err
+
+
+def test_cli_gauss_cap():
+    # 100003 terms in Q(zeta_100003): summing them ran for minutes
+    code, out, err = cli("gauss", "--lattice", "[[2]]", "--prime", "100003",
+                         "--a", "1", "--c", "100003")
+    assert code == EXIT_CAP, err
+    assert "cap" in out["error"]
 
 
 def test_cli_precision_cap(capsys, monkeypatch):

@@ -390,7 +390,7 @@ def test_class_from_dual_vector_projects():
         assert df.class_from_dual_vector(v, 2) == p2.project(x)
         assert df.class_from_dual_vector(v, 3) == p3.project(x)
         # shifting the vector by a 3-unit denominator leaves the 3-class alone
-        shifted = tuple(c + Fraction(1, 2) * 0 for c in v)
+        shifted = (v[0] + Fraction(1, 2), v[1])
         assert df.class_from_dual_vector(shifted, 3) == p3.project(x)
 
 

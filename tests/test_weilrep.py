@@ -307,9 +307,11 @@ def test_dense_operators_are_capped(monkeypatch):
         raise AssertionError("elements enumerated past the cap")
 
     monkeypatch.setattr(lattice_mod.DiscriminantForm, "elements", no_enumeration)
+    monkeypatch.setattr(lattice_mod.PPart, "elements", no_enumeration)
     for build in (lambda: rho_closed(lattice, MpElement(SL2(-1, 2, 0, -1), 1)),
                   lambda: rho_T(form), lambda: rho_S(form), lambda: rho_Z(form),
-                  lambda: rho_oracle(lattice, x), lambda: r0_direct(lattice, x.mat)):
+                  lambda: rho_oracle(lattice, x), lambda: r0_direct(lattice, x.mat),
+                  lambda: rho_p_generators(lattice, 2)):
         with pytest.raises(CapExceededError):
             build()
 
@@ -744,9 +746,9 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     monkeypatch.setattr(lattice_mod, "Fraction", NoFraction)
     monkeypatch.setattr(weilrep_mod, "Fraction", NoFraction)
     for form, m, x_c in prepared:
-        form.coset_Dcstar(m.c, x_c)
-        weilrep_mod._closed_assembly(form, m, coeff, x_c)
-        weilrep_mod._rho_diagonal_block(form, SL2(-1, 3, 0, -1), -1)
+        weilrep_mod._closed_assembly(form, m, coeff, form.coset_Dcstar(m.c, x_c))
+        weilrep_mod._closed_assembly(form, SL2(-1, 4, 0, -1), coeff,
+                                     form.coset_Dcstar(0, form.zero()))
         weilrep_mod._group_ring_product(form, [("T", 2), ("S", 1), ("T", -2), ("S", -1)])
     form = even.discriminant_form()
     rho_T(form), form.milgram_sum()
