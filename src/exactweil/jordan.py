@@ -475,44 +475,47 @@ def _local_kernel_size(components: Sequence[JordanComponent], v: int) -> int:
 
 
 def _gauss_valuation(lattice: GramLattice, p: int, a: int, c: int) -> int:
-    """v_p(c), once the arguments of a local Gauss sum are checked.
-
-    The sum has p^(v m) terms in Q(zeta_(p^v)), so p^(v (m + 1)) bounds
-    both sides' work (the closed side takes sqrt(p) in Q(zeta_4p)); it must
-    stay within BRUTE_CAP.
-    """
+    """v_p(c), once the arguments of a local Gauss sum are checked."""
     _check_prime(p)
     if c == 0:
         raise ValueError("c must be nonzero")
     if a % p == 0 and c % p == 0:
         raise ValueError("a and c must be coprime at p")
-    v = valuation_split(c, p).valuation
-    if p ** (v * (lattice.rank + 1)) > BRUTE_CAP:
-        raise CapExceededError("a Gauss sum of %d^%d terms in Q(zeta_%d^%d) exceeds "
-                               "the cap %d" % (p, v * lattice.rank, p, v, BRUTE_CAP))
-    return v
+    return valuation_split(c, p).valuation
 
 
 def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:
-    """The closed value p^(m v/2) sqrt(Delta_{M,c}) delta of the local sum."""
+    """The closed value p^(m v/2) sqrt(Delta_{M,c}) delta of the local sum.
+
+    Its one costly step is sqrt(p) in Q(zeta_4p), O(p^2), taken when the
+    power of p under the root is odd; p^2 must then stay within BRUTE_CAP.
+    """
     v = _gauss_valuation(lattice, p, a, c)
     components = jordan_components(lattice, p)
+    radicand = p ** (lattice.rank * v) * _local_kernel_size(components, v)
+    if valuation_split(radicand, p).valuation % 2 and p * p > BRUTE_CAP:
+        raise CapExceededError("sqrt(%d) in Q(zeta_%d) exceeds the cap %d"
+                               % (p, 4 * p, BRUTE_CAP))
     a_p = valuation_split(a, p).unit_part if a else 1
     delta = from_rational(1)
     for comp in components:
         if comp.e < v:
             delta = delta * weil_index_component(scale_component(comp, a_p * c))
-    return sqrt_rat(p ** (lattice.rank * v) * _local_kernel_size(components, v)) * delta
+    return sqrt_rat(radicand) * delta
 
 
 def gauss_sum_brute(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:
     """Direct summation of chi_p(a/c eta^2/2 + a (x_c, eta)/c) over M/cM.
 
     Over Z_p the quotient M/cM is (Z/p^v)^m; representatives are taken in
-    the original basis.
+    the original basis.  Each of the p^(v m) terms is added in
+    Q(zeta_(p^v)), so p^(v (m + 1)) must stay within BRUTE_CAP.
     """
     v = _gauss_valuation(lattice, p, a, c)
     m = lattice.rank
+    if p ** (v * (m + 1)) > BRUTE_CAP:
+        raise CapExceededError("a Gauss sum of %d^%d terms in Q(zeta_%d^%d) exceeds "
+                               "the cap %d" % (p, v * m, p, v, BRUTE_CAP))
     xc = None
     if p == 2:
         xc = xc_vector(jordan_decompose(lattice, 2), v)

@@ -210,7 +210,10 @@ def interesting_primes(lattice: GramLattice) -> set:
     return set(prime_factors(lattice.delta()))
 
 
-def _require_dense(delta: int, per_cell: int) -> None:
+def require_dense(delta: int, per_cell: int = 1) -> None:
+    """Raise CapExceededError unless a delta x delta matrix holding
+    per_cell integers a cell (on average) stays within DENSE_CAP; call
+    before allocating it."""
     size = delta ** 2 * per_cell
     if size > DENSE_CAP:
         raise CapExceededError("a dense operator on %d elements would hold "
@@ -254,11 +257,6 @@ class PPart:
         for q, i, g in zip(self.orders, self._positions, self._unit_gens):
             out[i] = (elem[i] * g) % self.parent.orders[i]
         return tuple(out)
-
-    def require_dense(self) -> None:
-        """Raise CapExceededError unless a delta_p x delta_p matrix stays
-        within DENSE_CAP."""
-        _require_dense(self.delta, 1)
 
     def elements(self) -> List[DFElement]:
         if self.delta > ENUMERATION_CAP:
@@ -346,11 +344,6 @@ class DiscriminantForm:
             raise CapExceededError(f"discriminant group has {self.delta} elements")
         return [coords for coords in product(*(range(d) for d in self.orders))] \
             if self.orders else [()]
-
-    def require_dense(self, per_cell: int = 1) -> None:
-        """Raise CapExceededError unless a delta x delta matrix of per_cell
-        integers each stays within DENSE_CAP; call before allocating it."""
-        _require_dense(self.delta, per_cell)
 
     # -- lifts and values ------------------------------------------------
 

@@ -36,7 +36,7 @@ from .exact import (ExactScalar, euler_phi, from_powers, from_rational,
 from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
                      scale_component, weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
-                      GramLattice, interesting_primes)
+                      GramLattice, interesting_primes, require_dense)
 from .metaplectic import (MpElement, SL2, Word, decompose_ST, decompose_T2S,
                           gamma_odd_member, word_mp)
 from .numth import eps_parity, legendre, two_over, valuation_split
@@ -189,7 +189,7 @@ def rho_T(form: DiscriminantForm) -> WeilOperator:
     if not form.lattice.is_even:
         raise ValueError("rho(T) requires an even lattice; "
                          "T is outside the parity subgroup of an odd one")
-    form.require_dense()
+    require_dense(form.delta)
     elems = form.elements()
     return WeilOperator(elems, _t_diagonal(form, elems), form)
 
@@ -221,7 +221,7 @@ def rho_S(form: DiscriminantForm) -> WeilOperator:
     the same formula covers odd lattices, whose S lies in the parity
     subgroup.
     """
-    form.require_dense()
+    require_dense(form.delta)
     elems = form.elements()
     coeff = root_of_unity(-form.signature, 8) * sqrt_rat(Fraction(1, form.delta))
     return WeilOperator(elems, _fourier(form, elems, coeff), form)
@@ -229,7 +229,7 @@ def rho_S(form: DiscriminantForm) -> WeilOperator:
 
 def rho_Z(form: DiscriminantForm) -> WeilOperator:
     """rho(Z) = rho(S)^2: e_gamma -> zeta_8^(-2 sgn) e_{-gamma}."""
-    form.require_dense()
+    require_dense(form.delta)
     elems = form.elements()
     n = len(elems)
     coeff = root_of_unity(-2 * form.signature, 8)
@@ -251,7 +251,7 @@ def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[WeilOperator, WeilOp
         raise ValueError("p-part generators are defined for even lattices")
     form = lattice.discriminant_form()
     part = form.p_part(p)
-    part.require_dense()
+    require_dense(part.delta)
     elems = part.elements()
     coeff = weil_index_lattice(lattice, p).conjugate() \
         * sqrt_rat(Fraction(1, part.delta))
@@ -273,7 +273,7 @@ def _group_ring_product(form: DiscriminantForm,
     Returns the matrix and the numbers of S and S^-1 steps.
     """
     n = form.level
-    form.require_dense(n)
+    require_dense(form.delta, n)
     elems = form.elements()
     dim = len(elems)
     q = [form.q_num(g) for g in elems]
@@ -364,7 +364,7 @@ def r0_direct(lattice: GramLattice, mat: SL2) -> WeilOperator:
     if abs(mat.c) ** m > BRUTE_CAP:
         raise CapExceededError("M/cM has %d^%d elements" % (abs(mat.c), m))
     form = lattice.discriminant_form()
-    form.require_dense()
+    require_dense(form.delta)
     elems = form.elements()
     n = len(elems)
     lifts = [form.lift(g) for g in elems]
@@ -508,7 +508,7 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> WeilOperator:
         raise ValueError("matrix outside the parity subgroup: "
                          "no Weil action is defined")
     form = lattice.discriminant_form()
-    form.require_dense()
+    require_dense(form.delta)
     mat, eps = x.mat, x.eps
     if mat.c == 0:
         coeff, x_c = _c0_scalar(form.signature, mat.a, eps), form.zero()
@@ -519,9 +519,10 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> WeilOperator:
             coeff = coeff * root_of_unity(-_unit_at(mat.a, 2) * _unit_at(mat.c, 2) * t1, 8)
     coset = form.coset_Dcstar(mat.c, x_c)
     coeff = coeff * sqrt_rat(Fraction(1, len(coset)))
-    # Every cell is coeff times an N-th root of unity, so it carries
-    # phi(lcm(order, N)) coefficients.
-    form.require_dense(euler_phi(lcm(coeff.order, form.level)))
+    # Delta * len(coset) cells are coeff times an N-th root of unity, with
+    # phi(lcm(order, N)) coefficients each; the others are one zero each.
+    extra = len(coset) * (euler_phi(lcm(coeff.order, form.level)) - 1)
+    require_dense(form.delta, 1 + -(-extra // form.delta))
     return _closed_assembly(form, mat, coeff, coset)
 
 

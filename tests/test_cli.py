@@ -160,7 +160,17 @@ def test_cli_rho_dense_cap(capsys, monkeypatch):
 def test_cli_rho_dense_cap_counts_coefficients(capsys, monkeypatch):
     import exactweil.lattice as lattice_mod
 
-    # 106^2 cells in Q(zeta_424), 208 coefficients each: 2.3 * 10^6 integers
+    # T on [[300]]: 300^2 cells, of which the 300 on the diagonal hold at
+    # most the phi(600) = 160 coefficients of Q(zeta_600) and the rest one
+    # zero each; 300^2 * 160 integers would pass the cap
+    code, out = invoke(capsys, ["rho", "--lattice", "[[300]]", "--matrix", "1,1,0,1"])
+    assert code == EXIT_OK
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 300
+    assert sum(len(cell["coeffs"]) for row in entries for cell in row) \
+        <= 300 * 299 + 300 * 160
+    # S on [[106]]: 106^2 cells in Q(zeta_424), 208 coefficients each:
+    # 2.3 * 10^6 integers
     monkeypatch.setattr(lattice_mod, "DENSE_CAP", 2 * 10 ** 6)
     code, out = invoke(capsys, ["rho", "--lattice", "[[106]]", "--matrix", "0,-1,1,0"])
     assert code == EXIT_CAP and "cap 2000000" in json.loads(out)["error"]
@@ -253,6 +263,33 @@ def test_cli_gauss_and_pretty(capsys):
     assert code == EXIT_OK
     assert out.startswith("dim: 2")
     assert "1/2 - 1/2*z8^2" in out
+
+
+E8 = ("[[2,-1,0,0,0,0,0,0],[-1,2,-1,0,0,0,0,0],[0,-1,2,-1,0,0,0,-1],"
+      "[0,0,-1,2,-1,0,0,0],[0,0,0,-1,2,-1,0,0],[0,0,0,0,-1,2,-1,0],"
+      "[0,0,0,0,0,-1,2,0],[0,0,-1,0,0,0,0,2]]")
+
+
+def test_cli_verify_reports_capped_suites(capsys, monkeypatch):
+    import exactweil.jordan as jordan_mod
+    import exactweil.weilrep as weilrep_mod
+
+    # Under the default caps E8's gauss-sums suite passes the brute cap at
+    # p = 5 (5^8 terms) and its braun suite at c = 6 (6^8 terms), after
+    # minutes; a cap of 2^9 reaches both at once.  The other suites still
+    # run and pass, and the exit code says a cap was met.
+    for mod in (jordan_mod, weilrep_mod):
+        monkeypatch.setattr(mod, "BRUTE_CAP", 2 ** 9)
+    code, out = invoke(capsys, ["verify", "--lattice", E8])
+    payload = json.loads(out)
+    assert code == EXIT_CAP
+    assert payload["ok"] and payload["capped"] == ["gauss-sums", "braun"]
+    suites = {s["name"]: s for s in payload["suites"]}
+    assert len(suites) == 8
+    assert "2^16 terms" in suites["gauss-sums"]["capped"]
+    assert "3^8 elements" in suites["braun"]["capped"]
+    assert all(s["ok"] for name, s in suites.items()
+               if name not in payload["capped"])
 
 
 def test_cli_verify_fails_under_optimize():

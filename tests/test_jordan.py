@@ -318,3 +318,16 @@ def test_gauss_sum_under_change_of_basis():
 def test_gauss_sum_cap():
     with pytest.raises(CapExceededError):
         gauss_sum_brute(GramLattice([[2, 0], [0, 4]]), 2, 1, 2 ** 11)
+    # The brute side adds p^(v m) terms in Q(zeta_(p^v)); the closed side
+    # pays only for sqrt(p), and only under an odd power of p.
+    e8 = GramLattice([[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+                      [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+                      [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+                      [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]])
+    with pytest.raises(CapExceededError):
+        gauss_sum_brute(e8, 5, 4, 5)  # 5^9 > BRUTE_CAP
+    assert gauss_sum_closed(e8, 5, 4, 5) == from_rational(5 ** 4)
+    a1, p = GramLattice([[2]]), 100003
+    with pytest.raises(CapExceededError):
+        gauss_sum_closed(a1, p, 1, p)  # sqrt(p), p^2 > BRUTE_CAP
+    assert gauss_sum_closed(a1, p, 1, p ** 2) == from_rational(p)

@@ -747,7 +747,8 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     monkeypatch.setattr(weilrep_mod, "Fraction", NoFraction)
     for form, m, x_c in prepared:
         weilrep_mod._closed_assembly(form, m, coeff, form.coset_Dcstar(m.c, x_c))
-        weilrep_mod._closed_assembly(form, SL2(-1, 4, 0, -1), coeff,
+        weilrep_mod._closed_assembly(form, SL2(-1, 4, 0, -1),
+                                     weilrep_mod._c0_scalar(form.signature, -1, -1),
                                      form.coset_Dcstar(0, form.zero()))
         weilrep_mod._group_ring_product(form, [("T", 2), ("S", 1), ("T", -2), ("S", -1)])
     form = even.discriminant_form()
