@@ -26,8 +26,10 @@ DFElement = Tuple[int, ...]
 Vector = Tuple[Fraction, ...]
 
 ENUMERATION_CAP = 10 ** 5
-# Integers a dense operator may hold: delta^2 cells, times the level N for
-# the word oracle's matrix over Z[x]/(x^N - 1).
+# Integers a dense operator may hold: delta^2 cells plus the further
+# coefficients of the nonzero cells of T, S, Z, their p-parts and the closed
+# formula (weilrep._PhaseCells counts them), or delta^2 cells times the level
+# N for the word oracle's matrix over Z[x]/(x^N - 1).
 DENSE_CAP = 10 ** 7
 
 

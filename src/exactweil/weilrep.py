@@ -54,13 +54,17 @@ def _e(x: Fraction) -> ExactScalar:
 class _PhaseCells(dict):
     """coeff * e(k/N) by phase k mod N, each computed on its first use.
 
-    Closed-formula cells are one scalar times a root of unity of order
-    dividing the level N, so an operator has at most N distinct cells.
+    T, S, Z, their p-parts and the closed formula are one scalar times N-th
+    roots of unity, N the level.  The constructor raises CapExceededError
+    unless dim^2 cells, `nonzero` of them holding phi(lcm(order, N))
+    coefficients, fit DENSE_CAP; build it before allocating the matrix.
     """
 
     __slots__ = ("coeff", "level")
 
-    def __init__(self, coeff: ExactScalar, level: int):
+    def __init__(self, coeff: ExactScalar, level: int, dim: int, nonzero: int):
+        extra = nonzero * (euler_phi(lcm(coeff.order, level)) - 1)
+        require_dense(dim, 1 + -(-extra // dim ** 2))
         super().__init__()
         self.coeff = coeff
         self.level = level
@@ -118,11 +122,7 @@ class WeilOperator:
             return self.scale(s)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            s = other if isinstance(other, ExactScalar) else from_rational(other)
-            return self.scale(s)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def conj_transpose(self) -> "WeilOperator":
         n = self.dim
@@ -155,29 +155,28 @@ class WeilOperator:
         return "WeilOperator(dim=%d)" % self.dim
 
     def to_json(self, precision_bits: Optional[int] = None) -> dict:
-        # Cells often share one scalar object; encode each object once, but
-        # give every cell a dict and coefficient list of its own.
-        encoded: Dict[int, dict] = {}
+        # Cells often share one scalar object: encode and evaluate each
+        # object once, but give every cell a dict and lists of its own.
+        encoded: Dict[int, tuple] = {}
 
-        def encode(x: ExactScalar) -> dict:
+        def encode(x: ExactScalar) -> tuple:
             data = encoded.get(id(x))
             if data is None:
-                data = encoded[id(x)] = x.to_json()
-            return {"order": data["order"], "coeffs": list(data["coeffs"])}
+                exact, mid = x.to_json(), None
+                if precision_bits is not None:
+                    box = x.eval_numeric(precision_bits)
+                    mid = [float(box.real_mid), float(box.imag_mid)]
+                data = encoded[id(x)] = (exact["order"], exact["coeffs"], mid)
+            return data
 
         out = {
             "dim": self.dim,
-            "entries": [[encode(x) for x in row] for row in self.entries],
+            "entries": [[{"order": order, "coeffs": list(coeffs)}
+                         for order, coeffs, _ in map(encode, row)]
+                        for row in self.entries],
         }
         if precision_bits is not None:
-            numeric = []
-            for row in self.entries:
-                num_row = []
-                for x in row:
-                    box = x.eval_numeric(precision_bits)
-                    num_row.append([float(box.real_mid), float(box.imag_mid)])
-                numeric.append(num_row)
-            out["entries_numeric"] = numeric
+            out["entries_numeric"] = [[list(encode(x)[2]) for x in row] for row in self.entries]
         return out
 
 
@@ -198,9 +197,10 @@ def _t_diagonal(form: DiscriminantForm,
                 elems: Sequence[DFElement]) -> List[List[ExactScalar]]:
     """The diagonal matrix of e(gamma^2/2) over the given elements."""
     n = len(elems)
+    cells = _PhaseCells(_ONE, form.level, n, n)
     ent = [[_ZERO] * n for _ in range(n)]
     for i, g in enumerate(elems):
-        ent[i][i] = root_of_unity(form.q_num(g), form.level)
+        ent[i][i] = cells[form.q_num(g) % form.level]
     return ent
 
 
@@ -208,7 +208,7 @@ def _fourier(form: DiscriminantForm, elems: Sequence[DFElement],
              coeff: ExactScalar) -> List[List[ExactScalar]]:
     """coeff * e(-(gamma, delta)) at row delta, column gamma."""
     n = form.level
-    cells = _PhaseCells(coeff, n)
+    cells = _PhaseCells(coeff, n, len(elems), len(elems) ** 2)
     rows = [form.pairing_row(g) for g in elems]
     return [[cells[-sum(a * w for a, w in zip(delta, row)) % n] for row in rows]
             for delta in elems]
@@ -232,11 +232,11 @@ def rho_Z(form: DiscriminantForm) -> WeilOperator:
     require_dense(form.delta)
     elems = form.elements()
     n = len(elems)
-    coeff = root_of_unity(-2 * form.signature, 8)
+    cells = _PhaseCells(root_of_unity(-2 * form.signature, 8), form.level, n, n)
     ent = [[_ZERO] * n for _ in range(n)]
     idx = {g: i for i, g in enumerate(elems)}
     for j, g in enumerate(elems):
-        ent[idx[form.neg(g)]][j] = coeff
+        ent[idx[form.neg(g)]][j] = cells[0]
     return WeilOperator(elems, ent, form)
 
 
@@ -470,7 +470,7 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar,
     n = form.level
     elems = form.elements()
     dim = len(elems)
-    cells = _PhaseCells(coeff, n)
+    cells = _PhaseCells(coeff, n, dim, dim * len(coset))
     strides = [prod(form.orders[r + 1:]) for r in range(len(form.orders))]
     coords = list(zip(*elems))
     d_coords = [[d * g % o for g in col] for col, o in zip(coords, form.orders)]
@@ -519,10 +519,6 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> WeilOperator:
             coeff = coeff * root_of_unity(-_unit_at(mat.a, 2) * _unit_at(mat.c, 2) * t1, 8)
     coset = form.coset_Dcstar(mat.c, x_c)
     coeff = coeff * sqrt_rat(Fraction(1, len(coset)))
-    # Delta * len(coset) cells are coeff times an N-th root of unity, with
-    # phi(lcm(order, N)) coefficients each; the others are one zero each.
-    extra = len(coset) * (euler_phi(lcm(coeff.order, form.level)) - 1)
-    require_dense(form.delta, 1 + -(-extra // form.delta))
     return _closed_assembly(form, mat, coeff, coset)
 
 
@@ -623,14 +619,16 @@ def braun_check(lattice: GramLattice, c: int) -> bool:
     m = lattice.rank
     if abs(c) ** m > BRUTE_CAP:
         raise CapExceededError("M/cM has %d^%d elements" % (abs(c), m))
-    form = lattice.discriminant_form()
+    g = lattice.gram
+    sign = 1 if c > 0 else -1
     terms = []
     for eta in product(range(abs(c)), repeat=m):
-        vec = tuple(Fraction(t) for t in eta)
-        terms.append(_e(form.q_of_lift(vec) / c))
+        # e(eta^2/2c) = e(sign(c) eta^T G eta / 2|c|), from integers alone
+        norm = sum(eta[i] * g[i][j] * eta[j] for i in range(m) for j in range(m))
+        terms.append(root_of_unity(sign * norm, 2 * abs(c)))
     left = scalar_sum(terms)
     right = root_of_unity(lattice.signature(), 8) \
-        * sqrt_rat(Fraction(abs(c) ** m * form.delta))
+        * sqrt_rat(abs(c) ** m * lattice.delta())
     if c < 0:
         right = right.conjugate()
     return left == right

@@ -296,12 +296,12 @@ def test_cli_verify_fails_under_optimize():
     # The suites must not rely on assert statements, which -O strips.
     code = textwrap.dedent("""
         import json
-        from exactweil import cli
+        from exactweil import checks, cli
         from exactweil.weilrep import WeilOperator
         def wrong_oracle(lattice, x):
             form = lattice.discriminant_form()
             return WeilOperator.identity(form.elements(), form)
-        cli.rho_oracle = wrong_oracle
+        checks.rho_oracle = wrong_oracle
         payload, code = cli.run(cli.Request("verify", cli.parse_lattice("[[2]]")))
         print(json.dumps({"payload": payload, "code": code}))
     """)

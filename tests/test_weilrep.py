@@ -316,6 +316,45 @@ def test_dense_operators_are_capped(monkeypatch):
             build()
 
 
+def test_generator_tables_cap_their_coefficients(monkeypatch):
+    import exactweil.lattice as lattice_mod
+
+    # T on [[300]]: 300^2 cells, only the 300 diagonal ones in Q(zeta_600)
+    assert rho_T(GramLattice([[300]]).discriminant_form()).dim == 300
+    # S on [[106]]: 106^2 cells in Q(zeta_424), 208 coefficients each
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 2 * 10 ** 6)
+    with pytest.raises(CapExceededError, match="would hold 2337088 integers"):
+        rho_S(GramLattice([[106]]).discriminant_form())
+
+
+def test_p_part_generators_cap_their_coefficients(monkeypatch):
+    import exactweil.lattice as lattice_mod
+
+    # S_53 on [[106]]: its 53^2 cells fit, their 104 coefficients each do not
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 2 * 10 ** 5)
+    with pytest.raises(CapExceededError, match="would hold 292136 integers"):
+        rho_p_generators(GramLattice([[106]]), 53)
+
+
+def test_numeric_json_evaluates_each_distinct_scalar_once(monkeypatch):
+    from exactweil.exact import ExactScalar
+
+    op = rho_closed(GramLattice([[2, 0], [0, 32]]), MP_S)
+    per_cell = [[[float(box.real_mid), float(box.imag_mid)]
+                 for box in (x.eval_numeric(64) for x in row)] for row in op.entries]
+    calls = []
+    evaluate = ExactScalar.eval_numeric
+
+    def counted(self, precision_bits=64):
+        calls.append(self)
+        return evaluate(self, precision_bits)
+
+    monkeypatch.setattr(ExactScalar, "eval_numeric", counted)
+    out = op.to_json(64)
+    assert op.dim == 64 and len(calls) == 32
+    assert out["entries_numeric"] == per_cell
+
+
 def test_closed_examples():
     f = A1.discriminant_form()
     assert rho_closed(A1, MP_T) == rho_T(f)
