@@ -7,9 +7,11 @@ with no Fraction and no basis.  jordan_decompose, the reference, works over
 rationals whose denominators are coprime to p and keeps the basis, so every
 step is exact; it is the path at p = 2, where a scale that mixes diagonal
 and even 2x2 blocks is fused and fully diagonalized and the trace of the
-resulting diagonal units mod 8 is the oddity index t.  Symbols at p = 2 are
-not canonical across different decompositions, but every value derived
-from them downstream is.
+resulting diagonal units mod 8 is the oddity index t.  jordan_decompose
+evaluates each pairing of its working basis once per scan, over unordered
+pairs, and checks the finished blocks against one Gram matrix of the final
+basis, b_i . (G b_j).  Symbols at p = 2 are not canonical across different
+decompositions, but every value derived from them downstream is.
 """
 
 from fractions import Fraction
@@ -113,6 +115,15 @@ def _pair(gram: Sequence[Sequence[int]], u: Sequence[Fraction],
     return sum(u[i] * gram[i][j] * v[j] for i in range(m) for j in range(m))
 
 
+def _pairs(idxs: List[int]):
+    """Each unordered pair (i, j) of idxs once, i no later than j in idxs.
+
+    Gram entries are symmetric, so the first pair of a scan over all
+    ordered pairs that meets a symmetric condition is also the first here.
+    """
+    return ((i, j) for a, i in enumerate(idxs) for j in idxs[a:])
+
+
 def _val(x: Fraction, p: int) -> Optional[int]:
     return None if x == 0 else valuation_split(x, p).valuation
 
@@ -122,6 +133,9 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
 
     Returns components with strictly increasing exponent whose ranks sum
     to the rank of the lattice, plus the rational basis realizing them.
+    Every scan of the working basis evaluates each pairing once, over the
+    unordered pairs; the blocks are then checked, independently of the
+    elimination, from one Gram product of the final basis.
     """
     _check_prime(p)
     gram = lattice.gram
@@ -133,15 +147,8 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
         return _pair(gram, vecs[i], vecs[j])
 
     def min_valuation(active: List[int]) -> int:
-        vals = [_val(pr(i, j), p) for i in active for j in active if pr(i, j)]
-        return min(v for v in vals if v is not None)
-
-    def pivot(i: int, active: List[int]) -> None:
-        d = pr(i, i)
-        for k in active:
-            if k != i and pr(k, i):
-                f = pr(k, i) / d
-                vecs[k] = [x - f * y for x, y in zip(vecs[k], vecs[i])]
+        entries = (pr(i, j) for i, j in _pairs(active))
+        return min(_val(x, p) for x in entries if x)
 
     active = list(range(m))
     raw_blocks: List[Tuple[int, List[int]]] = []
@@ -150,7 +157,7 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
         diag = next((i for i in active if _val(pr(i, i), p) == v_min), None)
         if p != 2:
             if diag is None:
-                i, j = next((i, j) for i in active for j in active
+                i, j = next((i, j) for i, j in _pairs(active)
                             if i != j and _val(pr(i, j), p) == v_min)
                 vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
                 if _val(pr(i, i), p) != v_min:
@@ -160,15 +167,15 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
                     raise ArithmeticError("no diagonal entry of valuation %d at p = %d"
                                           % (v_min, p))
                 diag = i
-            pivot(diag, active)
+            _sweep(gram, vecs, diag, active)
             raw_blocks.append((v_min, [diag]))
             active.remove(diag)
         elif diag is not None:
-            pivot(diag, active)
+            _sweep(gram, vecs, diag, active)
             raw_blocks.append((v_min, [diag]))
             active.remove(diag)
         else:
-            i, j = next((i, j) for i in active for j in active
+            i, j = next((i, j) for i, j in _pairs(active)
                         if i != j and _val(pr(i, j), p) == v_min)
             gii, gij, gjj = pr(i, i), pr(i, j), pr(j, j)
             det = gii * gjj - gij * gij
@@ -221,6 +228,17 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
     return decomp
 
 
+def _sweep(gram, vecs, i: int, idxs: List[int]) -> None:
+    """Make every other vector of idxs orthogonal to vecs[i]."""
+    d = _pair(gram, vecs[i], vecs[i])
+    for k in idxs:
+        if k != i:
+            f = _pair(gram, vecs[k], vecs[i])
+            if f:
+                f /= d
+                vecs[k] = [x - f * y for x, y in zip(vecs[k], vecs[i])]
+
+
 def _fuse_scale(gram, vecs, idxs: List[int], e: int) -> None:
     """Fully diagonalize one 2-adic scale that has an odd diagonal entry."""
 
@@ -237,17 +255,12 @@ def _fuse_scale(gram, vecs, idxs: List[int], e: int) -> None:
             if last is None:
                 raise ArithmeticError("an even-type 2-adic scale of valuation %d "
                                       "has no odd pivot to mix back in" % e)
-            j = next(j for j in todo for k in todo
-                     if j != k and _val(pr(j, k), 2) == e)
+            j = next(j for j, k in _pairs(todo) if j != k and _val(pr(j, k), 2) == e)
             vecs[j] = [x + y for x, y in zip(vecs[j], vecs[last])]
             todo.append(last)
             last = None
             continue
-        d = pr(i, i)
-        for k in todo:
-            if k != i and pr(k, i):
-                f = pr(k, i) / d
-                vecs[k] = [x - f * y for x, y in zip(vecs[k], vecs[i])]
+        _sweep(gram, vecs, i, todo)
         todo.remove(i)
         last = i
 
@@ -261,9 +274,14 @@ def _validate_blocks(decomp: JordanDecomposition) -> None:
             p ** valuation_split(lattice.delta(), p).valuation:
         raise ArithmeticError("the Jordan components at p = %d do not multiply "
                               "to the p-part of delta" % p)
+    # the Gram matrix of the final basis, b_i . (G b_j), for the block checks
+    basis = decomp.basis
+    images = [[sum(g * x for g, x in zip(row, b)) for row in lattice.gram]
+              for b in basis]
+    gram = [[sum(x * y for x, y in zip(u, w)) for w in images] for u in basis]
+    spans = decomp._spans
     for idx, comp in enumerate(decomp.components):
-        vec = decomp.component_vectors(idx)
-        block = [[_pair(lattice.gram, u, v) for v in vec] for u in vec]
+        block = [[gram[i][j] for j in spans[idx]] for i in spans[idx]]
         det = _det_fraction(block)
         if valuation_split(det, p).valuation != comp.e * comp.n:
             raise ArithmeticError("Jordan component %d at p = %d has the wrong "
@@ -275,12 +293,10 @@ def _validate_blocks(decomp: JordanDecomposition) -> None:
     # distinct components are orthogonal
     for idx in range(len(decomp.components)):
         for jdx in range(idx + 1, len(decomp.components)):
-            for u in decomp.component_vectors(idx):
-                for v in decomp.component_vectors(jdx):
-                    if _pair(lattice.gram, u, v) != 0:
-                        raise ArithmeticError("Jordan components %d and %d at "
-                                              "p = %d are not orthogonal"
-                                              % (idx, jdx, p))
+            if any(gram[i][j] for i in spans[idx] for j in spans[jdx]):
+                raise ArithmeticError("Jordan components %d and %d at "
+                                      "p = %d are not orthogonal"
+                                      % (idx, jdx, p))
 
 
 def _det_fraction(rows: List[List[Fraction]]) -> Fraction:

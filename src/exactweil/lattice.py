@@ -212,11 +212,11 @@ def interesting_primes(lattice: GramLattice) -> set:
     return set(prime_factors(lattice.delta()))
 
 
-def require_dense(delta: int, per_cell: int = 1) -> None:
-    """Raise CapExceededError unless a delta x delta matrix holding
-    per_cell integers a cell (on average) stays within DENSE_CAP; call
-    before allocating it."""
-    size = delta ** 2 * per_cell
+def require_dense(delta: int, extra: int = 0) -> None:
+    """Raise CapExceededError unless a delta x delta matrix holding one
+    integer a cell plus `extra` further integers stays within DENSE_CAP;
+    call before allocating it."""
+    size = delta ** 2 + extra
     if size > DENSE_CAP:
         raise CapExceededError("a dense operator on %d elements would hold "
                                "%d integers (cap %d)" % (delta, size, DENSE_CAP))

@@ -63,8 +63,7 @@ class _PhaseCells(dict):
     __slots__ = ("coeff", "level")
 
     def __init__(self, coeff: ExactScalar, level: int, dim: int, nonzero: int):
-        extra = nonzero * (euler_phi(lcm(coeff.order, level)) - 1)
-        require_dense(dim, 1 + -(-extra // dim ** 2))
+        require_dense(dim, nonzero * (euler_phi(lcm(coeff.order, level)) - 1))
         super().__init__()
         self.coeff = coeff
         self.level = level
@@ -273,7 +272,7 @@ def _group_ring_product(form: DiscriminantForm,
     Returns the matrix and the numbers of S and S^-1 steps.
     """
     n = form.level
-    require_dense(form.delta, n)
+    require_dense(form.delta, form.delta ** 2 * (n - 1))
     elems = form.elements()
     dim = len(elems)
     q = [form.q_num(g) for g in elems]

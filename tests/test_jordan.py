@@ -13,6 +13,8 @@ from conftest import EVEN_GRAMS, ODD_GRAMS
 from exactweil.exact import from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
     JordanComponent,
+    JordanDecomposition,
+    _validate_blocks,
     choose_xc,
     gauss_sum_brute,
     gauss_sum_closed,
@@ -32,16 +34,51 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from perfbench import workloads  # noqa: E402
 
 ALL_GRAMS = EVEN_GRAMS + ODD_GRAMS
+E8_GRAM = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+           [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+           [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+           [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
 
 
 def test_decomposition_examples():
     assert jordan_decompose(GramLattice([[2]]), 2).symbol() == "2^+1_1"
     assert jordan_decompose(GramLattice([[0, 1], [1, 0]]), 2).symbol() == "1^+2_II"
+    assert jordan_decompose(GramLattice(E8_GRAM), 2).symbol() == "1^+8_II"
+    i8 = [[int(i == j) for j in range(8)] for i in range(8)]
+    assert jordan_decompose(GramLattice(i8), 2).symbol() == "1^+8_0"
+    d4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+    assert jordan_decompose(GramLattice(d4), 2).symbol() == "1^-2_II 2^-2_II"
     d = jordan_decompose(GramLattice([[2, 1], [1, 2]]), 3)
     assert [c.q for c in d.components] == [1, 3]
     assert sum(c.n for c in d.components) == 2
     with pytest.raises(ValueError):
         jordan_decompose(GramLattice([[2]]), 4)
+
+
+def test_block_check_rejects_tampered_decompositions():
+    # [[2, 0], [0, 18]] at p = 3 is 1^(+-1) 9^(+-1) on the standard basis
+    lat = GramLattice([[2, 0], [0, 18]])
+    unit, nine = jordan_decompose(lat, 3).components
+    assert (unit.q, nine.q) == (1, 9)
+    e0, e1 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+
+    def check(components, basis, spans, message):
+        decomp = JordanDecomposition(lat, 3, components, basis, spans)
+        with pytest.raises(ArithmeticError, match=message):
+            _validate_blocks(decomp)
+
+    _validate_blocks(JordanDecomposition(lat, 3, (unit, nine), (e0, e1), ((0,), (1,))))
+    check((unit,), (e0, e1), ((0,),), "do not have total rank 2")
+    check((unit, JordanComponent(3, 1, 1, 1)), (e0, e1), ((0,), (1,)),
+          "do not multiply to the p-part of delta")
+    check((unit, nine), (e0, e1), ((1,), (0,)),
+          "component 0 at p = 3 has the wrong determinant valuation")
+    # diag(2, 18) as one block 3^(+2): determinant valuation 2, entry 2 a unit
+    check((JordanComponent(3, 1, 2, 1),), (e0, e1), ((0, 1),),
+          "component 0 at p = 3 has an entry below its scale")
+    # 3 e0 + e1 has norm 36, so each block passes, but pairs to 6 with e0
+    check((unit, nine), (e0, (Fraction(3), Fraction(1))), ((0,), (1,)),
+          "components 0 and 1 at p = 3 are not orthogonal")
 
 
 def _assert_components_match_reference(gram):
@@ -320,10 +357,7 @@ def test_gauss_sum_cap():
         gauss_sum_brute(GramLattice([[2, 0], [0, 4]]), 2, 1, 2 ** 11)
     # The brute side adds p^(v m) terms in Q(zeta_(p^v)); the closed side
     # pays only for sqrt(p), and only under an odd power of p.
-    e8 = GramLattice([[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
-                      [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
-                      [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
-                      [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]])
+    e8 = GramLattice(E8_GRAM)
     with pytest.raises(CapExceededError):
         gauss_sum_brute(e8, 5, 4, 5)  # 5^9 > BRUTE_CAP
     assert gauss_sum_closed(e8, 5, 4, 5) == from_rational(5 ** 4)

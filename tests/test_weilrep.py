@@ -327,6 +327,19 @@ def test_generator_tables_cap_their_coefficients(monkeypatch):
         rho_S(GramLattice([[106]]).discriminant_form())
 
 
+def test_dense_cap_counts_coefficients_exactly(monkeypatch):
+    import exactweil.lattice as lattice_mod
+
+    # T on [[300]]: 300^2 cells, the 300 diagonal ones in Q(zeta_600) with
+    # phi(600) = 160 coefficients, so 300^2 + 300 * 159 = 137700 integers
+    form = GramLattice([[300]]).discriminant_form()
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 137700)
+    assert rho_T(form).dim == 300
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 137699)
+    with pytest.raises(CapExceededError, match="would hold 137700 integers"):
+        rho_T(form)
+
+
 def test_p_part_generators_cap_their_coefficients(monkeypatch):
     import exactweil.lattice as lattice_mod
 
