@@ -157,12 +157,12 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
         diag = next((i for i in active if _val(pr(i, i), p) == v_min), None)
         if p != 2:
             if diag is None:
+                # g_ii and g_jj have valuation > v_min and, p being odd,
+                # 2 g_ij has valuation v_min; so g_ii + 2 g_ij + g_jj, the
+                # new g_ii of x_i -> x_i + x_j, has valuation exactly v_min.
                 i, j = next((i, j) for i, j in _pairs(active)
                             if i != j and _val(pr(i, j), p) == v_min)
                 vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
-                if _val(pr(i, i), p) != v_min:
-                    # the other sign must work: the two attempts differ by 4*g_ij
-                    vecs[i] = [x - 2 * y for x, y in zip(vecs[i], vecs[j])]
                 if _val(pr(i, i), p) != v_min:
                     raise ArithmeticError("no diagonal entry of valuation %d at p = %d"
                                           % (v_min, p))
@@ -361,10 +361,11 @@ def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ..
         e = min(entries)[0]
         i = next((i for v, i, j in entries if v == e and i == j), None)
         if i is None:
+            # g_ii and g_jj have valuation > e and 2 g_ij has valuation e <= k
+            # (p is odd), so the new g_ii = g_ii + 2 g_ij + g_jj of
+            # x_i -> x_i + x_j has valuation exactly e modulo p^(k+1).
             i, j = next((i, j) for v, i, j in entries if v == e)
             add(i, j, 1)
-            if _vp(g[i][i], p) != e:
-                add(i, j, -2)
             if _vp(g[i][i], p) != e:
                 raise ArithmeticError("no diagonal entry of valuation %d at p = %d"
                                       % (e, p))

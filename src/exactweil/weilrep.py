@@ -8,7 +8,11 @@ finite unitary representation rho_M.  This module evaluates rho_M three ways:
     the generator matrices, tracking the metaplectic sign exactly.  Each
     generator is a scalar times a matrix of N-th roots of unity (N the
     level), so the word multiplies only those matrices, over the group ring
-    Z[x]/(x^N - 1), and applies the product of the scalars once;
+    Z[x]/(x^N - 1), and applies the product of the scalars once.  Each cell
+    of that product is one int holding its N coefficients in B-bit fields;
+    at x = 1 the product of s >= 1 steps S is dim^(s-1) times the all-ones
+    matrix, so B = bit_length(dim^(s-1)) bits hold every coefficient, and
+    every cell must sum to dim^(s-1), which a carry would break;
   * the direct r0 character sum over M/cM (for c != 0), which gives the
     operator up to a single scalar;
   * the closed local-to-global formula: a product of p-adic root-of-unity
@@ -29,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (ExactScalar, euler_phi, from_powers, from_rational,
@@ -261,53 +266,61 @@ def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[WeilOperator, WeilOp
 # -- the generator-word oracle ---------------------------------------------
 
 
+def _cell_width(dim: int, s_steps: int) -> int:
+    """Bits per coefficient of a packed cell after s_steps S steps.
+
+    At x = 1 every generator's root-of-unity matrix is the identity (T) or
+    the all-ones matrix J (S), so after k >= 1 S steps each cell's
+    nonnegative coefficients sum to exactly dim^(k-1), the cell of J^k.
+    """
+    return (dim ** (s_steps - 1)).bit_length() if s_steps else 1
+
+
 def _group_ring_product(form: DiscriminantForm,
-                        word: Word) -> Tuple[List[List[List[int]]], int, int]:
+                        word: Word) -> Tuple[List[List[int]], int, int, int]:
     """The root-of-unity part of the generator product along a word.
 
     rho(T^k) is diag(zeta_N^(k N q(gamma))) and rho(S^(+-1)) is a scalar
     times [zeta_N^(-+N (gamma, delta))], N the level; so the product is one
     scalar times a matrix over the group ring Z[x]/(x^N - 1), x = zeta_N.
-    Cell (i, j) is the list of its N coefficients, all nonnegative integers.
-    Returns the matrix and the numbers of S and S^-1 steps.
+    Each cell is packed into one int: coefficient t, a nonnegative integer,
+    sits in bits [tB, (t+1)B), B = _cell_width(dim, number of S steps), which
+    holds every coefficient of every step.  Multiplying by x^s is a shift by
+    sB, folded mod x^N - 1 as (v & low) + (v >> NB).  Returns the matrix, the
+    numbers of S and S^-1 steps, and B.
     """
     n = form.level
     require_dense(form.delta, form.delta ** 2 * (n - 1))
     elems = form.elements()
     dim = len(elems)
+    width = _cell_width(dim, sum(abs(k) for sym, k in word if sym == "S"))
+    top = n * width
+    low = (1 << top) - 1
     q = [form.q_num(g) for g in elems]
     rows = [form.pairing_row(g) for g in elems]
     pairs = [[sum(a * w for a, w in zip(g, row)) % n for row in rows] for g in elems]
-    ent = [[[int(i == j and t == 0) for t in range(n)] for j in range(dim)]
-           for i in range(dim)]
-    gathers: Dict[int, list] = {}
+    ent = [[int(i == j) for j in range(dim)] for i in range(dim)]
     steps = {1: 0, -1: 0}
     for sym, k in word:
         if sym == "T":
             # Column gamma times x^(k N q(gamma)): a rotation of each cell.
-            shifts = [k * qj % n for qj in q]
+            shifts = [k * qj % n * width for qj in q]
             for row in ent:
                 for j, s in enumerate(shifts):
                     if s:
-                        row[j] = row[j][-s:] + row[j][:-s]
+                        v = row[j] << s
+                        row[j] = (v & low) + (v >> top)
             continue
         sign = 1 if k > 0 else -1
         steps[sign] += abs(k)
-        # Coefficient t of cell (i, j) of the product gathers, from each cell
-        # (i, l), the coefficient that x^(-sign N (gamma_l, gamma_j)) moves
-        # to t; flat index l N + (t + sign N (gamma_l, gamma_j)) mod N.
-        gather = gathers.get(sign)
-        if gather is None:
-            gather = gathers[sign] = [
-                [[l * n + (t + sign * pairs[l][j]) % n for l in range(dim)]
-                 for t in range(n)] for j in range(dim)]
+        # Cell (i, j) of the product is the sum over l of cell (i, l) times
+        # x^(-sign N (gamma_l, gamma_j)); (gamma_l, gamma_j) is symmetric.
+        cols = [[-sign * p % n * width for p in col] for col in pairs]
         for _ in range(abs(k)):
-            new = []
-            for row in ent:
-                get = [c for cell in row for c in cell].__getitem__
-                new.append([[sum(map(get, ix)) for ix in cell] for cell in gather])
-            ent = new
-    return ent, steps[1], steps[-1]
+            ent = [[(v & low) + (v >> top)
+                    for v in [sum(map(lshift, row, col)) for col in cols]]
+                   for row in ent]
+    return ent, steps[1], steps[-1], width
 
 
 def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
@@ -317,10 +330,15 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
     lattices, T^2 and S steps for odd ones); the metaplectic sign of the
     word is recomputed through the cocycle and a mismatch against the
     requested sign is corrected by rho(Z^2) = (-1)^sgn.  The roots of unity
-    of the generators are multiplied in Z[x]/(x^N - 1); the scalar of the n+
-    steps S and the n- steps S^-1, zeta_8^(sgn (n- - n+)) Delta^(-(n+ + n-)/2),
-    is applied once at the end.  No closed-formula machinery enters, which
-    is what makes this an oracle.
+    of the generators are multiplied in Z[x]/(x^N - 1), each cell packed into
+    one int (see _group_ring_product); the scalar of the n+ steps S and the
+    n- steps S^-1, zeta_8^(sgn (n- - n+)) Delta^(-(n+ + n-)/2), is applied
+    once at the end.  Each distinct packed cell is unpacked once, and its
+    coefficients must sum to dim^(n+ + n- - 1), or to 1 on the diagonal and
+    0 off it when the word has no S: a carry between packed coefficients
+    lowers some cell's sum by a multiple of 2^B - 1, so it raises
+    ArithmeticError.  No closed-formula machinery enters, which is what
+    makes this an oracle.
     """
     form = lattice.discriminant_form()
     if lattice.is_even:
@@ -331,18 +349,27 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
     if achieved.mat != x.mat:
         raise ArithmeticError("the generator word evaluates to %r, not to %r"
                               % (achieved.mat, x.mat))
-    ring, n_plus, n_minus = _group_ring_product(form, word)
+    ring, n_plus, n_minus, width = _group_ring_product(form, word)
     sgn = form.signature
     scalar = root_of_unity(sgn * (n_minus - n_plus), 8) \
         * sqrt_rat(Fraction(1, form.delta ** (n_plus + n_minus)))
     if achieved.eps != x.eps and sgn % 2:
         scalar = -scalar
+    n, mask = form.level, (1 << width) - 1
     # One scalar object per distinct cell, as in the closed formula.
-    keys = [[tuple(coeffs) for coeffs in row] for row in ring]
-    cells = {key: scalar * from_powers(key, form.level)
-             for key in {key for row in keys for key in row}}
-    return WeilOperator(form.elements(), [[cells[key] for key in row] for row in keys],
-                        form)
+    cells, sums = {}, {}
+    for v in {v for row in ring for v in row}:
+        coeffs = [v >> t & mask for t in range(0, n * width, width)]
+        sums[v] = sum(coeffs)
+        cells[v] = scalar * from_powers(coeffs, n)
+    # The product at x = 1 is J^s, s = n+ + n-: dim^(s-1) J, or I for s = 0.
+    total = len(ring) ** (n_plus + n_minus - 1) if n_plus + n_minus else None
+    for i, row in enumerate(ring):
+        for j, v in enumerate(row):
+            if sums[v] != (int(i == j) if total is None else total):
+                raise ArithmeticError("group ring cell (%d, %d) sums to %d at x = 1: "
+                                      "a packed coefficient carried" % (i, j, sums[v]))
+    return WeilOperator(form.elements(), [[cells[v] for v in row] for row in ring], form)
 
 
 # -- the direct r0 sum -----------------------------------------------------

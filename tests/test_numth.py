@@ -236,8 +236,9 @@ def test_is_prime_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for n in range(-5, 3000):
         assert is_prime(n) == sympy.isprime(n), n
-    # strong pseudoprimes to the first 4, 9 and 12 prime bases
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, and the
+    # Carmichael number 211 * 421 * 631, whose factors all exceed the bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 56052361):
         assert not is_prime(n)
     for n in (2 ** 61 - 1, 10 ** 18 + 3, 10000000000037, 2 ** 81 - 1):
         assert is_prime(n) == sympy.isprime(n), n

@@ -250,7 +250,8 @@ def dense_word_product(lattice, x):
     return op
 
 
-def test_oracle_equals_dense_generator_product():
+def dense_product_cases():
+    """Each conftest lattice with the elements its oracle is checked on."""
     rng = random.Random(9)
     s2 = mp_mul(MP_S, MP_S)
     for gram in EVEN_GRAMS + ODD_GRAMS:
@@ -261,16 +262,70 @@ def test_oracle_equals_dense_generator_product():
         elements = [MP_ONE, MpElement(SL2(1, -3 * step, 0, 1), 1), s2,
                     mp_mul(s2, MP_S), mp_mul(S_INV, S_INV), mp_mul(mp_mul(s2, t), s2)]
         elements += [mp_word(rng, step=step) for _ in range(6)]
+        yield lattice, elements
+
+
+def test_oracle_equals_dense_generator_product():
+    for lattice, elements in dense_product_cases():
         for x in elements:
             for eps in (1, -1):
                 y = MpElement(x.mat, eps)
                 assert rho_oracle(lattice, y) == dense_word_product(lattice, y), \
-                    (gram, y.mat, eps)
+                    (lattice.gram, y.mat, eps)
         form = lattice.discriminant_form()
         # S^k tokens with |k| >= 2 are repeated steps of the group ring product.
         for k in (2, -3):
             assert _group_ring_product(form, [("S", k)]) \
                 == _group_ring_product(form, [("S", k // abs(k))] * abs(k))
+
+
+def gather_group_ring_product(form, word):
+    """The group ring product with each cell a list of its N coefficients,
+    each gathered from a flat index list: the reference for packed cells."""
+    n = form.level
+    elems = form.elements()
+    dim = len(elems)
+    q = [form.q_num(g) for g in elems]
+    rows = [form.pairing_row(g) for g in elems]
+    pairs = [[sum(a * w for a, w in zip(g, row)) % n for row in rows] for g in elems]
+    ent = [[[int(i == j and t == 0) for t in range(n)] for j in range(dim)]
+           for i in range(dim)]
+    steps = {1: 0, -1: 0}
+    for sym, k in word:
+        if sym == "T":
+            shifts = [k * qj % n for qj in q]
+            for row in ent:
+                for j, s in enumerate(shifts):
+                    if s:
+                        row[j] = row[j][-s:] + row[j][:-s]
+            continue
+        sign = 1 if k > 0 else -1
+        steps[sign] += abs(k)
+        gather = [[[l * n + (t + sign * pairs[l][j]) % n for l in range(dim)]
+                   for t in range(n)] for j in range(dim)]
+        for _ in range(abs(k)):
+            new = []
+            for row in ent:
+                get = [c for cell in row for c in cell].__getitem__
+                new.append([[sum(map(get, ix)) for ix in cell] for cell in gather])
+            ent = new
+    return ent, steps[1], steps[-1]
+
+
+def test_packed_product_equals_gather_product():
+    for lattice, elements in dense_product_cases():
+        form = lattice.discriminant_form()
+        n = form.level
+        for x in elements:
+            word = decompose_ST(x.mat) if lattice.is_even else decompose_T2S(x.mat)
+            ring, n_plus, n_minus, width = _group_ring_product(form, word)
+            ref, ref_plus, ref_minus = gather_group_ring_product(form, word)
+            assert (n_plus, n_minus) == (ref_plus, ref_minus)
+            assert all(v >> n * width == 0 for row in ring for v in row)
+            mask = (1 << width) - 1
+            unpacked = [[[v >> t * width & mask for t in range(n)] for v in row]
+                        for row in ring]
+            assert unpacked == ref, (lattice.gram, word)
 
 
 def test_rho_closed_checks_the_dense_cap_before_the_scalar(monkeypatch):
@@ -386,6 +441,33 @@ def test_closed_equals_oracle_even():
             assert op == rho_oracle(lattice, x), (gram, x.mat, x.eps)
             if k == 0:
                 assert op.is_unitary()
+
+
+def bounded_sl2(rng, bound=50):
+    """A seeded SL2(Z) matrix with entries in [-bound, bound]: a coprime
+    bottom row, then a uniform choice among the top rows within the bound."""
+    while True:
+        c, d = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if gcd(c, d) == 1:
+            break
+    m = bezout_sl2(c, d)
+    ks = [k for k in range(-2 * bound - 1, 2 * bound + 2)
+          if abs(m.a + k * c) <= bound and abs(m.b + k * d) <= bound]
+    k = rng.choice(ks)
+    return SL2(m.a + k * c, m.b + k * d, c, d)
+
+
+def test_closed_equals_oracle_at_large_discriminants():
+    # A2(5), A1(50) and diag(2, 6, 10): Delta = 75, 100, 120.  An oracle call
+    # takes 0.1 to 0.5 s on A2(5) and 0.3 to 6 s on the others, growing with
+    # the S steps of the word; the counts keep the test at 4 to 7 s.
+    for gram, count in (([[10, 5], [5, 10]], 6), ([[100]], 2),
+                        ([[2, 0, 0], [0, 6, 0], [0, 0, 10]], 2)):
+        lattice = GramLattice(gram)
+        rng = random.Random(11)
+        for k in range(count):
+            x = MpElement(bounded_sl2(rng), (1, -1)[k % 2])
+            assert rho_closed(lattice, x) == rho_oracle(lattice, x), (gram, x.mat, x.eps)
 
 
 def test_closed_odd_examples():
@@ -706,6 +788,26 @@ _CORRUPTIONS = {
         from exactweil.metaplectic import MP_T, MpElement, SL2
         weilrep.word_mp = lambda word: MP_T
         weilrep.rho_oracle(GramLattice([[2]]), MpElement(SL2(0, -1, 1, 0), 1))
+    """),
+    "oracle cell carry": ("ArithmeticError: group ring cell", """
+        from exactweil import weilrep
+        from exactweil.lattice import GramLattice
+        from exactweil.metaplectic import MpElement, SL2
+        product = weilrep._group_ring_product
+        def extra(form, word):
+            ring, n_plus, n_minus, width = product(form, word)
+            ring[0][0] += 1 << width
+            return ring, n_plus, n_minus, width
+        weilrep._group_ring_product = extra
+        weilrep.rho_oracle(GramLattice([[2]]), MpElement(SL2(-1, 0, 0, -1), 1))
+    """),
+    "oracle cell width": ("ArithmeticError: group ring cell", """
+        from exactweil import weilrep
+        from exactweil.lattice import GramLattice
+        from exactweil.metaplectic import MpElement, SL2
+        width = weilrep._cell_width
+        weilrep._cell_width = lambda dim, s_steps: width(dim, s_steps) - 1
+        weilrep.rho_oracle(GramLattice([[2]]), MpElement(SL2(-1, 0, 0, -1), 1))
     """),
     "smith pivot": ("ArithmeticError", """
         from exactweil import lattice
