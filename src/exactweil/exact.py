@@ -415,8 +415,13 @@ class ExactScalar:
         """Portable form {order, coeffs}; coeffs are the phi(L) power-basis
         coordinates as exact rational strings.  Round-trips bit-exactly."""
         den = self._den
+        if den == 1:
+            return {"order": self.order, "coeffs": list(map(str, self._num))}
         coeffs = []
         for n in self._num:
+            if not n:
+                coeffs.append("0")
+                continue
             g = gcd(n, den)
             coeffs.append(str(n // g) if g == den else "%d/%d" % (n // g, den // g))
         return {"order": self.order, "coeffs": coeffs}

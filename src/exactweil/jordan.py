@@ -476,16 +476,6 @@ def choose_xc(decomp: JordanDecomposition, c: int) -> Tuple[DFElement, Optional[
     return cls, comp.t
 
 
-def xc_phase(decomp: JordanDecomposition, a: int, c: int) -> ExactScalar:
-    """chi_2(a/c * x_c^2/2) as the root of unity zeta_8^(a2 c2 t)."""
-    _, t = choose_xc(decomp, c)
-    if t is None:
-        return from_rational(1)
-    a2 = _unit_mod(valuation_split(a, 2).unit_part, 8) if a else 0
-    c2 = _unit_mod(valuation_split(c, 2).unit_part, 8)
-    return root_of_unity(a2 * c2 * t, 8)
-
-
 def _local_kernel_size(components: Sequence[JordanComponent], v: int) -> int:
     """Delta_{M,c}: the kernel of c on the p-part, from the symbols."""
     return prod(c.q ** c.n if c.e <= v else c.p ** (v * c.n) for c in components)

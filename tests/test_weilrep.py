@@ -2,6 +2,8 @@
 and the kernel machinery."""
 
 import ast
+import hashlib
+import json
 import os
 import pathlib
 import random
@@ -24,7 +26,7 @@ from exactweil.jordan import (
     scale_component,
     weil_index_component,
 )
-from exactweil.lattice import CapExceededError, GramLattice
+from exactweil.lattice import CapExceededError, GramLattice, interesting_primes
 from exactweil.metaplectic import (
     MP_ONE,
     MP_S,
@@ -36,18 +38,20 @@ from exactweil.metaplectic import (
     decompose_ST,
     decompose_T2S,
     gamma4_lift,
+    gamma_odd_member,
     mp_inv,
     mp_mul,
     word_mp,
 )
 from exactweil.numth import legendre, prime_factors, valuation_split
 from exactweil.weilrep import (
+    ZERO_PHASE,
+    PhaseOperator,
     WeilOperator,
     braun_check,
     is_in_kernel,
     kernel_descriptor,
     phi_char,
-    r0_direct,
     _group_ring_product,
     rho_S,
     rho_T,
@@ -60,6 +64,7 @@ from exactweil.weilrep import (
     weil_reciprocity_check,
     xi_p,
 )
+from reference import r0_direct
 
 ONE = from_rational(1)
 A1 = GramLattice([[2]])
@@ -770,6 +775,129 @@ def test_operator_json():
     assert abs(re - 0.5) < 1e-12 and abs(im + 0.5) < 1e-12
 
 
+A2_5 = [[10, 5], [5, 10]]
+DIAG_2_6_10 = [[2, 0, 0], [0, 6, 0], [0, 0, 10]]
+
+
+def phase_corpus():
+    """(name, operator) for T, S, Z, every p-part pair, and rho_closed at
+    c = 0 and at seeded c != 0, over the conftest corpus, A2(5) and
+    diag(2, 6, 10)."""
+    rng = random.Random(21)
+    for gram in EVEN_GRAMS + ODD_GRAMS + [A2_5, DIAG_2_6_10]:
+        lattice = GramLattice(gram)
+        form = lattice.discriminant_form()
+        step = 1 if lattice.is_even else 2
+        yield gram, rho_S(form)
+        yield gram, rho_Z(form)
+        if lattice.is_even:
+            yield gram, rho_T(form)
+            for p in sorted(interesting_primes(lattice) | {5}):
+                for op in rho_p_generators(lattice, p):
+                    yield (gram, p), op
+        mats = [SL2(1, 2 * step, 0, 1), SL2(-1, -step, 0, -1)]
+        mats += [bounded_sl2(rng, 12) for _ in range(2 if form.delta > 50 else 4)]
+        for k, mat in enumerate(mats):
+            if lattice.is_even or gamma_odd_member(mat):
+                yield (gram, mat), rho_closed(lattice, MpElement(mat, (1, -1)[k % 2]))
+
+
+def digest(payload):
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_phase_json_equals_dense_json():
+    # The phase table, the kept dense form (one object per phase) and a dense
+    # matrix with one scalar object per cell encode to the same bytes.
+    for name, op in phase_corpus():
+        assert isinstance(op, PhaseOperator)
+        dense = op.to_weil()
+        assert type(dense) is WeilOperator
+        plain = digest(op.to_json())
+        assert plain == digest(dense.to_json()), name
+        if op.dim <= 32:
+            assert digest(op.to_json(64)) == digest(dense.to_json(64)), name
+        cells = [[from_rational(0) if k == ZERO_PHASE
+                  else op.coeff * root_of_unity(k, op.level) for k in row]
+                 for row in op.phases]
+        unshared = WeilOperator(op.labels, cells, op.form)
+        assert plain == digest(unshared.to_json()), name
+        if op.dim <= 4:
+            assert digest(op.to_json(64)) == digest(unshared.to_json(64)), name
+
+
+def shifted(op, delta, factor=1):
+    """op with every phase lowered by delta, at level factor * N, and the
+    scalar raised by e(delta/N): the same operator, built differently."""
+    n = op.level * factor
+    phases = [[ZERO_PHASE if k == ZERO_PHASE else (k - delta) * factor % n for k in row]
+              for row in op.phases]
+    return PhaseOperator(op.labels, op.coeff * root_of_unity(delta, op.level), n,
+                         phases, op.form)
+
+
+def test_phase_equality_agrees_with_dense_equality():
+    rng = random.Random(22)
+    ops = [op for _, op in phase_corpus() if op.dim <= 12]
+    for op in ops:
+        other = shifted(op, rng.randrange(1, op.level) if op.level > 1 else 0,
+                        rng.choice((1, 2, 3)))
+        assert other.coeff != op.coeff or op.level == 1
+        assert op == other and other == op
+        assert op == other.to_weil() and op.to_weil() == other
+        # one cell's phase moved by one, one cell switched between zero and
+        # nonzero, and the scalar negated
+        i, j = rng.randrange(op.dim), rng.randrange(op.dim)
+        k = op.phases[i][j]
+        for new in ((k + 1) % op.level if k != ZERO_PHASE else k,
+                    0 if k == ZERO_PHASE else ZERO_PHASE):
+            phases = [row[:] for row in op.phases]
+            phases[i][j] = new
+            moved = PhaseOperator(op.labels, op.coeff, op.level, phases, op.form)
+            assert (op == moved) == (op.to_weil() == moved.to_weil()), (op, i, j, new)
+        negated = PhaseOperator(op.labels, -op.coeff, op.level, op.phases, op.form)
+        assert op != negated and op.to_weil() != negated.to_weil()
+    for a, b in zip(ops, ops[1:]):
+        if a.labels == b.labels:
+            assert (a == b) == (a.to_weil() == b.to_weil())
+
+
+def base_group_sample(rng, n, modulus):
+    """A matrix with b = c = 0 mod n, c != 0, and a = d = 1 mod modulus."""
+    while True:
+        c = n * rng.choice((-3, -2, -1, 1, 2, 3))
+        d = 1 + modulus * rng.randint(-6, 6)
+        if gcd(c, d) == 1:
+            break
+    a = pow(d, -1, abs(c) * n)
+    return SL2(a, (a * d - 1) // c, c, d)
+
+
+def test_phase_is_identity_agrees_with_dense():
+    rng = random.Random(23)
+    for gram in EVEN_GRAMS + [A2_5, DIAG_2_6_10]:
+        lattice = GramLattice(gram)
+        desc = kernel_descriptor(lattice)
+        modulus = desc["N"] if desc["base_group"] == "Gamma(N)" else desc["N_tilde"]
+        for k in range(6 if lattice.delta() < 50 else 2):
+            mat = base_group_sample(rng, desc["N"], modulus)
+            found = []
+            for eps in (1, -1):
+                op = rho_closed(lattice, MpElement(mat, eps))
+                assert op.is_identity() == op.to_weil().is_identity()
+                found.append(op.is_identity())
+            assert any(found), (gram, mat)
+            if desc["cover"] == "double-cover":
+                assert all(found), (gram, mat)
+            x = mp_word(rng)
+            op = rho_closed(lattice, x)
+            assert op.is_identity() == op.to_weil().is_identity()
+        # a scalar that is a root of unity but not the one the diagonal needs
+        t = rho_T(lattice.discriminant_form())
+        off = PhaseOperator(t.labels, -t.coeff, t.level, t.phases, t.form)
+        assert not off.is_identity() and not off.to_weil().is_identity()
+
+
 # Each snippet corrupts one invariant; the check must still raise under -O.
 _CORRUPTIONS = {
     "cyclotomic degree": ("ArithmeticError", """
@@ -808,6 +936,11 @@ _CORRUPTIONS = {
         width = weilrep._cell_width
         weilrep._cell_width = lambda dim, s_steps: width(dim, s_steps) - 1
         weilrep.rho_oracle(GramLattice([[2]]), MpElement(SL2(-1, 0, 0, -1), 1))
+    """),
+    "phase range": ("ValueError: a phase lies outside", """
+        from exactweil.exact import from_rational
+        from exactweil.weilrep import PhaseOperator
+        PhaseOperator([(0,), (1,)], from_rational(1), 4, [[0, -1], [-1, 4]])
     """),
     "smith pivot": ("ArithmeticError", """
         from exactweil import lattice
@@ -907,7 +1040,7 @@ def test_phase_paths_build_no_fraction(monkeypatch):
         weilrep_mod._group_ring_product(form, [("T", 2), ("S", 1), ("T", -2), ("S", -1)])
     form = even.discriminant_form()
     rho_T(form), form.milgram_sum()
-    weilrep_mod._fourier(form, form.elements(), coeff)
+    weilrep_mod._fourier(form, form.elements(), coeff, form.pairing_table())
 
 
 def test_no_assert_statements_in_src():
