@@ -74,6 +74,43 @@ MUTANTS = (
            "if sums[v] != (int(i == j) if total is None else total):",
            "if False:",
            (W + "test_invariants_raise_under_optimize",)),
+    # -- the word oracle ----------------------------------------------------
+    Mutant("oracle S-step sign", "weilrep.py",
+           "cols = [[(ti - sign * p) % n * width for ti, p in zip(tq, col)]",
+           "cols = [[(ti + sign * p) % n * width for ti, p in zip(tq, col)]",
+           (W + "test_packed_product_equals_gather_product",)),
+    Mutant("oracle T-rotation sign", "weilrep.py",
+           "shifts = [t_sum * qj % n * width for qj in q]",
+           "shifts = [-t_sum * qj % n * width for qj in q]",
+           (W + "test_packed_product_equals_gather_product",)),
+    Mutant("oracle pending T exponents", "weilrep.py",
+           "            t_sum = 0\n            if ent is None:",
+           "            if ent is None:",
+           (W + "test_packed_product_equals_gather_product",)),
+    Mutant("oracle first S step cells", "weilrep.py",
+           "ent = [[1 << (ti - sign * p) % n * width for p in row]",
+           "ent = [[1 << (-sign * p) % n * width for p in row]",
+           (W + "test_packed_product_equals_gather_product",)),
+    Mutant("oracle eps correction dropped", "weilrep.py",
+           "        scalar = -scalar\n",
+           "        scalar = scalar\n",
+           (W + "test_oracle_equals_dense_generator_product",)),
+    Mutant("real-place Hilbert sign", "numth.py",
+           "return -1 if (a < 0 and b < 0) else 1",
+           "return -1 if (a < 0 or b < 0) else 1",
+           ("tests/test_metaplectic.py::test_real_hilbert_reads_the_signs",)),
+    Mutant("word_mp sign of S at d = 0", "metaplectic.py",
+           "if c > 0 and d <= 0:",
+           "if c > 0 and d < 0:",
+           ("tests/test_metaplectic.py::test_word_mp_matches_the_cocycle_chain",)),
+    Mutant("word_mp sign of S^-1 at c = 0", "metaplectic.py",
+           "if c <= 0 and d < 0:",
+           "if c < 0 and d < 0:",
+           ("tests/test_metaplectic.py::test_word_mp_matches_the_cocycle_chain",)),
+    Mutant("_peel tie rule", "metaplectic.py",
+           "if 2 * r > den or (2 * r == den and q % 2):",
+           "if 2 * r >= den:",
+           ("tests/test_metaplectic.py::test_peel_rounds_half_ties_like_fraction_round",)),
     # -- the phase operator -------------------------------------------------
     Mutant("is_identity diagonal phase k0", "weilrep.py",
            "if k0 == ZERO_PHASE or self.coeff * root_of_unity(k0, self.level) != _ONE:",

@@ -137,12 +137,11 @@ def run_rho(req: Request) -> dict:
         raise ValueError("rho needs --matrix (and optionally --eps)")
     x = MpElement(req.matrix, req.eps)
     op = rho_closed(req.lattice, x)
-    bits = None
-    if req.fmt in ("numeric", "both"):
-        bits = req.precision or DEFAULT_BITS
-    out = op.to_json(precision_bits=bits)
+    bits = req.precision or DEFAULT_BITS
     if req.fmt == "numeric":
-        del out["entries"]
+        out = op.to_numeric_json(bits)
+    else:
+        out = op.to_json(precision_bits=bits if req.fmt == "both" else None)
     out["labels"] = [list(g) for g in op.labels]
     out["matrix"] = list(req.matrix.entries())
     out["eps"] = req.eps

@@ -123,51 +123,76 @@ def mp_inv(x: MpElement) -> MpElement:
 
 
 MP_Z = mp_mul(MP_S, MP_S)
-
-
-def word_matrix(word: Word) -> SL2:
-    out = IDENTITY
-    for kind, k in word:
-        if kind == "T":
-            out = out * SL2(1, k, 0, 1)
-        else:
-            out = out * (S_MAT if k == 1 else S_MAT.inverse())
-    return out
+MP_S_INV = mp_inv(MP_S)  # (S^-1, +1)
 
 
 def word_mp(word: Word) -> MpElement:
-    """The metaplectic element of a word, all tokens taken with sign +1."""
-    out = MP_ONE
+    """The metaplectic element of a word, all tokens taken with sign +1.
+
+    The product is walked on integer entries (a, b; c, d), and the real-place
+    Kubota cocycle of each step is read off the signs of c and d.  T^k has
+    bottom row (0, 1), so its cocycle is (d, 1) or (c, 1), always +1.  S has
+    bottom row (1, 0): the cocycle is (d, 1) for c = 0, else (-c, -1) for
+    d = 0 and (c, 1)(d, -c) otherwise, so -1 exactly when c > 0 and d <= 0.
+    MP_S_INV has bottom row (-1, 0) and sign +1: the cocycle is (d, -1) for
+    c = 0, else (-c, 1) for d = 0 and (c, -1)(-d, c) otherwise, so -1
+    exactly when c <= 0 and d < 0.
+    """
+    a, b, c, d, eps = 1, 0, 0, 1, 1
     for kind, k in word:
         if kind == "T":
-            out = mp_mul(out, MpElement(SL2(1, k, 0, 1), 1))
+            b, d = b + k * a, d + k * c
+        elif k == 1:
+            if c > 0 and d <= 0:
+                eps = -eps
+            a, b, c, d = b, -a, d, -c
         else:
-            out = mp_mul(out, MP_S if k == 1 else mp_inv(MP_S))
-    return out
+            if c <= 0 and d < 0:
+                eps = -eps
+            a, b, c, d = -b, a, -d, c
+    return MpElement(SL2(a, b, c, d), eps)
+
+
+def word_matrix(word: Word) -> SL2:
+    return word_mp(word).mat
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """num/den rounded to the nearest integer, ties to even, as round() does
+    on a Fraction; den is nonzero."""
+    if den < 0:
+        num, den = -num, -den
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
 
 
 def _peel(mat: SL2, step: int) -> Word:
-    """Right-multiply by T^k (k a multiple of step) and S until c = 0."""
+    """Right-multiply by T^k (k a multiple of step) and S until c = 0.
+
+    k = -step * round(d / (step c)) leaves |d + k c| <= |step c| / 2, and k
+    is nonzero only when |d| >= |step c| / 2, so a T step never makes |d|
+    larger.
+    """
+    a, b, c, d = mat.entries()
     tail: Word = []
-    cur = mat
-    while cur.c != 0:
-        if cur.d != 0:
-            k = -step * round(Fraction(cur.d, step * cur.c))
-            if abs(cur.d + k * cur.c) > abs(cur.d):
-                k = 0
+    while c:
+        if d:
+            k = -step * _round_half_even(d, step * c)
             if k:
-                cur = cur * SL2(1, k, 0, 1)
+                b, d = b + k * a, d + k * c
                 tail.append(("T", k))
-        cur = cur * S_MAT
+        a, b, c, d = b, -a, d, -c
         tail.append(("S", 1))
     head: Word = []
-    if cur.a == 1:
-        if cur.b:
-            head.append(("T", cur.b))
+    if a == 1:
+        if b:
+            head.append(("T", b))
     else:
         head += [("S", 1), ("S", 1)]
-        if cur.b:
-            head.append(("T", -cur.b))
+        if b:
+            head.append(("T", -b))
     for kind, k in reversed(tail):
         head.append(("T", -k) if kind == "T" else ("S", -1))
     return head

@@ -144,11 +144,12 @@ def hilbert(a: RationalLike, b: RationalLike, place) -> int:
     (-1)^(eps(p)v(a)v(b)) (a_p/p)^v(b) (b_p/p)^v(a), the closed form pinned
     by bilinearity and the unit-symbol identities.
     """
-    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     if place == REAL_PLACE:
+        # Only the signs matter, so no Fraction is built.
         return -1 if (a < 0 and b < 0) else 1
+    a, b = Fraction(a), Fraction(b)
     p = place
     va, ua = valuation_split(a, p)
     vb, ub = valuation_split(b, p)

@@ -164,13 +164,10 @@ class WeilOperator:
         dict and lists of its own.
         """
         cells, table = self._cell_table()
-        exact, numeric = {}, {}
+        exact = {}
         for key, x in cells.items():
             data = x.to_json()
             exact[key] = (data["order"], data["coeffs"])
-            if precision_bits is not None:
-                box = x.eval_numeric(precision_bits)
-                numeric[key] = [float(box.real_mid), float(box.imag_mid)]
         out = {
             "dim": self.dim,
             "entries": [[{"order": order, "coeffs": coeffs[:]}
@@ -178,9 +175,24 @@ class WeilOperator:
                         for keys in table],
         }
         if precision_bits is not None:
-            out["entries_numeric"] = [[mid[:] for mid in map(numeric.__getitem__, keys)]
-                                      for keys in table]
+            out["entries_numeric"] = _numeric_cells(cells, table, precision_bits)
         return out
+
+    def to_numeric_json(self, precision_bits: int) -> dict:
+        """{"dim", "entries_numeric"}: to_json(precision_bits) without
+        building the exact cells."""
+        cells, table = self._cell_table()
+        return {"dim": self.dim,
+                "entries_numeric": _numeric_cells(cells, table, precision_bits)}
+
+
+def _numeric_cells(cells: dict, table: List[list], precision_bits: int) -> List[List[list]]:
+    """[real, imag] midpoints per cell, each distinct scalar evaluated once."""
+    numeric = {}
+    for key, x in cells.items():
+        box = x.eval_numeric(precision_bits)
+        numeric[key] = [float(box.real_mid), float(box.imag_mid)]
+    return [[mid[:] for mid in map(numeric.__getitem__, keys)] for keys in table]
 
 
 class PhaseOperator(WeilOperator):
@@ -376,8 +388,11 @@ def _group_ring_product(form: DiscriminantForm,
     Each cell is packed into one int: coefficient t, a nonnegative integer,
     sits in bits [tB, (t+1)B), B = _cell_width(dim, number of S steps), which
     holds every coefficient of every step.  Multiplying by x^s is a shift by
-    sB, folded mod x^N - 1 as (v & low) + (v >> NB).  Returns the matrix, the
-    numbers of S and S^-1 steps, and B.
+    sB, folded mod x^N - 1 as (v & low) + (v >> NB).  The T steps since the
+    last S step only add up their k: the next S step adds k N q(gamma_l) to
+    the shift of row l of its table, the first S step writes its cells as
+    single monomials, and a word that ends in T rotates each column once.
+    Returns the matrix, the numbers of S and S^-1 steps, and B.
     """
     n = form.level
     require_dense(form.delta, form.delta ** 2 * (n - 1))
@@ -387,27 +402,41 @@ def _group_ring_product(form: DiscriminantForm,
     low = (1 << top) - 1
     q = form.q_table()
     pairs = form.pairing_table()
-    ent = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    ent = None  # the identity, until the first S step
+    t_sum = 0  # the k of the T steps since the last S step, added up
     steps = {1: 0, -1: 0}
     for sym, k in word:
         if sym == "T":
-            # Column gamma times x^(k N q(gamma)): a rotation of each cell.
-            shifts = [k * qj % n * width for qj in q]
-            for row in ent:
-                for j, s in enumerate(shifts):
-                    if s:
-                        v = row[j] << s
-                        row[j] = (v & low) + (v >> top)
+            t_sum += k
             continue
         sign = 1 if k > 0 else -1
         steps[sign] += abs(k)
-        # Cell (i, j) of the product is the sum over l of cell (i, l) times
-        # x^(-sign N (gamma_l, gamma_j)); (gamma_l, gamma_j) is symmetric.
-        cols = [[-sign * p % n * width for p in col] for col in pairs]
         for _ in range(abs(k)):
+            # Cell (i, j) of the product is the sum over l of cell (i, l)
+            # times x^(t_sum N q(gamma_l) - sign N (gamma_l, gamma_j));
+            # (gamma_l, gamma_j) is symmetric, so row j of the table serves.
+            tq = [t_sum * ql for ql in q]
+            t_sum = 0
+            if ent is None:
+                ent = [[1 << (ti - sign * p) % n * width for p in row]
+                       for ti, row in zip(tq, pairs)]
+                continue
+            cols = [[(ti - sign * p) % n * width for ti, p in zip(tq, col)]
+                    for col in pairs]
             ent = [[(v & low) + (v >> top)
                     for v in [sum(map(lshift, row, col)) for col in cols]]
                    for row in ent]
+    shifts = [t_sum * qj % n * width for qj in q]
+    if ent is None:
+        return ([[1 << s if i == j else 0 for j in range(dim)]
+                 for i, s in enumerate(shifts)], 0, 0, width)
+    if t_sum:
+        # Column gamma times x^(t_sum N q(gamma)): a rotation of each cell.
+        for row in ent:
+            for j, s in enumerate(shifts):
+                if s:
+                    v = row[j] << s
+                    row[j] = (v & low) + (v >> top)
     return ent, steps[1], steps[-1], width
 
 

@@ -5,7 +5,9 @@ coordinate vectors in the lattice basis: the canonical lift of a class is
 sum x_i h_i on the Smith basis h_i = v_i/d_i, recomputed here from the Gram
 matrix alone.  r0_direct sums the r0 character over M/cM with those lifts,
 and xc_phase reads chi_2(a/c x_c^2/2) off the oddity of the component of
-x_c.
+x_c.  peel_by_fraction and word_mp_by_cocycle are the word decomposition and
+the metaplectic sign of a word through SL2 products, round() on a Fraction
+and the general Kubota cocycle.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from exactweil.jordan import BRUTE_CAP, JordanDecomposition, choose_xc
 from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
                                DiscriminantForm, GramLattice, require_dense,
                                smith_normal_form)
-from exactweil.metaplectic import SL2
+from exactweil.metaplectic import MP_ONE, MP_S, SL2, MpElement, Word, mp_inv, mp_mul
 from exactweil.numth import _unit_mod, valuation_split
 from exactweil.weilrep import WeilOperator
 
@@ -131,3 +133,43 @@ def xc_phase(decomp: JordanDecomposition, a: int, c: int) -> ExactScalar:
     a2 = _unit_mod(valuation_split(a, 2).unit_part, 8) if a else 0
     c2 = _unit_mod(valuation_split(c, 2).unit_part, 8)
     return root_of_unity(a2 * c2 * t, 8)
+
+
+def peel_by_fraction(mat: SL2, step: int) -> Word:
+    """metaplectic._peel as SL2 products with k = -step round(d / (step c))
+    taken on a Fraction (ties to even), and k dropped if it would enlarge |d|."""
+    tail: Word = []
+    cur = mat
+    while cur.c != 0:
+        if cur.d != 0:
+            k = -step * round(Fraction(cur.d, step * cur.c))
+            if abs(cur.d + k * cur.c) > abs(cur.d):
+                k = 0
+            if k:
+                cur = cur * SL2(1, k, 0, 1)
+                tail.append(("T", k))
+        cur = cur * SL2(0, -1, 1, 0)
+        tail.append(("S", 1))
+    head: Word = []
+    if cur.a == 1:
+        if cur.b:
+            head.append(("T", cur.b))
+    else:
+        head += [("S", 1), ("S", 1)]
+        if cur.b:
+            head.append(("T", -cur.b))
+    for kind, k in reversed(tail):
+        head.append(("T", -k) if kind == "T" else ("S", -1))
+    return head
+
+
+def word_mp_by_cocycle(word: Word) -> MpElement:
+    """The metaplectic element of a word as a chain of mp_mul, S^-1 lifted by
+    mp_inv: every sign comes from kubota_cocycle at the real place."""
+    out = MP_ONE
+    for kind, k in word:
+        if kind == "T":
+            out = mp_mul(out, MpElement(SL2(1, k, 0, 1), 1))
+        else:
+            out = mp_mul(out, MP_S if k == 1 else mp_inv(MP_S))
+    return out

@@ -91,6 +91,24 @@ def test_run_rho_numeric_format():
     assert abs(re - 0.5) < 1e-12 and abs(im + 0.5) < 1e-12
 
 
+def test_run_rho_formats_share_one_payload(monkeypatch):
+    # numeric is both without "entries", exact is both without
+    # "entries_numeric", key order included; numeric encodes no exact cell
+    for gram, matrix in (("[[2, 0], [0, 4]]", "2,1,7,4"), ("[[3]]", "0,-1,1,0"),
+                         ("[[2, 0, 0], [0, 6, 0], [0, 0, 10]]", "11,2,49,9")):
+        lattice = parse_lattice(gram)
+        request = Request("rho", lattice, matrix=parse_matrix(matrix), eps=-1)
+        both, _ = run(request._replace(fmt="both"))
+        exact, _ = run(request._replace(fmt="exact"))
+        with monkeypatch.context() as patch:
+            patch.setattr(ExactScalar, "to_json", None)
+            numeric, _ = run(request._replace(fmt="numeric"))
+        assert json.dumps(exact) == json.dumps(
+            {k: v for k, v in both.items() if k != "entries_numeric"})
+        assert json.dumps(numeric) == json.dumps(
+            {k: v for k, v in both.items() if k != "entries"})
+
+
 def test_run_discform_and_jordan():
     payload, _ = run(Request("discform", parse_lattice("[[2, 0], [0, 4]]")))
     assert payload["delta"] == 8 and payload["even"]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,13 @@ from exactweil.metaplectic import (
     IDENTITY,
     MP_ONE,
     MP_S,
+    MP_S_INV,
     MP_T,
     MP_Z,
     MpElement,
     S_MAT,
+    _peel,
+    _round_half_even,
     SL2,
     T_MAT,
     cgxde_form,
@@ -31,6 +35,7 @@ from exactweil.metaplectic import (
     word_mp,
 )
 from exactweil.numth import REAL_PLACE, hilbert, legendre, sigma
+from reference import peel_by_fraction, word_mp_by_cocycle
 
 PLACES = (REAL_PLACE, 2, 3, 5)
 
@@ -190,6 +195,65 @@ def test_decompose_ST_base_cases():
     assert decompose_ST(SL2(1, 5, 0, 1)) == [("T", 5)]
     assert word_matrix(decompose_ST(SL2(-1, 0, 0, -1))) == SL2(-1, 0, 0, -1)
     assert word_matrix(decompose_ST(S_MAT)) == S_MAT
+
+
+def test_peel_rounds_half_ties_like_fraction_round():
+    for num in range(-9, 10):
+        for den in (-4, -2, -1, 1, 2, 4):
+            assert _round_half_even(num, den) == round(Fraction(num, den)), (num, den)
+    rng = random.Random(19)
+    # d / c is a half integer at the first step: c = +-2, d odd, with the
+    # top rows of a small box
+    mats = []
+    for c in (2, -2):
+        for d in range(-15, 16, 2):
+            m = bezout_sl2(c, d)
+            mats += [SL2(m.a + k * c, m.b + k * d, c, d) for k in (-2, 0, 3)]
+    for _ in range(300):
+        c, d = rng.randint(-60, 60), rng.randint(-60, 60)
+        if math.gcd(c, d) == 1:
+            mats.append(bezout_sl2(c, d))
+    ties = 0
+    for m in mats:
+        ties += m.c != 0 and Fraction(m.d, m.c).denominator == 2
+        assert _peel(m, 1) == peel_by_fraction(m, 1), m
+        # In the parity group d / (2c) is never a half integer (c = +-1 and
+        # d odd would force a and b even), so step 2 only meets other cases.
+        if gamma_odd_member(m):
+            assert _peel(m, 2) == peel_by_fraction(m, 2), m
+    assert ties >= 96
+
+
+def test_word_mp_matches_the_cocycle_chain():
+    assert MP_S_INV == mp_inv(MP_S) == MpElement(S_MAT.inverse(), 1)
+    rng = random.Random(23)
+    signs = set()
+    for _ in range(300):
+        word = [("T", rng.randint(-5, 5)) if rng.random() < 0.5
+                else ("S", rng.choice((1, -1))) for _ in range(rng.randint(0, 12))]
+        x = word_mp(word)
+        assert x == word_mp_by_cocycle(word), word
+        signs.add(x.eps)
+    assert signs == {1, -1}
+    # one more token after every bottom row (c, d) with |c|, |d| <= 4: each
+    # sign case of S and S^-1, zero entries included
+    for c in range(-4, 5):
+        for d in range(-4, 5):
+            if math.gcd(c, d) != 1:
+                continue
+            word = decompose_ST(bezout_sl2(c, d))
+            for token in (("T", 3), ("S", 1), ("S", -1)):
+                assert word_mp(word + [token]) == word_mp_by_cocycle(word + [token])
+
+
+def test_real_hilbert_reads_the_signs():
+    values = [-7, -2, -1, 1, 3, 10, Fraction(-5, 3), Fraction(1, 4), Fraction(9, 2)]
+    for a in values:
+        for b in values:
+            assert hilbert(a, b, REAL_PLACE) == (-1) ** (sigma(a) * sigma(b))
+    for a, b in ((0, 3), (Fraction(-2, 3), 0)):
+        with pytest.raises(ValueError):
+            hilbert(a, b, REAL_PLACE)
 
 
 def test_gamma_odd_membership():

@@ -30,6 +30,7 @@ from exactweil.lattice import CapExceededError, GramLattice, interesting_primes
 from exactweil.metaplectic import (
     MP_ONE,
     MP_S,
+    MP_S_INV,
     MP_T,
     MP_Z,
     MpElement,
@@ -464,8 +465,8 @@ def bounded_sl2(rng, bound=50):
 
 def test_closed_equals_oracle_at_large_discriminants():
     # A2(5), A1(50) and diag(2, 6, 10): Delta = 75, 100, 120.  An oracle call
-    # takes 0.1 to 0.5 s on A2(5) and 0.3 to 6 s on the others, growing with
-    # the S steps of the word; the counts keep the test at 4 to 7 s.
+    # takes 0.1 to 0.4 s on A2(5) and 0.3 to 2.5 s on the others, growing with
+    # the S steps of the word; the counts keep the test at 4 to 6 s.
     for gram, count in (([[10, 5], [5, 10]], 6), ([[100]], 2),
                         ([[2, 0, 0], [0, 6, 0], [0, 0, 10]], 2)):
         lattice = GramLattice(gram)
@@ -1015,6 +1016,8 @@ def test_operator_json_cells_are_not_aliased():
 
 def test_phase_paths_build_no_fraction(monkeypatch):
     import exactweil.lattice as lattice_mod
+    import exactweil.metaplectic as metaplectic_mod
+    import exactweil.numth as numth_mod
     import exactweil.weilrep as weilrep_mod
 
     even, odd = GramLattice([[2, 0], [0, 6]]), GramLattice([[1, 0], [0, 4]])
@@ -1030,14 +1033,19 @@ def test_phase_paths_build_no_fraction(monkeypatch):
         def __new__(cls, *args, **kwargs):
             raise AssertionError("Fraction built on an integer path")
 
-    monkeypatch.setattr(lattice_mod, "Fraction", NoFraction)
-    monkeypatch.setattr(weilrep_mod, "Fraction", NoFraction)
+    for module in (lattice_mod, metaplectic_mod, numth_mod, weilrep_mod):
+        monkeypatch.setattr(module, "Fraction", NoFraction)
     for form, m, x_c in prepared:
         weilrep_mod._closed_assembly(form, m, coeff, form.coset_Dcstar(m.c, x_c))
         weilrep_mod._closed_assembly(form, SL2(-1, 4, 0, -1),
                                      weilrep_mod._c0_scalar(form.signature, -1, -1),
                                      form.coset_Dcstar(0, form.zero()))
         weilrep_mod._group_ring_product(form, [("T", 2), ("S", 1), ("T", -2), ("S", -1)])
+        # the word oracle's bookkeeping: the word, its sign and the ring product
+        word = decompose_ST(m) if form.lattice.is_even else decompose_T2S(m)
+        word_mp(word)
+        weilrep_mod._group_ring_product(form, word + [("T", 2)])
+    mp_mul(MP_S, mp_mul(MP_S_INV, MP_S))
     form = even.discriminant_form()
     rho_T(form), form.milgram_sum()
     weilrep_mod._fourier(form, form.elements(), coeff, form.pairing_table())
