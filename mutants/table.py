@@ -95,6 +95,23 @@ MUTANTS = (
            "        scalar = -scalar\n",
            "        scalar = scalar\n",
            (W + "test_oracle_equals_dense_generator_product",)),
+    # -- closed == oracle on integers -----------------------------------------
+    Mutant("ring equality rotation direction", "weilrep.py",
+           "r = reduce_powers(c[k:] + c[:k], n)",
+           "r = reduce_powers(c[-k:] + c[:-k], n)",
+           (W + "test_ring_equality_agrees_with_dense_equality",)),
+    Mutant("ring equality zero cells", "weilrep.py",
+           "if any(reduce_powers(c[:], n)):",
+           "if False:",
+           (W + "test_ring_equality_agrees_with_dense_equality",)),
+    Mutant("ring equality common vector", "weilrep.py",
+           "elif r != common:",
+           "elif False:",
+           (W + "test_ring_equality_agrees_with_dense_equality",)),
+    Mutant("ring equality scalar", "weilrep.py",
+           "return common is None or self.scalar * from_powers(common, n) == op.coeff",
+           "return True",
+           (W + "test_ring_equality_agrees_with_dense_equality",)),
     Mutant("real-place Hilbert sign", "numth.py",
            "return -1 if (a < 0 and b < 0) else 1",
            "return -1 if (a < 0 or b < 0) else 1",

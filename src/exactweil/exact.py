@@ -536,10 +536,18 @@ def from_rational(r: RationalLike) -> ExactScalar:
 def from_powers(coeffs: Sequence[int], L: int) -> ExactScalar:
     """sum of coeffs[t] * zeta_L^t over t, for integer coefficients: an
     element of the group ring Z[x]/(x^L - 1) read in Q(zeta_L), with one
-    reduction mod Phi_L."""
+    reduction mod Phi_L (reduce_powers)."""
+    return _make(L, reduce_powers(list(coeffs), L), 1)
+
+
+def reduce_powers(coeffs: List[int], L: int) -> List[int]:
+    """The integer vector of sum of coeffs[t] * zeta_L^t in the power basis:
+    the list itself, reduced mod Phi_L to phi(L) entries.  Two lists stand
+    for the same element of Q(zeta_L) exactly when their reductions are
+    equal, and for zero exactly when it is all zeros."""
     if L < 1:
         raise ValueError("order must be positive")
-    return _make(L, _reduce_vec(list(coeffs), L), 1)
+    return _reduce_vec(coeffs, L)
 
 
 _sqrt_prime_cache: dict[int, ExactScalar] = {}

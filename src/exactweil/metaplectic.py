@@ -136,20 +136,23 @@ def word_mp(word: Word) -> MpElement:
     d = 0 and (c, 1)(d, -c) otherwise, so -1 exactly when c > 0 and d <= 0.
     MP_S_INV has bottom row (-1, 0) and sign +1: the cocycle is (d, -1) for
     c = 0, else (-c, 1) for d = 0 and (c, -1)(-d, c) otherwise, so -1
-    exactly when c <= 0 and d < 0.
+    exactly when c <= 0 and d < 0.  A token ("S", k) is |k| steps of S for
+    k > 0 and of S^-1 for k < 0, as _group_ring_product reads it.
     """
     a, b, c, d, eps = 1, 0, 0, 1, 1
     for kind, k in word:
         if kind == "T":
             b, d = b + k * a, d + k * c
-        elif k == 1:
-            if c > 0 and d <= 0:
-                eps = -eps
-            a, b, c, d = b, -a, d, -c
+        elif k > 0:
+            for _ in range(k):
+                if c > 0 and d <= 0:
+                    eps = -eps
+                a, b, c, d = b, -a, d, -c
         else:
-            if c <= 0 and d < 0:
-                eps = -eps
-            a, b, c, d = -b, a, -d, c
+            for _ in range(-k):
+                if c <= 0 and d < 0:
+                    eps = -eps
+                a, b, c, d = -b, a, -d, c
     return MpElement(SL2(a, b, c, d), eps)
 
 

@@ -29,8 +29,12 @@ table, with ZERO_PHASE marking the zero cells; the integers are read from
 the form's element tables (N q(gamma) and the pairing rows).  Identity and
 equality tests, the tensor product over the p-parts and the JSON encoding
 work on those integers; to_weil() gives the dense matrix of ExactScalar
-cells, the form products take and the word oracle returns.  Operator
-equality is exact and the tests use it with zero tolerance.
+cells, the form products take.  The word oracle returns its product as it
+is built, a RingOperator: one scalar times the packed group-ring cells.  Its
+equality with a phase operator of the same level compares integer vectors
+reduced mod Phi_N and checks one scalar, and its dense cells are built only
+on demand.  Operator equality is exact and the tests use it with zero
+tolerance.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (ExactScalar, euler_phi, from_powers, from_rational,
-                    root_of_unity, scalar_matmul, scalar_sum, sqrt_rat)
+                    reduce_powers, root_of_unity, scalar_matmul, scalar_sum, sqrt_rat)
 from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
                      scale_component, weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
@@ -159,7 +163,7 @@ class WeilOperator:
     def to_json(self, precision_bits: Optional[int] = None) -> dict:
         """{"dim", "entries"} and, with precision_bits, "entries_numeric".
 
-        The one encoder of both operator types: each distinct scalar of
+        The one encoder of every operator type: each distinct scalar of
         _cell_table is encoded and evaluated once, then every cell gets a
         dict and lists of its own.
         """
@@ -195,17 +199,35 @@ def _numeric_cells(cells: dict, table: List[list], precision_bits: int) -> List[
     return [[mid[:] for mid in map(numeric.__getitem__, keys)] for keys in table]
 
 
-class PhaseOperator(WeilOperator):
+class _DenseOnDemand(WeilOperator):
+    """An operator kept in a shape of its own; `entries` is the cell matrix
+    of to_weil(), built from _cell_table() on first use and kept."""
+
+    __slots__ = ("_dense",)
+
+    @property
+    def entries(self) -> List[List[ExactScalar]]:
+        return self.to_weil().entries
+
+    def to_weil(self) -> WeilOperator:
+        """The dense form, one ExactScalar object per distinct cell key."""
+        if self._dense is None:
+            cells, table = self._cell_table()
+            ent = [list(map(cells.__getitem__, keys)) for keys in table]
+            self._dense = WeilOperator(self.labels, ent, self.form)
+        return self._dense
+
+
+class PhaseOperator(_DenseOnDemand):
     """coeff * e(phases[i][j] / level) at cell (i, j), and zero where the
     phase is ZERO_PHASE.
 
     Every other phase must lie in [0, level); the constructor raises
     ValueError otherwise.  Build the table only after PhaseOperator.require
-    has passed.  `entries` is the cell matrix of to_weil(), built on first
-    use and kept.
+    has passed.
     """
 
-    __slots__ = ("coeff", "level", "phases", "_dense")
+    __slots__ = ("coeff", "level", "phases")
 
     def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
                  phases: List[List[int]], form: Optional[DiscriminantForm] = None):
@@ -230,18 +252,6 @@ class PhaseOperator(WeilOperator):
         cells, `nonzero` of them holding phi(lcm(order, level)) coefficients."""
         require_dense(dim, nonzero * (euler_phi(lcm(coeff.order, level)) - 1))
 
-    @property
-    def entries(self) -> List[List[ExactScalar]]:
-        return self.to_weil().entries
-
-    def to_weil(self) -> WeilOperator:
-        """The dense form, one ExactScalar object per distinct phase."""
-        if self._dense is None:
-            cells, table = self._cell_table()
-            ent = [list(map(cells.__getitem__, keys)) for keys in table]
-            self._dense = WeilOperator(self.labels, ent, self.form)
-        return self._dense
-
     def _cell_table(self) -> Tuple[dict, List[List[int]]]:
         coeff, n = self.coeff, self.level
         cells = {k: _ZERO if k == ZERO_PHASE else coeff * root_of_unity(k, n)
@@ -259,6 +269,8 @@ class PhaseOperator(WeilOperator):
                    for i, row in enumerate(self.phases))
 
     def _same_cells(self, other: WeilOperator) -> bool:
+        if isinstance(other, RingOperator) and other.level == self.level:
+            return other._same_phases(self)
         if not isinstance(other, PhaseOperator):
             # Compare each distinct (phase, cell object) pair once.
             pairs: dict = {}
@@ -440,7 +452,70 @@ def _group_ring_product(form: DiscriminantForm,
     return ent, steps[1], steps[-1], width
 
 
-def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
+class RingOperator(_DenseOnDemand):
+    """scalar * ring[i][j] at cell (i, j), each cell an element of the group
+    ring Z[x]/(x^N - 1) read at x = zeta_N, N = level: the product of a
+    generator word as _group_ring_product returns it, with coefficient t of
+    a cell in bits [tB, (t+1)B), B = width.
+
+    `coeffs` maps each distinct packed cell to its N coefficients, unpacked
+    once here.  Equality with a phase operator of the same level runs on
+    these integers; the ExactScalar cells are built only for `entries`,
+    to_weil(), to_json() and comparisons with other operators.
+    """
+
+    __slots__ = ("scalar", "level", "width", "ring", "coeffs")
+
+    def __init__(self, labels: Sequence[DFElement], scalar: ExactScalar, level: int,
+                 width: int, ring: List[List[int]],
+                 form: Optional[DiscriminantForm] = None):
+        self.labels = list(labels)
+        self.dim = len(self.labels)
+        self.form = form
+        self._index = None
+        self._dense = None
+        self.scalar, self.level, self.width, self.ring = scalar, level, width, ring
+        mask = (1 << width) - 1
+        fields = range(0, level * width, width)
+        self.coeffs = {v: [v >> t & mask for t in fields]
+                       for v in {v for row in ring for v in row}}
+
+    def _cell_table(self) -> Tuple[dict, List[List[int]]]:
+        # One scalar object per distinct cell, keyed by the packed int.
+        scalar, n = self.scalar, self.level
+        return {v: scalar * from_powers(c, n) for v, c in self.coeffs.items()}, self.ring
+
+    def _same_phases(self, op: PhaseOperator) -> bool:
+        """Cell-wise equality with a phase operator of the same level N.
+
+        Where op has a zero cell, our cell must vanish in Q(zeta_N); where it
+        has c e(k/N), x^-k times our cell must reduce mod Phi_N to one common
+        vector r for every such cell, and scalar * r(zeta_N) must equal c.
+        Each distinct (phase, cell) pair is rotated and reduced once.
+        """
+        n, coeffs = self.level, self.coeffs
+        pairs = set()
+        for keys, row in zip(op.phases, self.ring):
+            pairs.update(zip(keys, row))
+        common = None
+        for k, v in pairs:
+            c = coeffs[v]
+            if k == ZERO_PHASE:
+                if any(reduce_powers(c[:], n)):
+                    return False
+                continue
+            r = reduce_powers(c[k:] + c[:k], n)  # coefficient t of x^-k times the cell
+            if common is None:
+                common = r
+            elif r != common:
+                return False
+        return common is None or self.scalar * from_powers(common, n) == op.coeff
+
+    def __repr__(self) -> str:
+        return "RingOperator(dim=%d, level=%d)" % (self.dim, self.level)
+
+
+def rho_oracle(lattice: GramLattice, x: MpElement) -> RingOperator:
     """Evaluate rho_M(x) by multiplying generator matrices along a word.
 
     The word is an exact decomposition of the matrix (T and S steps for even
@@ -450,7 +525,8 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
     of the generators are multiplied in Z[x]/(x^N - 1), each cell packed into
     one int (see _group_ring_product); the scalar of the n+ steps S and the
     n- steps S^-1, zeta_8^(sgn (n- - n+)) Delta^(-(n+ + n-)/2), is applied
-    once at the end.  Each distinct packed cell is unpacked once, and its
+    once at the end.  The result is a RingOperator, which keeps the product
+    packed.  Each distinct packed cell is unpacked once, and its
     coefficients must sum to dim^(n+ + n- - 1), or to 1 on the diagonal and
     0 off it when the word has no S: a carry between packed coefficients
     lowers some cell's sum by a multiple of 2^B - 1, so it raises
@@ -472,13 +548,8 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
         * sqrt_rat(Fraction(1, form.delta ** (n_plus + n_minus)))
     if achieved.eps != x.eps and sgn % 2:
         scalar = -scalar
-    n, mask = form.level, (1 << width) - 1
-    # One scalar object per distinct cell, as in the closed formula.
-    cells, sums = {}, {}
-    for v in {v for row in ring for v in row}:
-        coeffs = [v >> t & mask for t in range(0, n * width, width)]
-        sums[v] = sum(coeffs)
-        cells[v] = scalar * from_powers(coeffs, n)
+    op = RingOperator(form.elements(), scalar, form.level, width, ring, form)
+    sums = {v: sum(c) for v, c in op.coeffs.items()}
     # The product at x = 1 is J^s, s = n+ + n-: dim^(s-1) J, or I for s = 0.
     total = len(ring) ** (n_plus + n_minus - 1) if n_plus + n_minus else None
     for i, row in enumerate(ring):
@@ -486,7 +557,7 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> WeilOperator:
             if sums[v] != (int(i == j) if total is None else total):
                 raise ArithmeticError("group ring cell (%d, %d) sums to %d at x = 1: "
                                       "a packed coefficient carried" % (i, j, sums[v]))
-    return WeilOperator(form.elements(), [[cells[v] for v in row] for row in ring], form)
+    return op
 
 
 # -- local factors ---------------------------------------------------------

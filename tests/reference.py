@@ -165,11 +165,13 @@ def peel_by_fraction(mat: SL2, step: int) -> Word:
 
 def word_mp_by_cocycle(word: Word) -> MpElement:
     """The metaplectic element of a word as a chain of mp_mul, S^-1 lifted by
-    mp_inv: every sign comes from kubota_cocycle at the real place."""
+    mp_inv: every sign comes from kubota_cocycle at the real place.  A token
+    ("S", k) is |k| factors S for k > 0 and S^-1 for k < 0."""
     out = MP_ONE
     for kind, k in word:
         if kind == "T":
             out = mp_mul(out, MpElement(SL2(1, k, 0, 1), 1))
         else:
-            out = mp_mul(out, MP_S if k == 1 else mp_inv(MP_S))
+            for _ in range(abs(k)):
+                out = mp_mul(out, MP_S if k > 0 else mp_inv(MP_S))
     return out

@@ -19,6 +19,7 @@ from exactweil.exact import (
     euler_phi,
     from_powers,
     from_rational,
+    reduce_powers,
     root_of_unity,
     scalar_matmul,
     scalar_sum,
@@ -330,6 +331,16 @@ def test_from_powers_is_the_sum_of_roots(L, data):
     assert got == ref
     with pytest.raises(ValueError):
         from_powers([1], 0)
+    # reduce_powers decides equality on integers: adding 1 + x + ... + x^(L-1),
+    # which vanishes for L > 1, keeps the reduction; a random list need not
+    reduced = reduce_powers(list(coeffs), L)
+    assert len(reduced) == euler_phi(L)
+    padded = coeffs + [0] * (L - len(coeffs))
+    same = [c + 1 for c in padded[:L]] + padded[L:]
+    other = data.draw(st.lists(st.integers(-3, 3), max_size=2 * L + 1))
+    for alt in (same, other):
+        assert (reduce_powers(list(alt), L) == reduced) == (from_powers(alt, L) == got)
+    assert (reduce_powers(same, L) == reduced) == (L > 1)
 
 
 def test_ring_paths_build_no_fraction(monkeypatch):

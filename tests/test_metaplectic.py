@@ -246,6 +246,25 @@ def test_word_mp_matches_the_cocycle_chain():
                 assert word_mp(word + [token]) == word_mp_by_cocycle(word + [token])
 
 
+def test_word_mp_reads_s_powers_as_repeated_steps():
+    # ("S", k) is |k| steps of S^sign(k), as the group ring product reads it
+    assert word_mp([("S", 2)]) == MP_Z
+    assert word_mp([("S", -3)]) == mp_mul(mp_mul(MP_S_INV, MP_S_INV), MP_S_INV)
+    assert word_mp([("S", 0)]) == MP_ONE
+    rng = random.Random(24)
+    signs = set()
+    for _ in range(300):
+        word = [("T", rng.randint(-5, 5)) if rng.random() < 0.5
+                else ("S", rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(rng.randint(0, 10))]
+        x = word_mp(word)
+        assert x == word_mp_by_cocycle(word), word
+        steps = [("S", 1 if k > 0 else -1) if kind == "S" else (kind, k)
+                 for kind, k in word for _ in range(abs(k) if kind == "S" else 1)]
+        assert x == word_mp(steps), word
+        signs.add(x.eps)
+    assert signs == {1, -1}
+
+
 def test_real_hilbert_reads_the_signs():
     values = [-7, -2, -1, 1, 3, 10, Fraction(-5, 3), Fraction(1, 4), Fraction(9, 2)]
     for a in values:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EVEN_GRAMS, ODD_GRAMS
-from exactweil.exact import from_rational, root_of_unity, sqrt_rat
+from exactweil.exact import from_powers, from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
     choose_xc,
     jordan_decompose,
@@ -48,6 +48,7 @@ from exactweil.numth import legendre, prime_factors, valuation_split
 from exactweil.weilrep import (
     ZERO_PHASE,
     PhaseOperator,
+    RingOperator,
     WeilOperator,
     braun_check,
     is_in_kernel,
@@ -332,6 +333,103 @@ def test_packed_product_equals_gather_product():
             unpacked = [[[v >> t * width & mask for t in range(n)] for v in row]
                         for row in ring]
             assert unpacked == ref, (lattice.gram, word)
+
+
+def packed_cells_as_dense(op):
+    """The dense operator of a RingOperator built cell by cell: one
+    scalar * from_powers object per distinct packed cell, the reference for
+    its entries, is_identity and JSON."""
+    n, width = op.level, op.width
+    mask = (1 << width) - 1
+    cells = {v: op.scalar * from_powers([v >> t & mask for t in range(0, n * width, width)], n)
+             for row in op.ring for v in row}
+    return WeilOperator(op.labels, [[cells[v] for v in row] for row in op.ring], op.form)
+
+
+def ring_equality_cases():
+    """(lattice, x): the elements of dense_product_cases with both signs,
+    then four seeded matrices with entries up to 50 per conftest lattice."""
+    for lattice, elements in dense_product_cases():
+        for x in elements:
+            for eps in (1, -1):
+                yield lattice, MpElement(x.mat, eps)
+    rng = random.Random(25)
+    for gram in EVEN_GRAMS + ODD_GRAMS:
+        lattice = GramLattice(gram)
+        for k in range(4):
+            mat = bounded_sl2(rng)
+            while not (lattice.is_even or gamma_odd_member(mat)):
+                mat = bounded_sl2(rng)
+            yield lattice, MpElement(mat, (1, -1)[k % 2])
+
+
+def phase_corruptions(op, rng):
+    """(name, operator): op with one phase moved by one, one zero cell made
+    nonzero, one nonzero cell made zero, and its scalar negated."""
+    cells = [(i, j) for i in range(op.dim) for j in range(op.dim)]
+    nonzero = [c for c in cells if op.phases[c[0]][c[1]] != ZERO_PHASE]
+    zero = [c for c in cells if op.phases[c[0]][c[1]] == ZERO_PHASE]
+    moves = [("phase + 1", rng.choice(nonzero), lambda k: (k + 1) % op.level),
+             ("nonzero cell made zero", rng.choice(nonzero), lambda k: ZERO_PHASE)]
+    if zero:
+        moves.append(("zero cell made nonzero", rng.choice(zero),
+                      lambda k: rng.randrange(op.level)))
+    for name, (i, j), move in moves:
+        phases = [row[:] for row in op.phases]
+        phases[i][j] = move(phases[i][j])
+        yield name, PhaseOperator(op.labels, op.coeff, op.level, phases, op.form)
+    yield "coeff negated", PhaseOperator(op.labels, -op.coeff, op.level, op.phases, op.form)
+
+
+def test_ring_equality_agrees_with_dense_equality(monkeypatch):
+    # closed == oracle and oracle == closed on integers, against the dense
+    # comparison of the two to_weil() forms, for the true closed operator and
+    # its corruptions; a same-level comparison builds no dense cell.
+    rng = random.Random(26)
+
+    def no_cells(self):
+        raise AssertionError("dense cells built for a same-level comparison")
+
+    unequal = 0
+    for lattice, x in ring_equality_cases():
+        oracle = rho_oracle(lattice, x)
+        assert isinstance(oracle, RingOperator)
+        closed = rho_closed(lattice, x)
+        cands = [("true", closed), ("eps flipped", rho_closed(lattice, MpElement(x.mat, -x.eps)))]
+        cands += phase_corruptions(closed, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(RingOperator, "_cell_table", no_cells)
+            patch.setattr(PhaseOperator, "_cell_table", no_cells)
+            answers = [(cand == oracle, oracle == cand) for _, cand in cands]
+        dense = oracle.to_weil()
+        for (name, cand), got in zip(cands, answers):
+            expected = cand.to_weil() == dense
+            assert got == (expected, expected), (lattice.gram, x.mat, x.eps, name)
+            unequal += not expected
+            if name == "true":
+                assert expected
+            elif name != "eps flipped" and (name != "phase + 1" or closed.level > 1):
+                assert not expected, (lattice.gram, x.mat, x.eps, name)
+        # another level: the same operator at level 2N takes the dense comparison
+        other = shifted(closed, rng.randrange(closed.level), 2)
+        assert (other == oracle) and (oracle == other) and other.to_weil() == dense
+    assert unequal > 1000
+
+
+def test_oracle_keeps_its_product_packed():
+    # entries, is_identity and the JSON of the packed product are those of
+    # the dense operator built cell by cell from it
+    for lattice, x in ring_equality_cases():
+        op = rho_oracle(lattice, x)
+        ref = packed_cells_as_dense(op)
+        assert digest(op.to_json()) == digest(ref.to_json()), (lattice.gram, x.mat)
+        assert op.is_identity() == ref.is_identity()
+        assert [[c.to_json() for c in row] for row in op.entries] \
+            == [[c.to_json() for c in row] for row in ref.entries]
+        assert type(op.to_weil()) is WeilOperator and op.to_weil() is op.to_weil()
+        if op.dim <= 4:
+            assert digest(op.to_json(64)) == digest(ref.to_json(64))
+            assert op.to_numeric_json(64) == ref.to_numeric_json(64)
 
 
 def test_rho_closed_checks_the_dense_cap_before_the_scalar(monkeypatch):
