@@ -621,68 +621,6 @@ def scalar_sum(terms: Iterable[ExactScalar]) -> ExactScalar:
     return _make(L, acc, den)
 
 
-def scalar_matmul(a: Sequence[Sequence[ExactScalar]],
-                  b: Sequence[Sequence[ExactScalar]]) -> List[List[ExactScalar]]:
-    """The product of two square matrices of scalars.
-
-    Cell (i, j) equals scalar_sum(a[i][k] * b[k][j] for k), at the same
-    order, but is built as one integer vector: row i of `a` and column j of
-    `b` are each put over one denominator, the products are accumulated
-    unreduced, and the cell is reduced mod Phi and normalised once.  A
-    factor q * zeta^k contributes a shifted copy of the other factor
-    instead of a convolution.
-    """
-    n = len(a)
-    if len(b) != n or any(len(row) != n for row in a) or any(len(row) != n for row in b):
-        raise ValueError("scalar_matmul needs two square matrices of one size")
-    row_den = [lcm(*(x._den for x in row)) for row in a]
-    col_den = [lcm(*(b[k][j]._den for k in range(n))) for j in range(n)]
-    live_a = [[k for k in range(n) if any(a[i][k]._num)] for i in range(n)]
-    live_b = [[any(b[k][j]._num) for k in range(n)] for j in range(n)]
-    terms: dict = {}
-
-    def sparse(x: ExactScalar, scale: int, M: int) -> Tuple:
-        # (shift, terms): x * scale at order M is zeta_M^shift * sum of
-        # c * zeta_M^p over the terms (p, c).
-        if x._mono is not None:
-            k, c = x._mono
-            return k * (M // x.order), ((0, c * scale),)
-        vec = x._num if x.order == M else x._embedded_vec(M)
-        return 0, tuple((p, c * scale) for p, c in enumerate(vec) if c)
-
-    out = []
-    for i in range(n):
-        row = a[i]
-        out_row = []
-        for j in range(n):
-            live = live_b[j]
-            ks = [k for k in live_a[i] if live[k]]
-            if not ks:
-                out_row.append(_ZERO)
-                continue
-            M = lcm(*(row[k].order for k in ks), *(b[k][j].order for k in ks))
-            pairs = []
-            for k in ks:
-                key_a, key_b = (0, i, k, M), (1, k, j, M)
-                ta = terms.get(key_a)
-                if ta is None:
-                    ta = terms[key_a] = sparse(row[k], row_den[i] // row[k]._den, M)
-                tb = terms.get(key_b)
-                if tb is None:
-                    tb = terms[key_b] = sparse(b[k][j], col_den[j] // b[k][j]._den, M)
-                pairs.append(((ta[0] + tb[0]) % M, ta[1], tb[1]))
-            # Every exponent is below shift + 2 phi(M) - 1.
-            acc = [0] * (max(p[0] for p in pairs) + 2 * euler_phi(M) - 1)
-            for shift, ta, tb in pairs:
-                for p, x in ta:
-                    base = shift + p
-                    for q, y in tb:
-                        acc[base + q] += x * y
-            out_row.append(_make(M, _reduce_vec(acc, M), row_den[i] * col_den[j]))
-        out.append(out_row)
-    return out
-
-
 # -- rigorous numeric evaluation ------------------------------------------
 
 class ComplexInterval(NamedTuple):

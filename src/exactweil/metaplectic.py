@@ -8,7 +8,7 @@ covers of SL2(Q_p) used by the lifts.
 """
 
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from .numth import REAL_PLACE, hilbert, legendre, two_over, valuation_split
 
@@ -156,10 +156,6 @@ def word_mp(word: Word) -> MpElement:
     return MpElement(SL2(a, b, c, d), eps)
 
 
-def word_matrix(word: Word) -> SL2:
-    return word_mp(word).mat
-
-
 def _round_half_even(num: int, den: int) -> int:
     """num/den rounded to the nearest integer, ties to even, as round() does
     on a Fraction; den is nonzero."""
@@ -201,17 +197,26 @@ def _peel(mat: SL2, step: int) -> Word:
     return head
 
 
-def _check_word(word: Word, mat: SL2) -> None:
-    if word_matrix(word) != mat:
+def decompose(mat: SL2, step: int) -> Tuple[Word, MpElement]:
+    """A word in S^(+-1) and T-powers divisible by step (1, or 2 when ac and
+    bd are even) multiplying out to the matrix, and its metaplectic element:
+    one walk of the word, which raises ArithmeticError unless it gives mat."""
+    if step == 2 and not gamma_odd_member(mat):
+        raise ValueError("matrix has odd ac or bd")
+    word = _peel(mat, step)
+    achieved = word_mp(word)
+    if achieved.mat != mat:
         raise ArithmeticError("the word multiplies out to %r, not to %r"
-                              % (word_matrix(word), mat))
+                              % (achieved.mat, mat))
+    if any(kind == "T" and k % step for kind, k in word):
+        raise ArithmeticError("the word for %r has a T power not divisible by %d"
+                              % (mat, step))
+    return word, achieved
 
 
 def decompose_ST(mat: SL2) -> Word:
     """A word in T-powers and S^(+-1) multiplying out to the matrix."""
-    word = _peel(mat, 1)
-    _check_word(word, mat)
-    return word
+    return decompose(mat, 1)[0]
 
 
 def gamma_odd_member(mat: SL2) -> bool:
@@ -221,13 +226,7 @@ def gamma_odd_member(mat: SL2) -> bool:
 
 def decompose_T2S(mat: SL2) -> Word:
     """A word in even T-powers and S^(+-1); input must have ac, bd even."""
-    if not gamma_odd_member(mat):
-        raise ValueError("matrix has odd ac or bd")
-    word = _peel(mat, 2)
-    _check_word(word, mat)
-    if any(kind == "T" and k % 2 for kind, k in word):
-        raise ArithmeticError("the word for %r has an odd power of T" % (mat,))
-    return word
+    return decompose(mat, 2)[0]
 
 
 # -- lifts --------------------------------------------------------------

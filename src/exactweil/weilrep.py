@@ -28,31 +28,32 @@ PhaseOperator, which stores the scalar once and the phases k as one integer
 table, with ZERO_PHASE marking the zero cells; the integers are read from
 the form's element tables (N q(gamma) and the pairing rows).  Identity and
 equality tests, the tensor product over the p-parts and the JSON encoding
-work on those integers; to_weil() gives the dense matrix of ExactScalar
-cells, the form products take.  The word oracle returns its product as it
-is built, a RingOperator: one scalar times the packed group-ring cells.  Its
+work on those integers.  The word oracle returns its product as it is
+built, a RingOperator: one scalar times the packed group-ring cells.  Its
 equality with a phase operator of the same level compares integer vectors
-reduced mod Phi_N and checks one scalar, and its dense cells are built only
-on demand.  Operator equality is exact and the tests use it with zero
-tolerance.
+reduced mod Phi_N and checks one scalar.  The one operator product, A * B,
+runs in that packed group ring through the oracle's S-step kernel
+(_fold_products) and gives a RingOperator; unitarity is
+(A * A.adjoint()).is_identity().  Dense ExactScalar cells (to_weil(),
+`entries`) are built only on demand, and never multiplied.  Operator
+equality is exact and the tests use it with zero tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import lcm, prod
-from operator import lshift
+from operator import lshift, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (ExactScalar, euler_phi, from_powers, from_rational,
-                    reduce_powers, root_of_unity, scalar_matmul, scalar_sum, sqrt_rat)
+                    reduce_powers, root_of_unity, scalar_sum, sqrt_rat)
 from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
                      scale_component, weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
                       GramLattice, interesting_primes, require_dense)
-from .metaplectic import (MpElement, SL2, Word, decompose_ST, decompose_T2S,
-                          gamma_odd_member, word_mp)
+from .metaplectic import MpElement, SL2, Word, decompose, gamma_odd_member
 from .numth import eps_parity, legendre, two_over, valuation_split
 
 _ONE = from_rational(1)
@@ -99,38 +100,6 @@ class WeilOperator:
     def to_weil(self) -> "WeilOperator":
         """The dense form of the operator: this one."""
         return self
-
-    def scale(self, s: ExactScalar) -> "WeilOperator":
-        ent = [[s * x for x in row] for row in self.entries]
-        return WeilOperator(self.labels, ent, self.form)
-
-    def __mul__(self, other) -> "WeilOperator":
-        if isinstance(other, WeilOperator):
-            if self.dim != other.dim:
-                raise ValueError("operator dimensions differ")
-            ent = scalar_matmul(self.entries, other.entries)
-            return WeilOperator(self.labels, ent, self.form)
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            s = other if isinstance(other, ExactScalar) else from_rational(other)
-            return self.scale(s)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conj_transpose(self) -> "WeilOperator":
-        ent = [[x.conjugate() for x in col] for col in zip(*self.entries)]
-        return WeilOperator(self.labels, ent, self.form)
-
-    def is_identity(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                target = _ONE if i == j else _ZERO
-                if self.entries[i][j] != target:
-                    return False
-        return True
-
-    def is_unitary(self) -> bool:
-        return (self * self.conj_transpose()).is_identity()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeilOperator):
@@ -200,10 +169,48 @@ def _numeric_cells(cells: dict, table: List[list], precision_bits: int) -> List[
 
 
 class _DenseOnDemand(WeilOperator):
-    """An operator kept in a shape of its own; `entries` is the cell matrix
-    of to_weil(), built from _cell_table() on first use and kept."""
+    """One scalar `coeff` times a matrix over Z[x]/(x^N - 1), N = level, read
+    at x = zeta_N; `entries` is the cell matrix of to_weil(), built from
+    _cell_table() on first use and kept.
 
-    __slots__ = ("_dense",)
+    A * B is a RingOperator with scalar A.coeff * B.coeff, multiplied with
+    packed cells.  Its nonnegative coefficients are at most their cell's
+    value at x = 1, the sum over l of s_A(i, l) s_B(l, j) for the operands'
+    cell sums s; B bits hold the largest, and each cell must sum to exactly
+    its value.
+    """
+
+    __slots__ = ("coeff", "level", "_dense")
+
+    def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
+                 form: Optional[DiscriminantForm]):
+        self.labels = list(labels)
+        self.dim = len(self.labels)
+        self.coeff, self.level, self.form = coeff, level, form
+        self._index = self._dense = None
+
+    def __mul__(self, other) -> "RingOperator":
+        if not isinstance(other, _DenseOnDemand):
+            return NotImplemented
+        if other.labels != self.labels or other.form is not self.form \
+                or other.level != self.level:
+            raise ValueError("an operator product needs one form and one level")
+        n, dim = self.level, self.dim
+        require_dense(dim, dim * dim * (n - 1))
+        expected = _table_product(self._sums(), other._sums())
+        width = _product_width(expected, self, other)
+        rows = self._packed(width)
+        if isinstance(other, PhaseOperator):
+            # a cell of `other` is x^k: shift by kB, and drop the zero cells
+            cols = list(zip(*other.phases))
+            masks = [[k != ZERO_PHASE for k in col] for col in cols]
+            shifts = [[k * width for k in col if k != ZERO_PHASE] for col in cols]
+            ring = _fold_products(rows, shifts, n * width, lshift, masks)
+        else:
+            ring = _fold_products(rows, list(zip(*other._packed(width))), n * width, mul)
+        out = RingOperator(self.labels, self.coeff * other.coeff, n, width, ring, self.form)
+        out._require_sums(expected)
+        return out
 
     @property
     def entries(self) -> List[List[ExactScalar]]:
@@ -227,24 +234,19 @@ class PhaseOperator(_DenseOnDemand):
     has passed.
     """
 
-    __slots__ = ("coeff", "level", "phases")
+    __slots__ = ("phases",)
 
     def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
                  phases: List[List[int]], form: Optional[DiscriminantForm] = None):
-        self.labels = list(labels)
-        self.dim = n = len(self.labels)
-        self.form = form
-        self._index = None
+        super().__init__(labels, coeff, level, form)
+        n = self.dim
         if coeff.is_zero():
             raise ValueError("a phase operator needs a nonzero scalar")
         if len(phases) != n or any(len(row) != n for row in phases):
             raise ValueError("the phase table must be %d x %d" % (n, n))
         if min(map(min, phases)) < ZERO_PHASE or max(map(max, phases)) >= level:
             raise ValueError("a phase lies outside [0, %d)" % level)
-        self.coeff = coeff
-        self.level = level
         self.phases = phases
-        self._dense: Optional[WeilOperator] = None
 
     @staticmethod
     def require(coeff: ExactScalar, level: int, dim: int, nonzero: int) -> None:
@@ -257,6 +259,23 @@ class PhaseOperator(_DenseOnDemand):
         cells = {k: _ZERO if k == ZERO_PHASE else coeff * root_of_unity(k, n)
                  for k in set().union(*self.phases)}
         return cells, self.phases
+
+    def _sums(self) -> List[List[int]]:
+        return [[int(k != ZERO_PHASE) for k in row] for row in self.phases]
+
+    def _packed(self, width: int) -> List[List[int]]:
+        return [[0 if k == ZERO_PHASE else 1 << k * width for k in row]
+                for row in self.phases]
+
+    def adjoint(self) -> "PhaseOperator":
+        """The conjugate transpose: the conjugate scalar, and the phases -k of
+        the transposed table."""
+        n = self.level
+        phases = [[k if k == ZERO_PHASE else -k % n for k in col] for col in zip(*self.phases)]
+        return PhaseOperator(self.labels, self.coeff.conjugate(), n, phases, self.form)
+
+    def is_unitary(self) -> bool:
+        return (self * self.adjoint()).is_identity()
 
     def is_identity(self) -> bool:
         # Cell (0, 0) fixes the one phase k0 with coeff * e(k0/N) = 1; every
@@ -390,6 +409,41 @@ def _cell_width(dim: int, s_steps: int) -> int:
     return (dim ** (s_steps - 1)).bit_length() if s_steps else 1
 
 
+def _product_width(sums: List[List[int]], *ops: WeilOperator) -> int:
+    """Bits per coefficient of a product whose cells sum to `sums` at x = 1,
+    and at least the width of each packed operand, which is then used as is."""
+    return max(1, max(map(max, sums)).bit_length(),
+               *(op.width for op in ops if isinstance(op, RingOperator)))
+
+
+def _table_product(left: List[List[int]], right: List[List[int]]) -> List[List[int]]:
+    """The matrix product of two nonnegative integer tables, a row at a time:
+    each row of `right` is packed into one int of w-bit fields, w wide
+    enough for every entry of the product."""
+    w = max(1, (len(right) * max(map(max, left)) * max(map(max, right))).bit_length())
+    fields = range(0, len(right[0]) * w, w)
+    packed = [sum(map(lshift, row, fields)) for row in right]
+    mask = (1 << w) - 1
+    return [[v >> t & mask for t in fields] for v in [sum(map(mul, row, packed)) for row in left]]
+
+
+def _fold_products(rows: List[List[int]], cols: Sequence[Sequence[int]], top: int,
+                   op=lshift, masks: Optional[Sequence[Sequence[bool]]] = None
+                   ) -> List[List[int]]:
+    """Cell (i, j) = sum over l of op(rows[i][l], cols[j][l]) mod x^N - 1,
+    for packed cells rows and top = N B.  cols[j][l] is a shift sB (op =
+    lshift: the factor x^s) or a packed cell (op = mul); a sum spans fewer
+    than 2N fields, so one fold reduces it.  masks[j], if given, keeps the
+    terms l with a nonzero right factor, the only ones cols[j] lists."""
+    low = (1 << top) - 1
+    if masks is None:
+        return [[(v & low) + (v >> top) for v in [sum(map(op, row, col)) for col in cols]]
+                for row in rows]
+    return [[(v & low) + (v >> top)
+             for v in [sum(map(op, compress(row, m), col)) for m, col in zip(masks, cols)]]
+            for row in rows]
+
+
 def _group_ring_product(form: DiscriminantForm,
                         word: Word) -> Tuple[List[List[int]], int, int, int]:
     """The root-of-unity part of the generator product along a word.
@@ -400,10 +454,11 @@ def _group_ring_product(form: DiscriminantForm,
     Each cell is packed into one int: coefficient t, a nonnegative integer,
     sits in bits [tB, (t+1)B), B = _cell_width(dim, number of S steps), which
     holds every coefficient of every step.  Multiplying by x^s is a shift by
-    sB, folded mod x^N - 1 as (v & low) + (v >> NB).  The T steps since the
-    last S step only add up their k: the next S step adds k N q(gamma_l) to
-    the shift of row l of its table, the first S step writes its cells as
-    single monomials, and a word that ends in T rotates each column once.
+    sB, folded mod x^N - 1; an S step is _fold_products, the kernel of every
+    operator product.  The T steps since the last S step only add up their
+    k: the next S step adds k N q(gamma_l) to the shift of row l of its
+    table, the first S step writes its cells as single monomials, and a word
+    that ends in T rotates each column once.
     Returns the matrix, the numbers of S and S^-1 steps, and B.
     """
     n = form.level
@@ -435,9 +490,7 @@ def _group_ring_product(form: DiscriminantForm,
                 continue
             cols = [[(ti - sign * p) % n * width for ti, p in zip(tq, col)]
                     for col in pairs]
-            ent = [[(v & low) + (v >> top)
-                    for v in [sum(map(lshift, row, col)) for col in cols]]
-                   for row in ent]
+            ent = _fold_products(ent, cols, top)
     shifts = [t_sum * qj % n * width for qj in q]
     if ent is None:
         return ([[1 << s if i == j else 0 for j in range(dim)]
@@ -453,28 +506,25 @@ def _group_ring_product(form: DiscriminantForm,
 
 
 class RingOperator(_DenseOnDemand):
-    """scalar * ring[i][j] at cell (i, j), each cell an element of the group
-    ring Z[x]/(x^N - 1) read at x = zeta_N, N = level: the product of a
-    generator word as _group_ring_product returns it, with coefficient t of
-    a cell in bits [tB, (t+1)B), B = width.
+    """coeff * ring[i][j] at cell (i, j), each cell an element of the group
+    ring Z[x]/(x^N - 1) read at x = zeta_N, N = level, with coefficient t in
+    bits [tB, (t+1)B), B = width: the product of a generator word as
+    _group_ring_product returns it, or the product of two operators.
 
     `coeffs` maps each distinct packed cell to its N coefficients, unpacked
-    once here.  Equality with a phase operator of the same level runs on
-    these integers; the ExactScalar cells are built only for `entries`,
-    to_weil(), to_json() and comparisons with other operators.
+    once here.  Equality with a phase operator of the same level, the
+    identity test and the cell sums at x = 1 run on these integers; the
+    ExactScalar cells are built only for `entries`, to_weil(), to_json() and
+    comparisons with other operators.
     """
 
-    __slots__ = ("scalar", "level", "width", "ring", "coeffs")
+    __slots__ = ("width", "ring", "coeffs")
 
-    def __init__(self, labels: Sequence[DFElement], scalar: ExactScalar, level: int,
+    def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
                  width: int, ring: List[List[int]],
                  form: Optional[DiscriminantForm] = None):
-        self.labels = list(labels)
-        self.dim = len(self.labels)
-        self.form = form
-        self._index = None
-        self._dense = None
-        self.scalar, self.level, self.width, self.ring = scalar, level, width, ring
+        super().__init__(labels, coeff, level, form)
+        self.width, self.ring = width, ring
         mask = (1 << width) - 1
         fields = range(0, level * width, width)
         self.coeffs = {v: [v >> t & mask for t in fields]
@@ -482,15 +532,38 @@ class RingOperator(_DenseOnDemand):
 
     def _cell_table(self) -> Tuple[dict, List[List[int]]]:
         # One scalar object per distinct cell, keyed by the packed int.
-        scalar, n = self.scalar, self.level
-        return {v: scalar * from_powers(c, n) for v, c in self.coeffs.items()}, self.ring
+        coeff, n = self.coeff, self.level
+        return {v: coeff * from_powers(c, n) for v, c in self.coeffs.items()}, self.ring
+
+    def _sums(self) -> List[List[int]]:
+        sums = {v: sum(c) for v, c in self.coeffs.items()}
+        return [[sums[v] for v in row] for row in self.ring]
+
+    def _packed(self, width: int) -> List[List[int]]:
+        if width == self.width:
+            return self.ring
+        fields = range(0, self.level * width, width)
+        cells = {v: sum(map(lshift, c, fields)) for v, c in self.coeffs.items()}
+        return [[cells[v] for v in row] for row in self.ring]
+
+    def _require_sums(self, expected: List[List[int]]) -> None:
+        """Raise ArithmeticError unless cell (i, j) sums to expected[i][j] at
+        x = 1: a carry between packed fields lowers a cell's sum."""
+        if self._sums() != expected:
+            raise ArithmeticError("group ring cell sums at x = 1 differ from the expected ones: "
+                                  "a packed coefficient carried")
+
+    def is_identity(self) -> bool:
+        n = self.dim
+        phases = [[0 if i == j else ZERO_PHASE for j in range(n)] for i in range(n)]
+        return self._same_phases(PhaseOperator(self.labels, _ONE, self.level, phases, self.form))
 
     def _same_phases(self, op: PhaseOperator) -> bool:
         """Cell-wise equality with a phase operator of the same level N.
 
         Where op has a zero cell, our cell must vanish in Q(zeta_N); where it
         has c e(k/N), x^-k times our cell must reduce mod Phi_N to one common
-        vector r for every such cell, and scalar * r(zeta_N) must equal c.
+        vector r for every such cell, and coeff * r(zeta_N) must equal c.
         Each distinct (phase, cell) pair is rotated and reduced once.
         """
         n, coeffs = self.level, self.coeffs
@@ -509,7 +582,7 @@ class RingOperator(_DenseOnDemand):
                 common = r
             elif r != common:
                 return False
-        return common is None or self.scalar * from_powers(common, n) == op.coeff
+        return common is None or self.coeff * from_powers(common, n) == op.coeff
 
     def __repr__(self) -> str:
         return "RingOperator(dim=%d, level=%d)" % (self.dim, self.level)
@@ -518,45 +591,34 @@ class RingOperator(_DenseOnDemand):
 def rho_oracle(lattice: GramLattice, x: MpElement) -> RingOperator:
     """Evaluate rho_M(x) by multiplying generator matrices along a word.
 
-    The word is an exact decomposition of the matrix (T and S steps for even
-    lattices, T^2 and S steps for odd ones); the metaplectic sign of the
-    word is recomputed through the cocycle and a mismatch against the
-    requested sign is corrected by rho(Z^2) = (-1)^sgn.  The roots of unity
-    of the generators are multiplied in Z[x]/(x^N - 1), each cell packed into
-    one int (see _group_ring_product); the scalar of the n+ steps S and the
-    n- steps S^-1, zeta_8^(sgn (n- - n+)) Delta^(-(n+ + n-)/2), is applied
-    once at the end.  The result is a RingOperator, which keeps the product
-    packed.  Each distinct packed cell is unpacked once, and its
-    coefficients must sum to dim^(n+ + n- - 1), or to 1 on the diagonal and
-    0 off it when the word has no S: a carry between packed coefficients
-    lowers some cell's sum by a multiple of 2^B - 1, so it raises
-    ArithmeticError.  No closed-formula machinery enters, which is what
-    makes this an oracle.
+    The word decomposes the matrix exactly (T and S steps for even lattices,
+    T^2 and S steps for odd ones); its one walk checks it and gives its
+    metaplectic sign, and a mismatch against the requested sign is corrected
+    by rho(Z^2) = (-1)^sgn.  The generators' roots of unity are multiplied in
+    Z[x]/(x^N - 1) with packed cells (_group_ring_product), and the scalar of
+    the n+ steps S and n- steps S^-1, zeta_8^(sgn (n- - n+)) Delta^(-(n+ + n-)/2),
+    is applied once.  The result stays packed, a RingOperator; its cells must
+    sum to dim^(n+ + n- - 1) at x = 1 (the identity's cells with no S), or it
+    raises ArithmeticError: a carry between packed coefficients would lower a
+    sum.  No closed-formula machinery enters, which is what makes this an
+    oracle.
     """
     form = lattice.discriminant_form()
-    if lattice.is_even:
-        word = decompose_ST(x.mat)
-    else:
-        word = decompose_T2S(x.mat)
-    achieved = word_mp(word)
-    if achieved.mat != x.mat:
-        raise ArithmeticError("the generator word evaluates to %r, not to %r"
-                              % (achieved.mat, x.mat))
+    word, achieved = decompose(x.mat, 1 if lattice.is_even else 2)
     ring, n_plus, n_minus, width = _group_ring_product(form, word)
-    sgn = form.signature
+    sgn, s = form.signature, n_plus + n_minus
+    # Delta^(-s/2) is the rational Delta^-(s // 2), times 1/sqrt(Delta) for odd s
     scalar = root_of_unity(sgn * (n_minus - n_plus), 8) \
-        * sqrt_rat(Fraction(1, form.delta ** (n_plus + n_minus)))
+        * from_rational(Fraction(1, form.delta ** (s // 2)))
+    if s % 2:
+        scalar = scalar * sqrt_rat(Fraction(1, form.delta))
     if achieved.eps != x.eps and sgn % 2:
         scalar = -scalar
     op = RingOperator(form.elements(), scalar, form.level, width, ring, form)
-    sums = {v: sum(c) for v, c in op.coeffs.items()}
-    # The product at x = 1 is J^s, s = n+ + n-: dim^(s-1) J, or I for s = 0.
-    total = len(ring) ** (n_plus + n_minus - 1) if n_plus + n_minus else None
-    for i, row in enumerate(ring):
-        for j, v in enumerate(row):
-            if sums[v] != (int(i == j) if total is None else total):
-                raise ArithmeticError("group ring cell (%d, %d) sums to %d at x = 1: "
-                                      "a packed coefficient carried" % (i, j, sums[v]))
+    # The product at x = 1 is J^s: dim^(s-1) J, or I for s = 0.
+    dim = len(ring)
+    op._require_sums([[dim ** (s - 1)] * dim for _ in range(dim)] if s
+                     else [[int(i == j) for j in range(dim)] for i in range(dim)])
     return op
 
 

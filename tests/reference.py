@@ -7,7 +7,9 @@ matrix alone.  r0_direct sums the r0 character over M/cM with those lifts,
 and xc_phase reads chi_2(a/c x_c^2/2) off the oddity of the component of
 x_c.  peel_by_fraction and word_mp_by_cocycle are the word decomposition and
 the metaplectic sign of a word through SL2 products, round() on a Fraction
-and the general Kubota cocycle.
+and the general Kubota cocycle.  dense_product multiplies dense operators
+naively, one scalar_sum per cell, with no group ring: the reference for the
+operator product.
 """
 
 from fractions import Fraction
@@ -25,6 +27,39 @@ from exactweil.numth import _unit_mod, valuation_split
 from exactweil.weilrep import WeilOperator
 
 Vector = Tuple[Fraction, ...]
+
+
+def dense_identity(form: DiscriminantForm, scalar: ExactScalar = from_rational(1)
+                   ) -> WeilOperator:
+    """scalar times the identity on form.elements(), as a dense operator."""
+    elems = form.elements()
+    zero = from_rational(0)
+    return WeilOperator(elems, [[scalar if g == h else zero for h in elems] for g in elems],
+                        form)
+
+
+def dense_is_identity(op: WeilOperator) -> bool:
+    one, zero = from_rational(1), from_rational(0)
+    return all(x == (one if i == j else zero)
+               for i, row in enumerate(op.entries) for j, x in enumerate(row))
+
+
+def dense_scale(op: WeilOperator, scalar: ExactScalar) -> WeilOperator:
+    return WeilOperator(op.labels, [[scalar * x for x in row] for row in op.entries], op.form)
+
+
+def dense_adjoint(op: WeilOperator) -> WeilOperator:
+    """The conjugate transpose, cell by cell."""
+    return WeilOperator(op.labels, [[x.conjugate() for x in col] for col in zip(*op.entries)],
+                        op.form)
+
+
+def dense_product(a: WeilOperator, b: WeilOperator) -> WeilOperator:
+    """The matrix product of the dense forms, cell (i, j) the scalar_sum of
+    a[i][l] * b[l][j] over l."""
+    left, right = a.entries, list(zip(*b.entries))
+    return WeilOperator(a.labels, [[scalar_sum(x * y for x, y in zip(row, col)) for col in right]
+                                   for row in left], a.form)
 
 
 def e(x: Fraction) -> ExactScalar:

@@ -315,10 +315,14 @@ def test_cli_verify_fails_under_optimize():
     code = textwrap.dedent("""
         import json
         from exactweil import checks, cli
+        from exactweil.exact import from_rational
         from exactweil.weilrep import WeilOperator
         def wrong_oracle(lattice, x):
             form = lattice.discriminant_form()
-            return WeilOperator.identity(form.elements(), form)
+            elems = form.elements()
+            one, zero = from_rational(1), from_rational(0)
+            return WeilOperator(elems, [[one if g == h else zero for h in elems]
+                                        for g in elems], form)
         checks.rho_oracle = wrong_oracle
         payload, code = cli.run(cli.Request("verify", cli.parse_lattice("[[2]]")))
         print(json.dumps({"payload": payload, "code": code}))

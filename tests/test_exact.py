@@ -21,7 +21,6 @@ from exactweil.exact import (
     from_rational,
     reduce_powers,
     root_of_unity,
-    scalar_matmul,
     scalar_sum,
     sqrt_rat,
 )
@@ -301,26 +300,6 @@ def test_negative_powers_of_monomials_match_sympy(m, e):
     assert power * m ** e == 1
 
 
-# Orders dividing 24 keep the order of a whole matrix product small.
-_DIVISORS_24 = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24])
-_matrix_entries = st.one_of(st.just(from_rational(0)), _monomial_scalars(_DIVISORS_24),
-                            _general_scalars(_DIVISORS_24))
-
-
-@given(data=st.data(), n=st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
-def test_matmul_matches_sum_of_products(data, n):
-    # scalar_sum over the products is the reference, encoding included.
-    square = st.lists(st.lists(_matrix_entries, min_size=n, max_size=n),
-                      min_size=n, max_size=n)
-    a, b = data.draw(square), data.draw(square)
-    got = scalar_matmul(a, b)
-    for i in range(n):
-        for j in range(n):
-            ref = scalar_sum(a[i][k] * b[k][j] for k in range(n))
-            assert got[i][j].to_json() == ref.to_json()
-
-
 @given(L=st.integers(1, 60), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_from_powers_is_the_sum_of_roots(L, data):
@@ -358,16 +337,6 @@ def test_ring_paths_build_no_fraction(monkeypatch):
         a * b, a + b, a - b, a * 3, scalar_sum([a, b, a])
     mono ** -3, mono.inverse(), mono.conjugate(), general ** 3, general.conjugate()
     general.inverse(), general ** -2
-    scalar_matmul([[mono, general], [from_rational(0), other]],
-                  [[general, other], [mono, general]])
-
-
-def test_matmul_rejects_mismatched_shapes():
-    one = from_rational(1)
-    with pytest.raises(ValueError):
-        scalar_matmul([[one, one], [one, one]], [[one]])
-    with pytest.raises(ValueError):
-        scalar_matmul([[one, one]], [[one, one]])
 
 
 def _meets(lo1, hi1, lo2, hi2) -> bool:

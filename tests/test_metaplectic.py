@@ -31,7 +31,6 @@ from exactweil.metaplectic import (
     kubota_cocycle,
     mp_inv,
     mp_mul,
-    word_matrix,
     word_mp,
 )
 from exactweil.numth import REAL_PLACE, hilbert, legendre, sigma
@@ -112,7 +111,7 @@ def test_cocycle_torus_and_special_values():
 @settings(max_examples=120, deadline=None)
 @given(word_strategy(), word_strategy(), word_strategy())
 def test_cocycle_identity(wa, wb, wc):
-    a, b, c = word_matrix(wa), word_matrix(wb), word_matrix(wc)
+    a, b, c = word_mp(wa).mat, word_mp(wb).mat, word_mp(wc).mat
     for place in PLACES:
         lhs = kubota_cocycle(a, b, place) * kubota_cocycle(a * b, c, place)
         rhs = kubota_cocycle(a, b * c, place) * kubota_cocycle(b, c, place)
@@ -167,9 +166,8 @@ def test_generator_relations():
 @settings(max_examples=100, deadline=None)
 @given(word_strategy(max_len=9))
 def test_decompose_ST_reproduces_matrix(word):
-    mat = word_matrix(word)
+    mat = word_mp(word).mat
     out = decompose_ST(mat)
-    assert word_matrix(out) == mat
     assert word_mp(out).mat == mat
     assert all(kind in ("T", "S") for kind, _ in out)
 
@@ -184,7 +182,7 @@ def test_decompose_ST_large_entries():
             continue
         mat = bezout_sl2(c, d)
         word = decompose_ST(mat)
-        assert word_matrix(word) == mat
+        assert word_mp(word).mat == mat
         # Euclidean peeling keeps words logarithmic in the entries
         assert len(word) < 120
         done += 1
@@ -193,8 +191,8 @@ def test_decompose_ST_large_entries():
 def test_decompose_ST_base_cases():
     assert decompose_ST(IDENTITY) == []
     assert decompose_ST(SL2(1, 5, 0, 1)) == [("T", 5)]
-    assert word_matrix(decompose_ST(SL2(-1, 0, 0, -1))) == SL2(-1, 0, 0, -1)
-    assert word_matrix(decompose_ST(S_MAT)) == S_MAT
+    assert word_mp(decompose_ST(SL2(-1, 0, 0, -1))).mat == SL2(-1, 0, 0, -1)
+    assert word_mp(decompose_ST(S_MAT)).mat == S_MAT
 
 
 def test_peel_rounds_half_ties_like_fraction_round():
@@ -285,10 +283,10 @@ def test_gamma_odd_membership():
 @settings(max_examples=100, deadline=None)
 @given(word_strategy(step=2, max_len=9))
 def test_decompose_T2S_even_words(word):
-    mat = word_matrix(word)
+    mat = word_mp(word).mat
     assert gamma_odd_member(mat)
     out = decompose_T2S(mat)
-    assert word_matrix(out) == mat
+    assert word_mp(out).mat == mat
     for kind, k in out:
         if kind == "T":
             assert k % 2 == 0

@@ -66,7 +66,8 @@ from exactweil.weilrep import (
     weil_reciprocity_check,
     xi_p,
 )
-from reference import r0_direct
+from reference import (dense_adjoint, dense_identity, dense_is_identity, dense_product,
+                       dense_scale, r0_direct)
 
 ONE = from_rational(1)
 A1 = GramLattice([[2]])
@@ -177,7 +178,7 @@ def test_rho_s_tables():
 
 def test_rho_z_tables():
     f = A1.discriminant_form()
-    expected = WeilOperator.identity(f.elements(), f).scale(root_of_unity(-1, 4))
+    expected = dense_identity(f, root_of_unity(-1, 4))
     assert rho_Z(f) == expected
     assert rho_Z(UL.discriminant_form()).is_identity()
     f2 = A2.discriminant_form()
@@ -194,8 +195,7 @@ def test_generator_relations():
         st = s * t
         assert s * s == z
         assert st * st * st == z
-        assert (z * z) == WeilOperator.identity(f.elements(), f).scale(
-            from_rational((-1) ** (f.signature % 2)))
+        assert (z * z) == dense_identity(f, from_rational((-1) ** (f.signature % 2)))
         assert (z * z * z * z).is_identity()
     for gram in ODD_GRAMS:
         f = GramLattice(gram).discriminant_form()
@@ -236,24 +236,24 @@ def dense_word_product(lattice, x):
     form = lattice.discriminant_form()
     elems = form.elements()
     word = decompose_ST(x.mat) if lattice.is_even else decompose_T2S(x.mat)
-    s = rho_S(form)
-    op = WeilOperator.identity(elems, form)
+    s = rho_S(form).to_weil()
+    op = dense_identity(form)
     for sym, k in word:
         if sym == "S":
-            factor = s if k > 0 else s.conj_transpose()
+            factor = s if k > 0 else dense_adjoint(s)
             for _ in range(abs(k)):
-                op = op * factor
+                op = dense_product(op, factor)
         elif lattice.is_even:
-            t = rho_T(form) if k > 0 else rho_T(form).conj_transpose()
+            t = rho_T(form).to_weil() if k > 0 else dense_adjoint(rho_T(form).to_weil())
             for _ in range(abs(k)):
-                op = op * t
+                op = dense_product(op, t)
         else:
-            diag = WeilOperator.identity(elems, form)
+            diag = dense_identity(form)
             for i, g in enumerate(elems):
                 diag.entries[i][i] = root_of_unity(k * form.q_num(g), form.level)
-            op = op * diag
+            op = dense_product(op, diag)
     if word_mp(word).eps != x.eps:
-        op = op.scale(from_rational(-1 if form.signature % 2 else 1))
+        op = dense_scale(op, from_rational(-1 if form.signature % 2 else 1))
     return op
 
 
@@ -341,7 +341,7 @@ def packed_cells_as_dense(op):
     its entries, is_identity and JSON."""
     n, width = op.level, op.width
     mask = (1 << width) - 1
-    cells = {v: op.scalar * from_powers([v >> t & mask for t in range(0, n * width, width)], n)
+    cells = {v: op.coeff * from_powers([v >> t & mask for t in range(0, n * width, width)], n)
              for row in op.ring for v in row}
     return WeilOperator(op.labels, [[cells[v] for v in row] for row in op.ring], op.form)
 
@@ -416,6 +416,34 @@ def test_ring_equality_agrees_with_dense_equality(monkeypatch):
     assert unequal > 1000
 
 
+def test_oracle_walks_its_word_once_and_roots_delta_once(monkeypatch):
+    # one word_mp per oracle call, and no sqrt_rat but sqrt(1/Delta), once,
+    # for an odd number of S steps
+    import exactweil.metaplectic as metaplectic_mod
+    import exactweil.weilrep as weilrep_mod
+
+    walks, roots = [], []
+    walk, root = metaplectic_mod.word_mp, weilrep_mod.sqrt_rat
+
+    def counted_walk(word):
+        walks.append(word)
+        return walk(word)
+
+    def counted_root(r):
+        roots.append(r)
+        return root(r)
+
+    monkeypatch.setattr(metaplectic_mod, "word_mp", counted_walk)
+    monkeypatch.setattr(weilrep_mod, "word_mp", counted_walk, raising=False)
+    monkeypatch.setattr(weilrep_mod, "sqrt_rat", counted_root)
+    for lattice, x in ring_equality_cases():
+        del walks[:], roots[:]
+        rho_oracle(lattice, x)
+        s = sum(abs(k) for sym, k in walks[0] if sym == "S")
+        assert len(walks) == 1
+        assert roots == [Fraction(1, lattice.delta())] * (s % 2), (lattice.gram, x)
+
+
 def test_oracle_keeps_its_product_packed():
     # entries, is_identity and the JSON of the packed product are those of
     # the dense operator built cell by cell from it
@@ -423,7 +451,7 @@ def test_oracle_keeps_its_product_packed():
         op = rho_oracle(lattice, x)
         ref = packed_cells_as_dense(op)
         assert digest(op.to_json()) == digest(ref.to_json()), (lattice.gram, x.mat)
-        assert op.is_identity() == ref.is_identity()
+        assert op.is_identity() == dense_is_identity(ref)
         assert [[c.to_json() for c in row] for row in op.entries] \
             == [[c.to_json() for c in row] for row in ref.entries]
         assert type(op.to_weil()) is WeilOperator and op.to_weil() is op.to_weil()
@@ -531,8 +559,7 @@ def test_closed_examples():
     f = A1.discriminant_form()
     assert rho_closed(A1, MP_T) == rho_T(f)
     assert rho_closed(A1, MpElement(S_MAT, 1)) == rho_S(f)
-    assert rho_closed(A1, MP_Z) \
-        == WeilOperator.identity(f.elements(), f).scale(root_of_unity(-1, 4))
+    assert rho_closed(A1, MP_Z) == dense_identity(f, root_of_unity(-1, 4))
 
 
 def test_closed_equals_oracle_even():
@@ -698,7 +725,7 @@ def test_r0_direct():
         for mat in mats:
             for eps in (1, -1):
                 x = MpElement(mat, eps)
-                scaled = r0_direct(lattice, mat).scale(r0_scalar(lattice, x))
+                scaled = dense_scale(r0_direct(lattice, mat), r0_scalar(lattice, x))
                 assert rho_closed(lattice, x) == scaled, (gram, mat, eps)
 
 
@@ -983,18 +1010,148 @@ def test_phase_is_identity_agrees_with_dense():
             found = []
             for eps in (1, -1):
                 op = rho_closed(lattice, MpElement(mat, eps))
-                assert op.is_identity() == op.to_weil().is_identity()
+                assert op.is_identity() == dense_is_identity(op.to_weil())
                 found.append(op.is_identity())
             assert any(found), (gram, mat)
             if desc["cover"] == "double-cover":
                 assert all(found), (gram, mat)
             x = mp_word(rng)
             op = rho_closed(lattice, x)
-            assert op.is_identity() == op.to_weil().is_identity()
+            assert op.is_identity() == dense_is_identity(op.to_weil())
         # a scalar that is a root of unity but not the one the diagonal needs
         t = rho_T(lattice.discriminant_form())
         off = PhaseOperator(t.labels, -t.coeff, t.level, t.phases, t.form)
-        assert not off.is_identity() and not off.to_weil().is_identity()
+        assert not off.is_identity() and not dense_is_identity(off.to_weil())
+
+
+def test_operator_product_equals_dense_reference():
+    # phase x phase, phase x ring, ring x phase and ring x ring on the
+    # operators of dense_product_cases (closed formula and word oracle), each
+    # against the naive dense product and, on integers, against rho(xy)
+    for lattice, elements in dense_product_cases():
+        for k, (x, y) in enumerate(zip(elements[::2], elements[1::2])):
+            y = MpElement(y.mat, (1, -1)[k % 2] * y.eps)
+            phase = rho_closed(lattice, x), rho_closed(lattice, y)
+            ring = rho_oracle(lattice, x), rho_oracle(lattice, y)
+            ref = dense_product(phase[0].to_weil(), phase[1].to_weil())
+            xy = rho_closed(lattice, mp_mul(x, y))
+            for a in (phase[0], ring[0]):
+                for b in (phase[1], ring[1]):
+                    got = a * b
+                    assert isinstance(got, RingOperator) and got.coeff == a.coeff * b.coeff
+                    assert got == ref, (lattice.gram, x, y)
+                    assert got == xy and xy == got, (lattice.gram, x, y)
+
+
+def test_operator_products_at_large_discriminants():
+    # A2(5) and diag(2, 6, 10): the four operand types against rho(xy), the
+    # ring operands built as products rho(x1) rho(x2) with x = x1 x2, so
+    # that a ring x ring product repacks its narrower operands
+    for gram in (A2_5, DIAG_2_6_10):
+        lattice = GramLattice(gram)
+        rng = random.Random(27)
+        repacked = 0
+        for _ in range(2):
+            x1, x2, y1, y2 = (mp_word(rng) for _ in range(4))
+            x, y = mp_mul(x1, x2), mp_mul(y1, y2)
+            phase = rho_closed(lattice, x), rho_closed(lattice, y)
+            ring = (rho_closed(lattice, x1) * rho_closed(lattice, x2),
+                    rho_closed(lattice, y1) * rho_closed(lattice, y2))
+            assert ring[0] == phase[0] and ring[1] == phase[1]
+            xy = rho_closed(lattice, mp_mul(x, y))
+            for a in (phase[0], ring[0]):
+                for b in (phase[1], ring[1]):
+                    got = a * b
+                    widths = [op.width for op in (a, b) if isinstance(op, RingOperator)]
+                    repacked += any(w < got.width for w in widths)
+                    assert xy == got, (gram, x, y)
+        assert repacked
+
+
+def test_is_unitary_agrees_with_dense():
+    # True on the formula-built operators; false with one phase moved in a
+    # column that has another nonzero cell, and with the scalar doubled.
+    # The dense product with the conjugate transpose agrees.
+    rng = random.Random(28)
+    for name, op in phase_corpus():
+        if op.dim > 32:
+            continue
+        bad = [PhaseOperator(op.labels, op.coeff * 2, op.level, op.phases, op.form)]
+        cells = [(i, j) for i, row in enumerate(op.phases) for j, k in enumerate(row)
+                 if k != ZERO_PHASE and sum(r[j] != ZERO_PHASE for r in op.phases) > 1]
+        if cells and op.level > 1:
+            i, j = rng.choice(cells)
+            phases = [row[:] for row in op.phases]
+            phases[i][j] = (phases[i][j] + 1) % op.level
+            bad.append(PhaseOperator(op.labels, op.coeff, op.level, phases, op.form))
+        assert op.is_unitary(), name
+        assert all(not b.is_unitary() for b in bad), name
+        if op.dim <= 12:
+            for cand, unitary in [(op, True)] + [(b, False) for b in bad]:
+                dense = cand.to_weil()
+                assert dense_is_identity(dense_product(dense, dense_adjoint(dense))) == unitary
+                assert cand.adjoint() == dense_adjoint(dense), name
+
+
+def test_operator_product_checks_the_cap_before_packing(monkeypatch):
+    import exactweil.lattice as lattice_mod
+    import exactweil.weilrep as weilrep_mod
+
+    # Delta 8, level 8: 8^2 cells of 8 coefficients, 8^2 + 8^2 * 7 = 512
+    s = rho_S(GramLattice([[2, 0], [0, 4]]).discriminant_form())
+    ring = s * s
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 512)
+    assert s * ring == ring * s
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 511)
+
+    def no_packing(*args):
+        raise AssertionError("operands packed past the cap")
+
+    for cls in (PhaseOperator, RingOperator):
+        monkeypatch.setattr(cls, "_sums", no_packing)
+        monkeypatch.setattr(cls, "_packed", no_packing)
+    monkeypatch.setattr(weilrep_mod, "_fold_products", no_packing)
+    for a, b in ((s, s), (s, ring), (ring, s), (ring, ring)):
+        with pytest.raises(CapExceededError, match="would hold 512 integers"):
+            a * b
+
+
+def test_operator_product_rejects_mixed_forms_and_levels():
+    s = rho_S(A1.discriminant_form())
+    other = rho_S(GramLattice([[-2]]).discriminant_form())  # same labels and level
+    assert s.labels == other.labels and s.level == other.level
+    lattice = GramLattice([[2, 0], [0, 6]])
+    t2, _ = rho_p_generators(lattice, 2)
+    for a, b in ((s, other), (s * s, other), (s, shifted(s, 1, 2)),
+                 (s * s, shifted(s, 0, 2)), (rho_T(lattice.discriminant_form()), t2)):
+        with pytest.raises(ValueError, match="one form and one level"):
+            a * b
+        with pytest.raises(ValueError, match="one form and one level"):
+            b * a
+    with pytest.raises(TypeError):
+        s * s.to_weil()
+    with pytest.raises(TypeError):
+        s.to_weil() * s
+
+
+def test_group_law_and_unitarity_at_large_discriminants():
+    # A2(5) and diag(2, 6, 10), Delta = 75 and 120: rho(xy) = rho(x) rho(y)
+    # on seeded pairs with all four sign combinations, unitarity, and the
+    # generator relations
+    for gram in (A2_5, DIAG_2_6_10):
+        lattice = GramLattice(gram)
+        form = lattice.discriminant_form()
+        rng = random.Random(29)
+        for k in range(4):
+            x = MpElement(bounded_sl2(rng), (1, -1)[k % 2])
+            y = MpElement(bounded_sl2(rng), (1, -1)[k // 2])
+            op_x = rho_closed(lattice, x)
+            assert rho_closed(lattice, mp_mul(x, y)) == op_x * rho_closed(lattice, y), \
+                (gram, x, y)
+            assert op_x.is_unitary()
+        s, z = rho_S(form), rho_Z(form)
+        st = s * rho_T(form)
+        assert s * s == z and st * st * st == z and (z * z * z * z).is_identity()
 
 
 # Each snippet corrupts one invariant; the check must still raise under -O.
@@ -1004,16 +1161,25 @@ _CORRUPTIONS = {
         exact._phi_cache[105] = 47
         exact.cyclotomic_polynomial(105)
     """),
-    "matmul shapes": ("ValueError", """
-        from exactweil.exact import from_rational, scalar_matmul
-        one = from_rational(1)
-        scalar_matmul([[one, one], [one, one]], [[one]])
+    "product forms": ("ValueError: an operator product", """
+        from exactweil.lattice import GramLattice
+        from exactweil.weilrep import rho_S
+        rho_S(GramLattice([[2]]).discriminant_form()) \\
+            * rho_S(GramLattice([[-2]]).discriminant_form())
     """),
-    "oracle word": ("ArithmeticError", """
+    "product cell width": ("ArithmeticError: group ring cell", """
         from exactweil import weilrep
         from exactweil.lattice import GramLattice
+        width = weilrep._product_width
+        weilrep._product_width = lambda *args: width(*args) - 1
+        s = weilrep.rho_S(GramLattice([[2]]).discriminant_form())
+        s * s
+    """),
+    "oracle word": ("ArithmeticError", """
+        from exactweil import metaplectic, weilrep
+        from exactweil.lattice import GramLattice
         from exactweil.metaplectic import MP_T, MpElement, SL2
-        weilrep.word_mp = lambda word: MP_T
+        metaplectic.word_mp = lambda word: MP_T
         weilrep.rho_oracle(GramLattice([[2]]), MpElement(SL2(0, -1, 1, 0), 1))
     """),
     "oracle cell carry": ("ArithmeticError: group ring cell", """
@@ -1072,8 +1238,8 @@ _CORRUPTIONS = {
     """),
     "decomposed word": ("ArithmeticError", """
         from exactweil import metaplectic
-        from exactweil.metaplectic import IDENTITY, SL2
-        metaplectic.word_matrix = lambda word: IDENTITY
+        from exactweil.metaplectic import MP_ONE, SL2
+        metaplectic.word_mp = lambda word: MP_ONE
         metaplectic.decompose_ST(SL2(0, -1, 1, 0))
     """),
     "x_c coset": ("ArithmeticError", """
@@ -1126,6 +1292,7 @@ def test_phase_paths_build_no_fraction(monkeypatch):
         x_c, _ = weilrep_mod.choose_xc(jordan_decompose(lattice, 2), m.c)
         prepared.append((form, m, x_c))
     coeff = root_of_unity(1, 8) * sqrt_rat(Fraction(1, 3))
+    s_op = rho_S(even.discriminant_form())
 
     class NoFraction(Fraction):
         def __new__(cls, *args, **kwargs):
@@ -1146,6 +1313,9 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     mp_mul(MP_S, mp_mul(MP_S_INV, MP_S))
     form = even.discriminant_form()
     rho_T(form), form.milgram_sum()
+    # the operator product, in each operand combination, and its checks
+    st = s_op * rho_T(form)
+    (st * st).is_identity(), (st * s_op) == s_op * st, s_op.is_unitary()
     weilrep_mod._fourier(form, form.elements(), coeff, form.pairing_table())
 
 
