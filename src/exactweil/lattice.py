@@ -7,9 +7,14 @@ h_i = v_i/d_i.  Everything is built from integers: the level N and an
 integer Gram matrix mod N on the h_i (Stromberg's coordinates for finite
 quadratic modules) come from W = V^T G V, and the signature from the
 characteristic polynomial.  Pairing and q are integer dot products mod N,
-read as k/N.  Each form keeps, from its first use, N q(gamma) for every
-element and the N (gamma_i, gamma_j) pairing rows by element index, so the
-operator builders read them instead of recomputing them per matrix.
+read as k/N.  DiscriminantForm is the one finite quadratic module class: a
+lattice's form is built from (orders, Gram matrix mod N, q diagonal, N)
+after the Smith step, and the p-part D_p of an even form is a
+DiscriminantForm of its own, on the p-primary factors of the orders, with
+its own coordinates and level N_p.  Each form keeps, from its first use,
+N q(gamma) for every element and the N (gamma_i, gamma_j) pairing rows by
+element index, so the operator builders read them instead of recomputing
+them per matrix.
 
 Enumeration of the full group is capped at delta <= 10**5, and a dense
 operator on it at 10**7 integers; both raise CapExceededError beyond that.
@@ -189,7 +194,7 @@ class GramLattice:
 
     def discriminant_form(self) -> "DiscriminantForm":
         if self._df is None:
-            self._df = DiscriminantForm(self)
+            self._df = DiscriminantForm.of_lattice(self)
         return self._df
 
     def __repr__(self) -> str:
@@ -211,6 +216,15 @@ def interesting_primes(lattice: GramLattice) -> set:
     return set(prime_factors(lattice.delta()))
 
 
+def _p_split(d: int, p: int) -> Tuple[int, int]:
+    """(q, e): the p-power part q of d, and the CRT idempotent e of Z/d,
+    1 mod q and 0 mod d/q."""
+    q = 1
+    while d % (q * p) == 0:
+        q *= p
+    return q, d // q * pow(d // q, -1, q) % d
+
+
 def require_dense(delta: int, extra: int = 0) -> None:
     """Raise CapExceededError unless a delta x delta matrix holding one
     integer a cell plus `extra` further integers stays within DENSE_CAP;
@@ -221,70 +235,20 @@ def require_dense(delta: int, extra: int = 0) -> None:
                                "%d integers (cap %d)" % (delta, size, DENSE_CAP))
 
 
-class PPart:
-    """The p-Sylow component of a discriminant form.
-
-    Elements are kept in the coordinates of the parent group; `project` is
-    the idempotent parent -> p-part, and `elements` enumerates the p-part
-    in the canonical order of its cyclic factors.
-    """
-
-    __slots__ = ("parent", "p", "orders", "_positions", "_unit_gens", "delta")
-
-    def __init__(self, parent: "DiscriminantForm", p: int):
-        self.parent = parent
-        self.p = p
-        self.orders: List[int] = []
-        self._positions: List[int] = []
-        self._unit_gens: List[int] = []
-        for i, d in enumerate(parent.orders):
-            e = 0
-            q = 1
-            while d % (q * p) == 0:
-                q *= p
-                e += 1
-            if e == 0:
-                continue
-            m_i = d // q
-            # generator of the p-part of Z/d: the idempotent 1 mod q, 0 mod m_i
-            g = (m_i * pow(m_i, -1, q)) % d
-            self.orders.append(q)
-            self._positions.append(i)
-            self._unit_gens.append(g)
-        self.delta = prod(self.orders) if self.orders else 1
-
-    def project(self, elem: DFElement) -> DFElement:
-        out = [0] * len(self.parent.orders)
-        for q, i, g in zip(self.orders, self._positions, self._unit_gens):
-            out[i] = (elem[i] * g) % self.parent.orders[i]
-        return tuple(out)
-
-    def elements(self) -> List[DFElement]:
-        if self.delta > ENUMERATION_CAP:
-            raise CapExceededError(f"p-part has {self.delta} elements")
-        out = []
-        for coords in product(*(range(q) for q in self.orders)):
-            e = [0] * len(self.parent.orders)
-            for a, i, g, q in zip(coords, self._positions, self._unit_gens, self.orders):
-                e[i] = (a * g) % self.parent.orders[i]
-            out.append(tuple(e))
-        return out if out else [self.parent.zero()]
-
-
 class DiscriminantForm:
-    """The finite quadratic module M*/M of a lattice.
+    """A finite quadratic module: the discriminant form M*/M of a lattice,
+    or the p-part of one.
 
-    A Smith normal form U G V = D gives the basis h_i = v_i/d_i of M*, with
-    (h_i, h_j) = W_ij/(d_i d_j) for the integer matrix W = V^T G V.  The
-    level N is the lcm of the denominators of q(h_i) and of (h_i, h_j) for
-    i < j, over all m columns (the d_i = 1 columns carry the factor 2 of
-    odd lattices).  Elements are tuples of residues against `orders`, the
-    coordinates on the h_i with d_i > 1, and the form is kept as integers
-    mod N: B = `gram_mod` with B[i][j] = N (h_i, h_j) mod N, and Q[i] =
-    N h_i^2/2 mod N, both exact integer divisions of N W_ij.  So N (x, y)
-    is x^T B y mod N, and N q(x) is sum x_i^2 Q[i] + sum_{i<j} x_i x_j
-    B[i][j], mod N for even lattices and mod N/2 for odd ones; `pairing`
-    and `qval` return those integers over N.
+    Elements are tuples of residues against `orders`, and the form is kept
+    as integers mod the level N (Stromberg's coordinates): on the generators
+    g_i, B = `gram_mod` with B[i][j] = N (g_i, g_j) mod N, and Q[i] =
+    N g_i^2/2 mod N.  So N (x, y) is x^T B y mod N, and N q(x) is
+    sum x_i^2 Q[i] + sum_{i<j} x_i x_j B[i][j], mod N for even forms and
+    mod N/2 for odd ones; `pairing` and `qval` return those integers over N.
+
+    A lattice's form (`of_lattice`) alone keeps the lattice, its signature
+    and the Smith data that class_from_dual_vector reads; `p_part(p)` is a
+    form of its own, with its own coordinates and level N_p.
 
     Element i of `elements()` has the mixed-radix digits of i against
     `orders` as coordinates (`index` inverts this).  The per-element tables,
@@ -292,46 +256,60 @@ class DiscriminantForm:
     lattice keeps its form.
     """
 
-    __slots__ = ("lattice", "orders", "delta", "signature", "level", "exponent",
-                 "gram_mod", "_q_gram", "_q_mod", "_u", "_d_full", "_strides",
-                 "_elems", "_q_table", "_pair_table")
+    __slots__ = ("orders", "delta", "level", "exponent", "is_even", "gram_mod",
+                 "_q_gram", "_q_mod", "_strides", "_elems", "_q_table", "_pair_table",
+                 "lattice", "signature", "_u", "_d_full", "_positions")
 
-    def __init__(self, lattice: GramLattice):
-        self.lattice = lattice
+    def __init__(self, orders: Sequence[int], gram_mod: Sequence[Sequence[int]],
+                 q_diag: Sequence[int], level: int, is_even: bool = True):
+        self.orders = tuple(orders)
+        self.delta = prod(self.orders)
+        self.level = level
+        self.exponent = self.orders[-1] if self.orders else 1
+        self.is_even = is_even
+        if not is_even and level % 2:
+            raise ArithmeticError("odd form with odd level %d" % level)
+        self._q_mod = level if is_even else level // 2
+        self.gram_mod = tuple(map(tuple, gram_mod))
+        self._q_gram = tuple(tuple(q_diag[s] if t == s else b if t > s else 0
+                                   for t, b in enumerate(row))
+                             for s, row in enumerate(self.gram_mod))
+        self._strides = tuple(prod(self.orders[r + 1:]) for r in range(len(self.orders)))
+        self._elems: Optional[List[DFElement]] = None
+        self._q_table: Optional[List[int]] = None
+        self._pair_table: Optional[List[List[int]]] = None
+        self.lattice = self.signature = self._u = self._d_full = self._positions = None
+
+    @classmethod
+    def of_lattice(cls, lattice: GramLattice) -> "DiscriminantForm":
+        """The form of M*/M from a Smith normal form U G V = D.
+
+        The generators are h_i = v_i/d_i, with (h_i, h_j) = W_ij/(d_i d_j)
+        for the integer matrix W = V^T G V.  The level N is the lcm of the
+        denominators of q(h_i) and of (h_i, h_j) for i < j, over all m
+        columns (the d_i = 1 columns carry the factor 2 of odd lattices);
+        the coordinates are those on the h_i with d_i > 1, and B and Q are
+        exact integer divisions of N W_ij.
+        """
         u, d, v = smith_normal_form(lattice.gram)
         m = lattice.rank
         diag = [d[i][i] for i in range(m)]
         w = _mat_mul([list(col) for col in zip(*v)], _mat_mul(lattice.gram, v))
         keep = [i for i in range(m) if diag[i] > 1]
-        self.orders = tuple(diag[i] for i in keep)
-        self.delta = lattice.delta()
-        if prod(self.orders, start=1) != self.delta:
+        orders = [diag[i] for i in keep]
+        if prod(orders) != lattice.delta():
             raise ArithmeticError("the Smith orders multiply to %d, not to delta = %d"
-                                  % (prod(self.orders, start=1), self.delta))
-        self.signature = lattice.signature()
+                                  % (prod(orders), lattice.delta()))
         n = 1
         for i in range(m):
             n = lcm(n, 2 * diag[i] ** 2 // gcd(w[i][i], 2 * diag[i] ** 2))
             for j in range(i + 1, m):
                 n = lcm(n, diag[i] * diag[j] // gcd(w[i][j], diag[i] * diag[j]))
-        self.level = n
-        self.exponent = self.orders[-1] if self.orders else 1
-        self._u = u
-        self._d_full = diag
-        self._q_mod = n if lattice.is_even else n // 2
-        if not lattice.is_even and n % 2:
-            raise ArithmeticError("odd lattice with odd level %d" % n)
-        self.gram_mod = tuple(tuple(n * w[i][j] // (diag[i] * diag[j]) % n for j in keep)
-                              for i in keep)
-        q_gram = [[b if t > s else 0 for t, b in enumerate(row)]
-                  for s, row in enumerate(self.gram_mod)]
-        for s, i in enumerate(keep):
-            q_gram[s][s] = n * w[i][i] // (2 * diag[i] ** 2) % n
-        self._q_gram = tuple(map(tuple, q_gram))
-        self._strides = tuple(prod(self.orders[r + 1:]) for r in range(len(keep)))
-        self._elems: Optional[List[DFElement]] = None
-        self._q_table: Optional[List[int]] = None
-        self._pair_table: Optional[List[List[int]]] = None
+        form = cls(orders, [[n * w[i][j] // (diag[i] * diag[j]) % n for j in keep] for i in keep],
+                   [n * w[i][i] // (2 * diag[i] ** 2) % n for i in keep], n, lattice.is_even)
+        form.lattice, form.signature, form._u, form._d_full = \
+            lattice, lattice.signature(), u, diag
+        return form
 
     # -- group structure ------------------------------------------------
 
@@ -374,20 +352,6 @@ class DiscriminantForm:
         return sum(a * sum(b * t for b, t in zip(row, x))
                    for a, row in zip(x, self._q_gram)) % self._q_mod
 
-    def pairing_matrix(self, elems: Sequence[DFElement]) -> List[List[int]]:
-        """N (x, y) mod N for x and y in elems: row i pairs elems[i] with
-        each of elems, accumulated one coordinate column at a time."""
-        n = self.level
-        cols = list(zip(*elems))
-        out = []
-        for y in elems:
-            acc = [0] * len(elems)
-            for w, col in zip(self.pairing_row(y), cols):
-                if w:
-                    acc = [s + w * a for s, a in zip(acc, col)]
-            out.append([s % n for s in acc])
-        return out
-
     def q_table(self) -> List[int]:
         """q_num of every element, in elements() order; do not mutate."""
         if self._q_table is None:
@@ -395,11 +359,21 @@ class DiscriminantForm:
         return self._q_table
 
     def pairing_table(self) -> List[List[int]]:
-        """pairing_matrix(elements()): delta^2 integers, so the dense cap is
+        """N (x, y) mod N for x and y in elements(), accumulated one
+        coordinate column at a time: delta^2 integers, so the dense cap is
         checked before the first build; do not mutate."""
         if self._pair_table is None:
             require_dense(self.delta)
-            self._pair_table = self.pairing_matrix(self.elements())
+            n, elems = self.level, self.elements()
+            cols = list(zip(*elems))
+            table = []
+            for y in elems:
+                acc = [0] * len(elems)
+                for w, col in zip(self.pairing_row(y), cols):
+                    if w:
+                        acc = [s + w * a for s, a in zip(acc, col)]
+                table.append([s % n for s in acc])
+            self._pair_table = table
         return self._pair_table
 
     def pairing(self, x: DFElement, y: DFElement) -> Fraction:
@@ -424,25 +398,47 @@ class DiscriminantForm:
             raise ValueError("vector is not p-locally dual")
         coords = []
         for i, d in enumerate(self._d_full):
-            s = sum(Fraction(self._u[i][j]) * y[j] for j in range(m))
             if d == 1:
                 continue
-            q = 1
-            while d % (q * p) == 0:
-                q *= p
-            if q == 1:
-                coords.append(0)
-                continue
-            m_i = d // q
-            res = (s.numerator * pow(s.denominator, -1, q)) % q
-            # CRT: res mod q, zero mod the prime-to-p part
-            coords.append((res * m_i * pow(m_i, -1, q)) % d)
+            q, e = _p_split(d, p)
+            s = sum(Fraction(self._u[i][j]) * y[j] for j in range(m))
+            # CRT: s mod q, zero mod the prime-to-p part
+            coords.append(s.numerator * pow(s.denominator, -1, q) * e % d)
         return tuple(coords)
 
     # -- p-parts and c-indexed subsets ------------------------------------
 
-    def p_part(self, p: int) -> PPart:
-        return PPart(self, p)
+    def p_part(self, p: int) -> "DiscriminantForm":
+        """The p-primary part D_p, a form in its own coordinates at its level
+        N_p, the p-power part of N; even forms only.
+
+        Its orders are q_i = p^(v_p(d_i)) for the orders d_i divisible by p,
+        its generators e_i g_i, e_i the CRT idempotent of Z/d_i (1 mod q_i,
+        0 mod d_i/q_i), and `project` takes x to (x_i mod q_i).  Each Gram
+        and q entry is e_i e_j B_ij mod N (e_i^2 Q_i for q) divided by N/N_p,
+        and a division that is not exact raises ArithmeticError.
+        """
+        if not self.is_even:
+            raise ValueError("p-parts are defined for even forms")
+        n = self.level
+        scale = n // _p_split(n, p)[0]
+        split = [(i, *_p_split(d, p)) for i, d in enumerate(self.orders) if d % p == 0]
+
+        def local(k: int) -> int:
+            if k % scale:
+                raise ArithmeticError("%d/%d is not a value of the %d-part" % (k, n, p))
+            return k // scale
+
+        part = DiscriminantForm(
+            [q for _, q, _ in split],
+            [[local(e * f * self.gram_mod[i][j] % n) for j, _, f in split] for i, _, e in split],
+            [local(e * e * self._q_gram[i][i] % n) for i, _, e in split], n // scale)
+        part._positions = tuple(i for i, _, _ in split)
+        return part
+
+    def project(self, x: DFElement) -> DFElement:
+        """For a p-part, the image of an element x of its parent: x_i mod q_i."""
+        return tuple(x[i] % q for i, q in zip(self._positions, self.orders))
 
     def kernel_generators(self, c: int) -> List[DFElement]:
         out = []
@@ -482,7 +478,7 @@ class DiscriminantForm:
 
     def milgram_sum(self) -> ExactScalar:
         """Sum of e(gamma^2/2) over the group; even lattices only."""
-        if not self.lattice.is_even:
+        if not self.is_even:
             raise ValueError("Milgram sum needs an even lattice")
         n = self.level
         total = from_rational(0)

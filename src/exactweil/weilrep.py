@@ -26,7 +26,9 @@ The closed formula, T, S, Z and their p-parts all have one shape: a single
 scalar times e(k/N) in every nonzero cell.  They are built as a
 PhaseOperator, which stores the scalar once and the phases k as one integer
 table, with ZERO_PHASE marking the zero cells; the integers are read from
-the form's element tables (N q(gamma) and the pairing rows).  Identity and
+the form's element tables (N q(gamma) and the pairing rows).  T and S on a
+p-part come from the same two builders as on the whole form, applied to the
+p-part, a DiscriminantForm with its own coordinates and level N_p.  Identity and
 equality tests, the tensor product over the p-parts and the JSON encoding
 work on those integers.  The word oracle returns its product as it is
 built, a RingOperator: one scalar times the packed group-ring cells.  Its
@@ -324,32 +326,29 @@ class PhaseOperator(_DenseOnDemand):
 
 def rho_T(form: DiscriminantForm) -> PhaseOperator:
     """rho(T): the diagonal operator e_gamma -> e(gamma^2/2) e_gamma."""
-    if not form.lattice.is_even:
+    if not form.is_even:
         raise ValueError("rho(T) requires an even lattice; "
                          "T is outside the parity subgroup of an odd one")
-    require_dense(form.delta)
-    return _t_diagonal(form, form.elements(), form.q_table())
+    return _t_diagonal(form)
 
 
-def _t_diagonal(form: DiscriminantForm, elems: Sequence[DFElement],
-                q: Sequence[int]) -> PhaseOperator:
-    """The diagonal matrix of e(gamma^2/2) over elems; q[i] = N q(elems[i])."""
-    n, level = len(elems), form.level
+def _t_diagonal(form: DiscriminantForm) -> PhaseOperator:
+    """The diagonal matrix of e(gamma^2/2), read off form.q_table()."""
+    n, level = form.delta, form.level
     PhaseOperator.require(_ONE, level, n, n)
     phases = [[ZERO_PHASE] * n for _ in range(n)]
-    for i, k in enumerate(q):
-        phases[i][i] = k % level
-    return PhaseOperator(elems, _ONE, level, phases, form)
+    for i, k in enumerate(form.q_table()):
+        phases[i][i] = k
+    return PhaseOperator(form.elements(), _ONE, level, phases, form)
 
 
-def _fourier(form: DiscriminantForm, elems: Sequence[DFElement], coeff: ExactScalar,
-             pairings: Sequence[Sequence[int]]) -> PhaseOperator:
-    """coeff * e(-(gamma, delta)) at row delta, column gamma;
-    pairings[i][j] = N (elems[i], elems[j]) mod N."""
-    n = form.level
-    PhaseOperator.require(coeff, n, len(elems), len(elems) ** 2)
-    return PhaseOperator(elems, coeff, n, [[-p % n for p in row] for row in pairings],
-                         form)
+def _fourier(form: DiscriminantForm, coeff: ExactScalar) -> PhaseOperator:
+    """coeff * e(-(gamma, delta)) at row delta, column gamma, read off
+    form.pairing_table()."""
+    n, dim = form.level, form.delta
+    PhaseOperator.require(coeff, n, dim, dim ** 2)
+    return PhaseOperator(form.elements(), coeff, n,
+                         [[-p % n for p in row] for row in form.pairing_table()], form)
 
 
 def rho_S(form: DiscriminantForm) -> PhaseOperator:
@@ -360,8 +359,7 @@ def rho_S(form: DiscriminantForm) -> PhaseOperator:
     subgroup.
     """
     require_dense(form.delta)
-    coeff = root_of_unity(-form.signature, 8) * sqrt_rat(Fraction(1, form.delta))
-    return _fourier(form, form.elements(), coeff, form.pairing_table())
+    return _fourier(form, root_of_unity(-form.signature, 8) * sqrt_rat(Fraction(1, form.delta)))
 
 
 def rho_Z(form: DiscriminantForm) -> PhaseOperator:
@@ -378,22 +376,17 @@ def rho_Z(form: DiscriminantForm) -> PhaseOperator:
 
 
 def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[PhaseOperator, PhaseOperator]:
-    """The action of T and S on the p-part of the discriminant form.
+    """T and S on the p-part D_p, the builders of rho_T and rho_S applied to
+    the form p_part(p), at its level N_p.
 
-    T_p is diagonal with the p-adic characters of gamma^2/2; S_p carries the
-    coefficient conj(gamma(f_p)) / sqrt(Delta_p).  Tensoring over p recovers
+    T_p is diagonal with the characters e(gamma^2/2) of D_p; S_p carries the
+    scalar conj(gamma(f_p)) / sqrt(Delta_p).  Tensoring over p recovers
     rho_T and rho_S (see tensor_check).
     """
-    if not lattice.is_even:
-        raise ValueError("p-part generators are defined for even lattices")
-    form = lattice.discriminant_form()
-    part = form.p_part(p)
+    part = lattice.discriminant_form().p_part(p)
     require_dense(part.delta)
-    elems = part.elements()
-    coeff = weil_index_lattice(lattice, p).conjugate() \
-        * sqrt_rat(Fraction(1, part.delta))
-    return (_t_diagonal(form, elems, [form.q_num(g) for g in elems]),
-            _fourier(form, elems, coeff, form.pairing_matrix(elems)))
+    coeff = weil_index_lattice(lattice, p).conjugate() * sqrt_rat(Fraction(1, part.delta))
+    return _t_diagonal(part), _fourier(part, coeff)
 
 
 # -- the generator-word oracle ---------------------------------------------
@@ -906,9 +899,9 @@ def tensor_check(lattice: GramLattice) -> bool:
     t_ops, s_ops, local = [], [], []
     for p in sorted(interesting_primes(lattice)):
         t_p, s_p = rho_p_generators(lattice, p)
-        part = form.p_part(p)
+        part = t_p.form
         t_ops.append(t_p)
         s_ops.append(s_p)
-        local.append([t_p.index_of(part.project(g)) for g in elems])
+        local.append([part.index(part.project(g)) for g in elems])
     return _kronecker(form, t_ops, local) == full_t \
         and _kronecker(form, s_ops, local) == full_s

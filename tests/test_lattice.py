@@ -12,6 +12,7 @@ from exactweil.exact import root_of_unity, sqrt_rat
 from exactweil.jordan import choose_xc, jordan_decompose
 from exactweil.lattice import (
     CapExceededError,
+    DiscriminantForm,
     GramLattice,
     _det_int,
     _mat_mul,
@@ -391,31 +392,46 @@ def test_class_of_dual_vector_roundtrip():
 
 
 def test_class_from_dual_vector_projects():
+    # the class of a p-local dual vector is the p-component of x: its
+    # projection to the p-part is that of x, and to the other part zero
     df = GramLattice([[2, 0], [0, 6]]).discriminant_form()
     p2, p3 = df.p_part(2), df.p_part(3)
     for x in df.elements():
         v = lift(df, x)
-        assert df.class_from_dual_vector(v, 2) == p2.project(x)
-        assert df.class_from_dual_vector(v, 3) == p3.project(x)
+        for p, part, other in ((2, p2, p3), (3, p3, p2)):
+            cls = df.class_from_dual_vector(v, p)
+            assert part.project(cls) == part.project(x) and other.project(cls) == other.zero()
         # shifting the vector by a 3-unit denominator leaves the 3-class alone
         shifted = (v[0] + Fraction(1, 2), v[1])
-        assert df.class_from_dual_vector(shifted, 3) == p3.project(x)
+        cls = df.class_from_dual_vector(shifted, 3)
+        assert p3.project(cls) == p3.project(x) and p2.project(cls) == p2.zero()
 
 
 def test_p_part_structure():
-    df = GramLattice([[2, 0], [0, 6]]).discriminant_form()
+    df = GramLattice([[2, 0], [0, 6]]).discriminant_form()  # level 12
     p2, p3 = df.p_part(2), df.p_part(3)
     assert p2.delta == 4 and p3.delta == 3
+    assert (p2.orders, p2.level, p3.orders, p3.level) == ((2, 2), 4, (3,), 3)
     assert len(p2.elements()) == 4 and len(p3.elements()) == 3
-    for x in df.elements():
-        assert df.add(p2.project(x), p3.project(x)) == x
-        assert p2.project(p2.project(x)) == p2.project(x)
-    # orthogonality of distinct Sylow parts
-    for a in p2.elements():
-        for b in p3.elements():
-            assert df.pairing(a, b) == 0
+    # x -> (pi_2 x, pi_3 x) is a bijection D -> D_2 x D_3 that carries q and
+    # the pairing to the sums over the parts, so the parts are orthogonal
+    image = {x: (p2.project(x), p3.project(x)) for x in df.elements()}
+    assert sorted(image.values()) == sorted(product(p2.elements(), p3.elements()))
+    for x, (x2, x3) in image.items():
+        assert df.qval(x) == (p2.qval(x2) + p3.qval(x3)) % 1
+        for y, (y2, y3) in image.items():
+            assert df.pairing(x, y) == (p2.pairing(x2, y2) + p3.pairing(x3, y3)) % 1
     p5 = df.p_part(5)
-    assert p5.delta == 1 and p5.elements() == [df.zero()]
+    assert p5.delta == 1 and p5.level == 1 and p5.elements() == [p5.zero()]
+
+
+def test_p_part_needs_an_even_form_and_exact_local_entries():
+    with pytest.raises(ValueError, match="even forms"):
+        GramLattice([[1, 0], [0, 4]]).discriminant_form().p_part(2)
+    # level 6 but a Gram entry 1/6 on a factor of order 2: N/N_2 = 3 does
+    # not divide N (g, g) = 1
+    with pytest.raises(ArithmeticError, match="not a value of the 2-part"):
+        DiscriminantForm((2,), [[1]], [1], 6).p_part(2)
 
 
 def test_enumeration_cap():

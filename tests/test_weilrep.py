@@ -11,11 +11,13 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 
 import exactweil
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EVEN_GRAMS, ODD_GRAMS
@@ -25,8 +27,9 @@ from exactweil.jordan import (
     jordan_decompose,
     scale_component,
     weil_index_component,
+    weil_index_lattice,
 )
-from exactweil.lattice import CapExceededError, GramLattice, interesting_primes
+from exactweil.lattice import CapExceededError, GramLattice, direct_sum, interesting_primes
 from exactweil.metaplectic import (
     MP_ONE,
     MP_S,
@@ -66,8 +69,8 @@ from exactweil.weilrep import (
     weil_reciprocity_check,
     xi_p,
 )
-from reference import (dense_adjoint, dense_identity, dense_is_identity, dense_product,
-                       dense_scale, r0_direct)
+from reference import (class_of_dual_vector, dense_adjoint, dense_identity, dense_is_identity,
+                       dense_product, dense_scale, lift, r0_direct)
 
 ONE = from_rational(1)
 A1 = GramLattice([[2]])
@@ -215,7 +218,7 @@ def test_rho_p_generators():
 
 
 def test_tensor_and_reciprocity():
-    for gram in EVEN_GRAMS + [[[2, 0], [0, 6]]]:
+    for gram in EVEN_GRAMS + [[[2, 0], [0, 6]], A2_5, DIAG_2_6_10]:
         assert tensor_check(GramLattice(gram))
     for gram in EVEN_GRAMS + ODD_GRAMS:
         assert weil_reciprocity_check(GramLattice(gram))
@@ -494,7 +497,6 @@ def test_dense_operators_are_capped(monkeypatch):
         raise AssertionError("elements enumerated past the cap")
 
     monkeypatch.setattr(lattice_mod.DiscriminantForm, "elements", no_enumeration)
-    monkeypatch.setattr(lattice_mod.PPart, "elements", no_enumeration)
     for build in (lambda: rho_closed(lattice, MpElement(SL2(-1, 2, 0, -1), 1)),
                   lambda: rho_T(form), lambda: rho_S(form), lambda: rho_Z(form),
                   lambda: rho_oracle(lattice, x), lambda: r0_direct(lattice, x.mat),
@@ -530,9 +532,10 @@ def test_dense_cap_counts_coefficients_exactly(monkeypatch):
 def test_p_part_generators_cap_their_coefficients(monkeypatch):
     import exactweil.lattice as lattice_mod
 
-    # S_53 on [[106]]: its 53^2 cells fit, their 104 coefficients each do not
-    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 2 * 10 ** 5)
-    with pytest.raises(CapExceededError, match="would hold 292136 integers"):
+    # S_53 on [[106]], at the 53-part's level 53: its 53^2 cells fit, their
+    # phi(53) = 52 coefficients each do not
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 10 ** 5)
+    with pytest.raises(CapExceededError, match="would hold 146068 integers"):
         rho_p_generators(GramLattice([[106]]), 53)
 
 
@@ -574,6 +577,16 @@ def test_closed_equals_oracle_even():
                 assert op.is_unitary()
 
 
+def neg_symmetric(op):
+    """The phase table commutes with e_gamma -> e_-gamma (the isometry -1):
+    phases[-i][-j] == phases[i][j].  Returns the operator."""
+    form = op.form
+    neg = [form.index(form.neg(g)) for g in form.elements()]
+    assert all(op.phases[ni][nj] == k for ni, row in zip(neg, op.phases)
+               for nj, k in zip(neg, row)), op
+    return op
+
+
 def bounded_sl2(rng, bound=50):
     """A seeded SL2(Z) matrix with entries in [-bound, bound]: a coprime
     bottom row, then a uniform choice among the top rows within the bound."""
@@ -598,7 +611,8 @@ def test_closed_equals_oracle_at_large_discriminants():
         rng = random.Random(11)
         for k in range(count):
             x = MpElement(bounded_sl2(rng), (1, -1)[k % 2])
-            assert rho_closed(lattice, x) == rho_oracle(lattice, x), (gram, x.mat, x.eps)
+            assert neg_symmetric(rho_closed(lattice, x)) == rho_oracle(lattice, x), \
+                (gram, x.mat, x.eps)
 
 
 def test_closed_odd_examples():
@@ -1054,11 +1068,11 @@ def test_operator_products_at_large_discriminants():
         for _ in range(2):
             x1, x2, y1, y2 = (mp_word(rng) for _ in range(4))
             x, y = mp_mul(x1, x2), mp_mul(y1, y2)
-            phase = rho_closed(lattice, x), rho_closed(lattice, y)
-            ring = (rho_closed(lattice, x1) * rho_closed(lattice, x2),
-                    rho_closed(lattice, y1) * rho_closed(lattice, y2))
+            closed = [neg_symmetric(rho_closed(lattice, z)) for z in (x, y, x1, x2, y1, y2)]
+            phase = closed[0], closed[1]
+            ring = closed[2] * closed[3], closed[4] * closed[5]
             assert ring[0] == phase[0] and ring[1] == phase[1]
-            xy = rho_closed(lattice, mp_mul(x, y))
+            xy = neg_symmetric(rho_closed(lattice, mp_mul(x, y)))
             for a in (phase[0], ring[0]):
                 for b in (phase[1], ring[1]):
                     got = a * b
@@ -1145,13 +1159,71 @@ def test_group_law_and_unitarity_at_large_discriminants():
         for k in range(4):
             x = MpElement(bounded_sl2(rng), (1, -1)[k % 2])
             y = MpElement(bounded_sl2(rng), (1, -1)[k // 2])
-            op_x = rho_closed(lattice, x)
-            assert rho_closed(lattice, mp_mul(x, y)) == op_x * rho_closed(lattice, y), \
-                (gram, x, y)
+            op_x = neg_symmetric(rho_closed(lattice, x))
+            op_y = neg_symmetric(rho_closed(lattice, y))
+            assert neg_symmetric(rho_closed(lattice, mp_mul(x, y))) == op_x * op_y, (gram, x, y)
             assert op_x.is_unitary()
         s, z = rho_S(form), rho_Z(form)
         st = s * rho_T(form)
         assert s * s == z and st * st * st == z and (z * z * z * z).is_identity()
+
+
+# Even blocks of rank 1 and 2, with |det| 1 to 75, summed into lattices of
+# rank <= 4 and Delta <= 300.
+EVEN_BLOCKS = ([[2]], [[-2]], [[4]], [[6]], [[-10]], [[12]], [[2, 1], [1, 2]],
+               [[2, 1], [1, 4]], [[0, 1], [1, 0]], [[0, 2], [2, 0]], [[2, 1], [1, -2]],
+               [[-4, 2], [2, -4]], [[6, 3], [3, 6]], A2_5, [[4, 1], [1, -4]])
+
+
+@settings(max_examples=12, deadline=None)
+@example([A2_5, [[4]]], [(0, 1, 2), (1, 2, -1), (2, 0, 1), (0, 2, 2)],
+         [True, False, True, False], 28, 5)
+@example([[[6, 3], [3, 6]], [[2]], [[-4]]], [(2, 0, 1), (0, 1, -2), (1, 2, 1), (3, 1, 1)],
+         [False, True, True, False], -6, 5)
+@example([[[2, 1], [1, -2]], [[6]], [[-10]]], [(0, 2, 1), (2, 1, 2), (1, 0, -1), (0, 3, 1)],
+         [True, True, False, False], 14, -3)
+@example([[[12]], [[-2]], [[2, 1], [1, 4]]], [(0, 3, 1), (3, 1, -1), (1, 2, 2), (2, 0, 1)],
+         [False, False, True, True], 20, 9)
+@given(st.lists(st.sampled_from(EVEN_BLOCKS), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)),
+                max_size=8),
+       st.lists(st.booleans(), min_size=4, max_size=4),
+       st.integers(-40, 40), st.integers(-40, 40))
+def test_closed_formula_is_isometry_equivariant(blocks, moves, flips, c, d):
+    # U, a product of elementary column moves and sign changes, maps
+    # G' = U^T G U to G by v' -> U v', which induces an isometry
+    # sigma: D' -> D; rho_G'(x) = P_sigma^-1 rho_G(x) P_sigma exactly, and
+    # the basis-invariant data agree.  No oracle: Delta reaches 300.
+    lattice = reduce(direct_sum, map(GramLattice, blocks))
+    gram, m = lattice.gram, lattice.rank
+    assume(m <= 4 and gcd(c, d) == 1)
+    assume(lattice.delta() <= 300)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for i, j, k in moves:
+        if i % m != j % m:
+            for row in u:
+                row[i % m] += k * row[j % m]
+    u = [[-a if flip else a for a, flip in zip(row, flips)] for row in u]
+    moved = GramLattice([[sum(u[k][i] * gram[k][l] * u[l][j] for k in range(m) for l in range(m))
+                          for j in range(m)] for i in range(m)])
+    form, other = lattice.discriminant_form(), moved.discriminant_form()
+    sigma = [form.index(class_of_dual_vector(form, [sum(map(mul, row, v)) for row in u]))
+             for v in (lift(other, g) for g in other.elements())]
+    assert sorted(sigma) == list(range(form.delta))
+    mat = bezout_sl2(c, d)
+    for eps in (1, -1):
+        x = MpElement(mat, eps)
+        op, image = neg_symmetric(rho_closed(lattice, x)), rho_closed(moved, x)
+        assert (image.coeff, image.level) == (op.coeff, op.level), (gram, u, mat)
+        assert image.phases == [[op.phases[si][sj] for sj in sigma] for si in sigma], \
+            (gram, u, mat)
+    for p in sorted(interesting_primes(lattice) | {2}):
+        assert weil_index_lattice(moved, p) == weil_index_lattice(lattice, p)
+    assert kernel_descriptor(moved) == kernel_descriptor(lattice)
+    n = lattice.level()
+    for k, t in ((k, t) for k in (1, -2) for t in (d, 2 * d + 1) if gcd(n * k, t) == 1):
+        y = MpElement(bezout_sl2(n * k, t), (1, -1)[k % 2])
+        assert phi_char(moved, y) == phi_char(lattice, y)
 
 
 # Each snippet corrupts one invariant; the check must still raise under -O.
@@ -1213,15 +1285,19 @@ _CORRUPTIONS = {
         lattice.smith_normal_form([[0, 0], [0, 0]])
     """),
     "smith orders": ("ArithmeticError", """
-        from exactweil.lattice import DiscriminantForm, GramLattice
+        from exactweil.lattice import GramLattice
         GramLattice.delta = lambda self: 7
-        DiscriminantForm(GramLattice([[2]]))
+        GramLattice([[2]]).discriminant_form()
     """),
     "odd level": ("ArithmeticError", """
         from exactweil import lattice
-        from exactweil.lattice import DiscriminantForm, GramLattice
+        from exactweil.lattice import GramLattice
         lattice.smith_normal_form = lambda rows: ([[1]], [[1]], [[2]])
-        DiscriminantForm(GramLattice([[1]]))
+        GramLattice([[1]]).discriminant_form()
+    """),
+    "local gram division": ("ArithmeticError: 1/6 is not a value", """
+        from exactweil.lattice import DiscriminantForm
+        DiscriminantForm((2,), [[1]], [1], 6).p_part(2)
     """),
     "jordan blocks": ("ArithmeticError", """
         from fractions import Fraction
@@ -1316,7 +1392,9 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     # the operator product, in each operand combination, and its checks
     st = s_op * rho_T(form)
     (st * st).is_identity(), (st * s_op) == s_op * st, s_op.is_unitary()
-    weilrep_mod._fourier(form, form.elements(), coeff, form.pairing_table())
+    weilrep_mod._fourier(form, coeff)
+    part = form.p_part(2)
+    weilrep_mod._t_diagonal(part), weilrep_mod._fourier(part, coeff)
 
 
 def test_no_assert_statements_in_src():
