@@ -214,19 +214,9 @@ def decompose(mat: SL2, step: int) -> Tuple[Word, MpElement]:
     return word, achieved
 
 
-def decompose_ST(mat: SL2) -> Word:
-    """A word in T-powers and S^(+-1) multiplying out to the matrix."""
-    return decompose(mat, 1)[0]
-
-
 def gamma_odd_member(mat: SL2) -> bool:
     """Membership in the group where ac and bd are both even."""
     return (mat.a * mat.c) % 2 == 0 and (mat.b * mat.d) % 2 == 0
-
-
-def decompose_T2S(mat: SL2) -> Word:
-    """A word in even T-powers and S^(+-1); input must have ac, bd even."""
-    return decompose(mat, 2)[0]
 
 
 # -- lifts --------------------------------------------------------------

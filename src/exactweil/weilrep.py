@@ -22,23 +22,26 @@ The routes share no formulas, so their exact agreement is the central
 correctness check of the package.  Odd lattices are supported on the index-3
 parity subgroup (ac and bd even), where T^2 and S generate.
 
-The closed formula, T, S, Z and their p-parts all have one shape: a single
-scalar times e(k/N) in every nonzero cell.  They are built as a
-PhaseOperator, which stores the scalar once and the phases k as one integer
-table, with ZERO_PHASE marking the zero cells; the integers are read from
-the form's element tables (N q(gamma) and the pairing rows).  T and S on a
-p-part come from the same two builders as on the whole form, applied to the
-p-part, a DiscriminantForm with its own coordinates and level N_p.  Identity and
-equality tests, the tensor product over the p-parts and the JSON encoding
-work on those integers.  The word oracle returns its product as it is
-built, a RingOperator: one scalar times the packed group-ring cells.  Its
-equality with a phase operator of the same level compares integer vectors
-reduced mod Phi_N and checks one scalar.  The one operator product, A * B,
-runs in that packed group ring through the oracle's S-step kernel
-(_fold_products) and gives a RingOperator; unitarity is
-(A * A.adjoint()).is_identity().  Dense ExactScalar cells (to_weil(),
-`entries`) are built only on demand, and never multiplied.  Operator
-equality is exact and the tests use it with zero tolerance.
+Every operator has one shape, a WeilOperator: a single scalar times a
+matrix over the group ring Z[x]/(x^N - 1), N the level, read at x = zeta_N.
+The closed formula, T, S, Z and their p-parts have e(k/N) in every nonzero
+cell.  They are built as a PhaseOperator, which stores the scalar once and
+the phases k as one integer table, with ZERO_PHASE marking the zero cells;
+the integers are read from the form's element tables (N q(gamma) and the
+pairing rows).  T and S on a p-part come from the same two builders as on
+the whole form, applied to the p-part, a DiscriminantForm with its own
+coordinates and level N_p.  Identity and equality tests, the tensor product
+over the p-parts and the JSON encoding work on those integers.  The word
+oracle returns its product as it is built, a RingOperator: one scalar times
+the packed group-ring cells.  Its equality with a phase operator of the same
+level compares integer vectors reduced mod Phi_N and checks one scalar; any
+other pair of operators compares the scalars of each distinct pair of cell
+keys once.  The one operator product, A * B, runs in that packed group ring
+through the oracle's S-step kernel (_fold_products) and gives a
+RingOperator; unitarity is (A * A.adjoint()).is_identity().  `entries`, the
+cells as ExactScalars, is a view built on every read and never kept or
+multiplied.  Operator equality is exact and the tests use it with zero
+tolerance.
 """
 
 from __future__ import annotations
@@ -68,40 +71,75 @@ ZERO_PHASE = -1
 
 
 class WeilOperator:
-    """A square matrix over ExactScalar in the canonical basis (e_gamma).
+    """One scalar `coeff` times a matrix over Z[x]/(x^N - 1), N = level, read
+    at x = zeta_N, in the canonical basis (e_gamma): the one shape of every
+    operator, a PhaseOperator or a RingOperator.
 
-    `labels` lists the basis elements in order; entry [i][j] is the
+    `labels` lists the basis elements in order; cell (i, j) is the
     coefficient of e_{labels[i]} in the image of e_{labels[j]}.  Full-space
     operators are labelled by DiscriminantForm.elements(); the p-part
-    generator matrices are labelled by the p-part elements.
+    generator matrices are labelled by the p-part elements.  A subclass
+    gives _cell_table, the cells' scalars by key and the key of every cell,
+    and its cells at x = 1 (_sums) and packed at a width (_packed).
+
+    A * B is a RingOperator with scalar A.coeff * B.coeff, multiplied with
+    packed cells.  Its nonnegative coefficients are at most their cell's
+    value at x = 1, the sum over l of s_A(i, l) s_B(l, j) for the operands'
+    cell sums s; B bits hold the largest, and each cell must sum to exactly
+    its value.
     """
 
-    __slots__ = ("labels", "dim", "entries", "form", "_index")
+    __slots__ = ("labels", "dim", "form", "coeff", "level", "_index")
 
-    def __init__(self, labels: Sequence[DFElement],
-                 entries: List[List[ExactScalar]],
-                 form: Optional[DiscriminantForm] = None):
+    def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
+                 form: Optional[DiscriminantForm]):
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.entries = entries
-        self.form = form
+        self.coeff, self.level, self.form = coeff, level, form
         self._index: Optional[Dict[DFElement, int]] = None
 
     @staticmethod
-    def identity(labels: Sequence[DFElement],
-                 form: Optional[DiscriminantForm] = None) -> "WeilOperator":
+    def identity(labels: Sequence[DFElement], form: Optional[DiscriminantForm] = None,
+                 level: int = 1) -> "PhaseOperator":
+        """The identity on `labels`: phase 0 on the diagonal, at `level`."""
         n = len(labels)
-        ent = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        return WeilOperator(labels, ent, form)
+        phases = [[0 if i == j else ZERO_PHASE for j in range(n)] for i in range(n)]
+        return PhaseOperator(labels, _ONE, level, phases, form)
 
     def index_of(self, elem: DFElement) -> int:
         if self._index is None:
             self._index = {g: i for i, g in enumerate(self.labels)}
         return self._index[elem]
 
-    def to_weil(self) -> "WeilOperator":
-        """The dense form of the operator: this one."""
-        return self
+    def __mul__(self, other) -> "RingOperator":
+        if not isinstance(other, WeilOperator):
+            return NotImplemented
+        if other.labels != self.labels or other.form is not self.form \
+                or other.level != self.level:
+            raise ValueError("an operator product needs one form and one level")
+        n, dim = self.level, self.dim
+        require_dense(dim, dim * dim * (n - 1))
+        expected = _table_product(self._sums(), other._sums())
+        width = _product_width(expected, self, other)
+        rows = self._packed(width)
+        if isinstance(other, PhaseOperator):
+            # a cell of `other` is x^k: shift by kB, and drop the zero cells
+            cols = list(zip(*other.phases))
+            masks = [[k != ZERO_PHASE for k in col] for col in cols]
+            shifts = [[k * width for k in col if k != ZERO_PHASE] for col in cols]
+            ring = _fold_products(rows, shifts, n * width, lshift, masks)
+        else:
+            ring = _fold_products(rows, list(zip(*other._packed(width))), n * width, mul)
+        out = RingOperator(self.labels, self.coeff * other.coeff, n, width, ring, self.form)
+        out._require_sums(expected)
+        return out
+
+    @property
+    def entries(self) -> List[List[ExactScalar]]:
+        """The cells as ExactScalars, one object per distinct cell key, built
+        from _cell_table() on every read; read it once, outside a loop."""
+        cells, table = self._cell_table()
+        return [list(map(cells.__getitem__, keys)) for keys in table]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeilOperator):
@@ -110,26 +148,24 @@ class WeilOperator:
             return False
         if isinstance(other, PhaseOperator):
             return other._same_cells(self)
-        return self._same_cells(other)
+        if isinstance(self, PhaseOperator):
+            return self._same_cells(other)
+        return self._same_values(other)
 
-    def _same_cells(self, other: "WeilOperator") -> bool:
-        """Cell-wise equality with a dense operator of the same labels."""
-        return all(x == y for row, other_row in zip(self.entries, other.entries)
-                   for x, y in zip(row, other_row))
+    def _same_values(self, other: "WeilOperator") -> bool:
+        """Cell-wise equality of the scalars: each distinct pair of cell keys
+        of the two _cell_table()s is compared once."""
+        cells, table = self._cell_table()
+        other_cells, other_table = other._cell_table()
+        pairs = set()
+        for keys, other_keys in zip(table, other_table):
+            pairs.update(zip(keys, other_keys))
+        return all(cells[k] == other_cells[m] for k, m in pairs)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return "%s(dim=%d)" % (type(self).__name__, self.dim)
-
-    def _cell_table(self) -> Tuple[dict, List[list]]:
-        """(scalar by key, the key of every cell): the key of a cell is the
-        id of its scalar object, which cells often share."""
-        table = [list(map(id, row)) for row in self.entries]
-        cells: dict = {}
-        for keys, row in zip(table, self.entries):
-            cells.update(zip(keys, row))
-        return cells, table
+        return "%s(dim=%d, level=%d)" % (type(self).__name__, self.dim, self.level)
 
     def to_json(self, precision_bits: Optional[int] = None) -> dict:
         """{"dim", "entries"} and, with precision_bits, "entries_numeric".
@@ -170,64 +206,7 @@ def _numeric_cells(cells: dict, table: List[list], precision_bits: int) -> List[
     return [[mid[:] for mid in map(numeric.__getitem__, keys)] for keys in table]
 
 
-class _DenseOnDemand(WeilOperator):
-    """One scalar `coeff` times a matrix over Z[x]/(x^N - 1), N = level, read
-    at x = zeta_N; `entries` is the cell matrix of to_weil(), built from
-    _cell_table() on first use and kept.
-
-    A * B is a RingOperator with scalar A.coeff * B.coeff, multiplied with
-    packed cells.  Its nonnegative coefficients are at most their cell's
-    value at x = 1, the sum over l of s_A(i, l) s_B(l, j) for the operands'
-    cell sums s; B bits hold the largest, and each cell must sum to exactly
-    its value.
-    """
-
-    __slots__ = ("coeff", "level", "_dense")
-
-    def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
-                 form: Optional[DiscriminantForm]):
-        self.labels = list(labels)
-        self.dim = len(self.labels)
-        self.coeff, self.level, self.form = coeff, level, form
-        self._index = self._dense = None
-
-    def __mul__(self, other) -> "RingOperator":
-        if not isinstance(other, _DenseOnDemand):
-            return NotImplemented
-        if other.labels != self.labels or other.form is not self.form \
-                or other.level != self.level:
-            raise ValueError("an operator product needs one form and one level")
-        n, dim = self.level, self.dim
-        require_dense(dim, dim * dim * (n - 1))
-        expected = _table_product(self._sums(), other._sums())
-        width = _product_width(expected, self, other)
-        rows = self._packed(width)
-        if isinstance(other, PhaseOperator):
-            # a cell of `other` is x^k: shift by kB, and drop the zero cells
-            cols = list(zip(*other.phases))
-            masks = [[k != ZERO_PHASE for k in col] for col in cols]
-            shifts = [[k * width for k in col if k != ZERO_PHASE] for col in cols]
-            ring = _fold_products(rows, shifts, n * width, lshift, masks)
-        else:
-            ring = _fold_products(rows, list(zip(*other._packed(width))), n * width, mul)
-        out = RingOperator(self.labels, self.coeff * other.coeff, n, width, ring, self.form)
-        out._require_sums(expected)
-        return out
-
-    @property
-    def entries(self) -> List[List[ExactScalar]]:
-        return self.to_weil().entries
-
-    def to_weil(self) -> WeilOperator:
-        """The dense form, one ExactScalar object per distinct cell key."""
-        if self._dense is None:
-            cells, table = self._cell_table()
-            ent = [list(map(cells.__getitem__, keys)) for keys in table]
-            self._dense = WeilOperator(self.labels, ent, self.form)
-        return self._dense
-
-
-class PhaseOperator(_DenseOnDemand):
+class PhaseOperator(WeilOperator):
     """coeff * e(phases[i][j] / level) at cell (i, j), and zero where the
     phase is ZERO_PHASE.
 
@@ -290,15 +269,12 @@ class PhaseOperator(_DenseOnDemand):
                    for i, row in enumerate(self.phases))
 
     def _same_cells(self, other: WeilOperator) -> bool:
+        """Equality on integers where they decide it: with a ring operator of
+        the same level, and with a phase operator by one phase offset."""
         if isinstance(other, RingOperator) and other.level == self.level:
             return other._same_phases(self)
         if not isinstance(other, PhaseOperator):
-            # Compare each distinct (phase, cell object) pair once.
-            pairs: dict = {}
-            for keys, row in zip(self.phases, other.entries):
-                pairs.update(zip(zip(keys, map(id, row)), row))
-            cells, _ = self._cell_table()
-            return all(cells[k] == x for (k, _), x in pairs.items())
+            return self._same_values(other)
         # c1 e(k1/N1) = c2 e(k2/N2) on every nonzero cell: the zero patterns
         # agree, k1 - k2 is one delta mod L = lcm(N1, N2), c2 = c1 e(delta/L).
         big = lcm(self.level, other.level)
@@ -316,9 +292,6 @@ class PhaseOperator(_DenseOnDemand):
                 elif k != delta:
                     return False
         return delta is None or other.coeff == self.coeff * root_of_unity(delta, big)
-
-    def __repr__(self) -> str:
-        return "PhaseOperator(dim=%d, level=%d)" % (self.dim, self.level)
 
 
 # -- generator matrices ----------------------------------------------------
@@ -498,7 +471,7 @@ def _group_ring_product(form: DiscriminantForm,
     return ent, steps[1], steps[-1], width
 
 
-class RingOperator(_DenseOnDemand):
+class RingOperator(WeilOperator):
     """coeff * ring[i][j] at cell (i, j), each cell an element of the group
     ring Z[x]/(x^N - 1) read at x = zeta_N, N = level, with coefficient t in
     bits [tB, (t+1)B), B = width: the product of a generator word as
@@ -507,7 +480,7 @@ class RingOperator(_DenseOnDemand):
     `coeffs` maps each distinct packed cell to its N coefficients, unpacked
     once here.  Equality with a phase operator of the same level, the
     identity test and the cell sums at x = 1 run on these integers; the
-    ExactScalar cells are built only for `entries`, to_weil(), to_json() and
+    ExactScalar cells are built only for `entries`, to_json() and
     comparisons with other operators.
     """
 
@@ -547,9 +520,7 @@ class RingOperator(_DenseOnDemand):
                                   "a packed coefficient carried")
 
     def is_identity(self) -> bool:
-        n = self.dim
-        phases = [[0 if i == j else ZERO_PHASE for j in range(n)] for i in range(n)]
-        return self._same_phases(PhaseOperator(self.labels, _ONE, self.level, phases, self.form))
+        return self._same_phases(WeilOperator.identity(self.labels, self.form, self.level))
 
     def _same_phases(self, op: PhaseOperator) -> bool:
         """Cell-wise equality with a phase operator of the same level N.
@@ -576,9 +547,6 @@ class RingOperator(_DenseOnDemand):
             elif r != common:
                 return False
         return common is None or self.coeff * from_powers(common, n) == op.coeff
-
-    def __repr__(self) -> str:
-        return "RingOperator(dim=%d, level=%d)" % (self.dim, self.level)
 
 
 def rho_oracle(lattice: GramLattice, x: MpElement) -> RingOperator:

@@ -7,15 +7,17 @@ matrix alone.  r0_direct sums the r0 character over M/cM with those lifts,
 and xc_phase reads chi_2(a/c x_c^2/2) off the oddity of the component of
 x_c.  peel_by_fraction and word_mp_by_cocycle are the word decomposition and
 the metaplectic sign of a word through SL2 products, round() on a Fraction
-and the general Kubota cocycle.  dense_product multiplies dense operators
-naively, one scalar_sum per cell, with no group ring: the reference for the
-operator product.
+and the general Kubota cocycle.  DenseOperator is a matrix of ExactScalar
+cells, compared cell by cell: the reference for every operator's equality,
+identity test and JSON.  dense_product multiplies dense operators naively,
+one scalar_sum per cell, with no group ring: the reference for the operator
+product.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from exactweil.exact import ExactScalar, from_rational, root_of_unity, scalar_sum, sqrt_rat
 from exactweil.jordan import BRUTE_CAP, JordanDecomposition, choose_xc
@@ -24,42 +26,83 @@ from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
                                smith_normal_form)
 from exactweil.metaplectic import MP_ONE, MP_S, SL2, MpElement, Word, mp_inv, mp_mul
 from exactweil.numth import _unit_mod, valuation_split
-from exactweil.weilrep import WeilOperator
 
 Vector = Tuple[Fraction, ...]
 
 
+class DenseOperator:
+    """A square matrix of ExactScalar cells in the canonical basis (e_gamma):
+    entry [i][j] is the coefficient of e_{labels[i]} in the image of
+    e_{labels[j]}.  It equals anything with the same labels and the same
+    cells, a WeilOperator included, compared cell by cell."""
+
+    def __init__(self, labels: Sequence[DFElement], entries: List[List[ExactScalar]],
+                 form: Optional[DiscriminantForm] = None):
+        self.labels = list(labels)
+        self.dim = len(self.labels)
+        self.entries = entries
+        self.form = form
+
+    def index_of(self, elem: DFElement) -> int:
+        return self.labels.index(elem)
+
+    def __eq__(self, other) -> bool:
+        if not hasattr(other, "entries"):
+            return NotImplemented
+        return self.labels == other.labels and all(
+            x == y for row, other_row in zip(self.entries, other.entries)
+            for x, y in zip(row, other_row))
+
+    def to_json(self, precision_bits: Optional[int] = None) -> dict:
+        """The package's operator JSON, encoded and evaluated cell by cell."""
+        out = {"dim": self.dim, "entries": [[x.to_json() for x in row] for row in self.entries]}
+        if precision_bits is not None:
+            out.update(self.to_numeric_json(precision_bits))
+        return out
+
+    def to_numeric_json(self, precision_bits: int) -> dict:
+        boxes = [[x.eval_numeric(precision_bits) for x in row] for row in self.entries]
+        return {"dim": self.dim,
+                "entries_numeric": [[[float(b.real_mid), float(b.imag_mid)] for b in row]
+                                    for row in boxes]}
+
+
+def dense(op) -> DenseOperator:
+    """The cells of an operator, read once through its `entries` view."""
+    return DenseOperator(op.labels, op.entries, op.form)
+
+
 def dense_identity(form: DiscriminantForm, scalar: ExactScalar = from_rational(1)
-                   ) -> WeilOperator:
+                   ) -> DenseOperator:
     """scalar times the identity on form.elements(), as a dense operator."""
     elems = form.elements()
     zero = from_rational(0)
-    return WeilOperator(elems, [[scalar if g == h else zero for h in elems] for g in elems],
-                        form)
+    return DenseOperator(elems, [[scalar if g == h else zero for h in elems] for g in elems],
+                         form)
 
 
-def dense_is_identity(op: WeilOperator) -> bool:
+def dense_is_identity(op: DenseOperator) -> bool:
     one, zero = from_rational(1), from_rational(0)
     return all(x == (one if i == j else zero)
                for i, row in enumerate(op.entries) for j, x in enumerate(row))
 
 
-def dense_scale(op: WeilOperator, scalar: ExactScalar) -> WeilOperator:
-    return WeilOperator(op.labels, [[scalar * x for x in row] for row in op.entries], op.form)
+def dense_scale(op: DenseOperator, scalar: ExactScalar) -> DenseOperator:
+    return DenseOperator(op.labels, [[scalar * x for x in row] for row in op.entries], op.form)
 
 
-def dense_adjoint(op: WeilOperator) -> WeilOperator:
+def dense_adjoint(op: DenseOperator) -> DenseOperator:
     """The conjugate transpose, cell by cell."""
-    return WeilOperator(op.labels, [[x.conjugate() for x in col] for col in zip(*op.entries)],
-                        op.form)
+    return DenseOperator(op.labels, [[x.conjugate() for x in col] for col in zip(*op.entries)],
+                         op.form)
 
 
-def dense_product(a: WeilOperator, b: WeilOperator) -> WeilOperator:
+def dense_product(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """The matrix product of the dense forms, cell (i, j) the scalar_sum of
     a[i][l] * b[l][j] over l."""
     left, right = a.entries, list(zip(*b.entries))
-    return WeilOperator(a.labels, [[scalar_sum(x * y for x, y in zip(row, col)) for col in right]
-                                   for row in left], a.form)
+    return DenseOperator(a.labels, [[scalar_sum(x * y for x, y in zip(row, col))
+                                     for col in right] for row in left], a.form)
 
 
 def e(x: Fraction) -> ExactScalar:
@@ -121,7 +164,7 @@ def subsets_c(df: DiscriminantForm, c: int) -> Tuple[List[DFElement], List[DFEle
     return list(product(*kernel_steps)), list(product(*image_steps))
 
 
-def r0_direct(lattice: GramLattice, mat: SL2) -> WeilOperator:
+def r0_direct(lattice: GramLattice, mat: SL2) -> DenseOperator:
     """The character sum over M/cM; equals rho_M up to one scalar.
 
     Entry (delta, gamma) is the sum of
@@ -157,7 +200,7 @@ def r0_direct(lattice: GramLattice, mat: SL2) -> WeilOperator:
                        + Fraction(a, c) * qv)
                      for vec, qv in shifted]
             ent[i][j] = norm * scalar_sum(terms)
-    return WeilOperator(elems, ent, form)
+    return DenseOperator(elems, ent, form)
 
 
 def xc_phase(decomp: JordanDecomposition, a: int, c: int) -> ExactScalar:

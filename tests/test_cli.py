@@ -71,11 +71,11 @@ def test_run_rho_matches_generator():
     lattice = parse_lattice("[[2]]")
     payload, code = run(Request("rho", lattice, matrix=parse_matrix("0,-1,1,0")))
     assert code == EXIT_OK
-    expected = rho_S(lattice.discriminant_form())
+    expected = rho_S(lattice.discriminant_form()).entries
     for i in range(2):
         for j in range(2):
             cell = ExactScalar.from_json(payload["entries"][i][j])
-            assert cell == expected.entries[i][j]
+            assert cell == expected[i][j]
             # every emitted scalar re-parses bit-exactly
             assert ExactScalar.from_json(cell.to_json()) == cell
     assert payload["labels"] == [[0], [1]]
@@ -315,14 +315,10 @@ def test_cli_verify_fails_under_optimize():
     code = textwrap.dedent("""
         import json
         from exactweil import checks, cli
-        from exactweil.exact import from_rational
         from exactweil.weilrep import WeilOperator
         def wrong_oracle(lattice, x):
             form = lattice.discriminant_form()
-            elems = form.elements()
-            one, zero = from_rational(1), from_rational(0)
-            return WeilOperator(elems, [[one if g == h else zero for h in elems]
-                                        for g in elems], form)
+            return WeilOperator.identity(form.elements(), form)
         checks.rho_oracle = wrong_oracle
         payload, code = cli.run(cli.Request("verify", cli.parse_lattice("[[2]]")))
         print(json.dumps({"payload": payload, "code": code}))

@@ -21,8 +21,7 @@ from exactweil.metaplectic import (
     SL2,
     T_MAT,
     cgxde_form,
-    decompose_ST,
-    decompose_T2S,
+    decompose,
     gamma4_lift,
     gamma_odd_member,
     i_map,
@@ -167,7 +166,7 @@ def test_generator_relations():
 @given(word_strategy(max_len=9))
 def test_decompose_ST_reproduces_matrix(word):
     mat = word_mp(word).mat
-    out = decompose_ST(mat)
+    out = decompose(mat, 1)[0]
     assert word_mp(out).mat == mat
     assert all(kind in ("T", "S") for kind, _ in out)
 
@@ -181,7 +180,7 @@ def test_decompose_ST_large_entries():
         if math.gcd(c, d) != 1:
             continue
         mat = bezout_sl2(c, d)
-        word = decompose_ST(mat)
+        word = decompose(mat, 1)[0]
         assert word_mp(word).mat == mat
         # Euclidean peeling keeps words logarithmic in the entries
         assert len(word) < 120
@@ -189,10 +188,10 @@ def test_decompose_ST_large_entries():
 
 
 def test_decompose_ST_base_cases():
-    assert decompose_ST(IDENTITY) == []
-    assert decompose_ST(SL2(1, 5, 0, 1)) == [("T", 5)]
-    assert word_mp(decompose_ST(SL2(-1, 0, 0, -1))).mat == SL2(-1, 0, 0, -1)
-    assert word_mp(decompose_ST(S_MAT)).mat == S_MAT
+    assert decompose(IDENTITY, 1)[0] == []
+    assert decompose(SL2(1, 5, 0, 1), 1)[0] == [("T", 5)]
+    assert word_mp(decompose(SL2(-1, 0, 0, -1), 1)[0]).mat == SL2(-1, 0, 0, -1)
+    assert word_mp(decompose(S_MAT, 1)[0]).mat == S_MAT
 
 
 def test_peel_rounds_half_ties_like_fraction_round():
@@ -239,7 +238,7 @@ def test_word_mp_matches_the_cocycle_chain():
         for d in range(-4, 5):
             if math.gcd(c, d) != 1:
                 continue
-            word = decompose_ST(bezout_sl2(c, d))
+            word = decompose(bezout_sl2(c, d), 1)[0]
             for token in (("T", 3), ("S", 1), ("S", -1)):
                 assert word_mp(word + [token]) == word_mp_by_cocycle(word + [token])
 
@@ -285,7 +284,7 @@ def test_gamma_odd_membership():
 def test_decompose_T2S_even_words(word):
     mat = word_mp(word).mat
     assert gamma_odd_member(mat)
-    out = decompose_T2S(mat)
+    out = decompose(mat, 2)[0]
     assert word_mp(out).mat == mat
     for kind, k in out:
         if kind == "T":
@@ -294,9 +293,9 @@ def test_decompose_T2S_even_words(word):
 
 def test_decompose_T2S_rejects_odd_group_elements():
     with pytest.raises(ValueError):
-        decompose_T2S(T_MAT)
+        decompose(T_MAT, 2)[0]
     with pytest.raises(ValueError):
-        decompose_T2S(SL2(1, 0, 1, 1))
+        decompose(SL2(1, 0, 1, 1), 2)[0]
 
 
 def _half_branch_sqrt(mat, tau):

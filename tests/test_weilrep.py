@@ -39,8 +39,7 @@ from exactweil.metaplectic import (
     MpElement,
     S_MAT,
     SL2,
-    decompose_ST,
-    decompose_T2S,
+    decompose,
     gamma4_lift,
     gamma_odd_member,
     mp_inv,
@@ -69,8 +68,9 @@ from exactweil.weilrep import (
     weil_reciprocity_check,
     xi_p,
 )
-from reference import (class_of_dual_vector, dense_adjoint, dense_identity, dense_is_identity,
-                       dense_product, dense_scale, lift, r0_direct)
+from reference import (DenseOperator, class_of_dual_vector, dense, dense_adjoint,
+                       dense_identity, dense_is_identity, dense_product, dense_scale, lift,
+                       r0_direct)
 
 ONE = from_rational(1)
 A1 = GramLattice([[2]])
@@ -131,10 +131,11 @@ def gamma0_sample(rng, n):
 
 def assert_same_action(left, right):
     assert set(left.labels) == set(right.labels)
+    cells, other = left.entries, right.entries
     for g in left.labels:
         for h in left.labels:
-            assert left.entries[left.index_of(g)][left.index_of(h)] \
-                == right.entries[right.index_of(g)][right.index_of(h)]
+            assert cells[left.index_of(g)][left.index_of(h)] \
+                == other[right.index_of(g)][right.index_of(h)]
 
 
 def nonzero_element(form):
@@ -146,17 +147,18 @@ def test_rho_t_tables():
     t = rho_T(f)
     z, g = f.zero(), nonzero_element(f)
     assert t.dim == 2
-    assert t.entries[t.index_of(z)][t.index_of(z)] == ONE
-    assert t.entries[t.index_of(g)][t.index_of(g)] == root_of_unity(1, 4)
-    assert t.entries[t.index_of(z)][t.index_of(g)].is_zero()
+    cells = t.entries
+    assert cells[t.index_of(z)][t.index_of(z)] == ONE
+    assert cells[t.index_of(g)][t.index_of(g)] == root_of_unity(1, 4)
+    assert cells[t.index_of(z)][t.index_of(g)].is_zero()
     assert rho_T(UL.discriminant_form()).is_identity()
-    t2 = rho_T(A2.discriminant_form())
-    diag = [t2.entries[i][i] for i in range(3)]
+    cells = rho_T(A2.discriminant_form()).entries
+    diag = [cells[i][i] for i in range(3)]
     assert diag.count(ONE) == 1
     assert diag.count(root_of_unity(1, 3)) == 2
     for i in range(3):
         for j in range(3):
-            assert i == j or t2.entries[i][j].is_zero()
+            assert i == j or cells[i][j].is_zero()
     with pytest.raises(ValueError):
         rho_T(ODD1.discriminant_form())
 
@@ -167,10 +169,11 @@ def test_rho_s_tables():
     z, g = f.zero(), nonzero_element(f)
     iz, ig = s.index_of(z), s.index_of(g)
     c8 = root_of_unity(-1, 8) * sqrt_rat(Fraction(1, 2))
-    assert s.entries[iz][iz] == c8
-    assert s.entries[iz][ig] == c8
-    assert s.entries[ig][iz] == c8
-    assert s.entries[ig][ig] == from_rational(-1) * c8
+    cells = s.entries
+    assert cells[iz][iz] == c8
+    assert cells[iz][ig] == c8
+    assert cells[ig][iz] == c8
+    assert cells[ig][ig] == from_rational(-1) * c8
     u = rho_S(UL.discriminant_form())
     assert u.dim == 1 and u.entries[0][0] == ONE
     o = rho_S(ODD1.discriminant_form())
@@ -186,9 +189,9 @@ def test_rho_z_tables():
     assert rho_Z(UL.discriminant_form()).is_identity()
     f2 = A2.discriminant_form()
     z2 = rho_Z(f2)
+    cells = z2.entries
     for g in f2.elements():
-        assert z2.entries[z2.index_of(f2.neg(g))][z2.index_of(g)] \
-            == from_rational(-1)
+        assert cells[z2.index_of(f2.neg(g))][z2.index_of(g)] == from_rational(-1)
 
 
 def test_generator_relations():
@@ -238,8 +241,8 @@ def dense_word_product(lattice, x):
     of x, with the sign correction: the reference for rho_oracle."""
     form = lattice.discriminant_form()
     elems = form.elements()
-    word = decompose_ST(x.mat) if lattice.is_even else decompose_T2S(x.mat)
-    s = rho_S(form).to_weil()
+    word = decompose(x.mat, 1 if lattice.is_even else 2)[0]
+    s = dense(rho_S(form))
     op = dense_identity(form)
     for sym, k in word:
         if sym == "S":
@@ -247,7 +250,7 @@ def dense_word_product(lattice, x):
             for _ in range(abs(k)):
                 op = dense_product(op, factor)
         elif lattice.is_even:
-            t = rho_T(form).to_weil() if k > 0 else dense_adjoint(rho_T(form).to_weil())
+            t = dense(rho_T(form)) if k > 0 else dense_adjoint(dense(rho_T(form)))
             for _ in range(abs(k)):
                 op = dense_product(op, t)
         else:
@@ -327,7 +330,7 @@ def test_packed_product_equals_gather_product():
         form = lattice.discriminant_form()
         n = form.level
         for x in elements:
-            word = decompose_ST(x.mat) if lattice.is_even else decompose_T2S(x.mat)
+            word = decompose(x.mat, 1 if lattice.is_even else 2)[0]
             ring, n_plus, n_minus, width = _group_ring_product(form, word)
             ref, ref_plus, ref_minus = gather_group_ring_product(form, word)
             assert (n_plus, n_minus) == (ref_plus, ref_minus)
@@ -346,7 +349,7 @@ def packed_cells_as_dense(op):
     mask = (1 << width) - 1
     cells = {v: op.coeff * from_powers([v >> t & mask for t in range(0, n * width, width)], n)
              for row in op.ring for v in row}
-    return WeilOperator(op.labels, [[cells[v] for v in row] for row in op.ring], op.form)
+    return DenseOperator(op.labels, [[cells[v] for v in row] for row in op.ring], op.form)
 
 
 def ring_equality_cases():
@@ -386,8 +389,8 @@ def phase_corruptions(op, rng):
 
 def test_ring_equality_agrees_with_dense_equality(monkeypatch):
     # closed == oracle and oracle == closed on integers, against the dense
-    # comparison of the two to_weil() forms, for the true closed operator and
-    # its corruptions; a same-level comparison builds no dense cell.
+    # comparison of the two operators' cells, for the true closed operator
+    # and its corruptions; a same-level comparison builds no dense cell.
     rng = random.Random(26)
 
     def no_cells(self):
@@ -404,19 +407,86 @@ def test_ring_equality_agrees_with_dense_equality(monkeypatch):
             patch.setattr(RingOperator, "_cell_table", no_cells)
             patch.setattr(PhaseOperator, "_cell_table", no_cells)
             answers = [(cand == oracle, oracle == cand) for _, cand in cands]
-        dense = oracle.to_weil()
+        ref = dense(oracle)
         for (name, cand), got in zip(cands, answers):
-            expected = cand.to_weil() == dense
+            expected = dense(cand) == ref
             assert got == (expected, expected), (lattice.gram, x.mat, x.eps, name)
             unequal += not expected
             if name == "true":
                 assert expected
             elif name != "eps flipped" and (name != "phase + 1" or closed.level > 1):
                 assert not expected, (lattice.gram, x.mat, x.eps, name)
-        # another level: the same operator at level 2N takes the dense comparison
+        # another level: the same operator at level 2N compares cell scalars
         other = shifted(closed, rng.randrange(closed.level), 2)
-        assert (other == oracle) and (oracle == other) and other.to_weil() == dense
+        assert (other == oracle) and (oracle == other) and dense(other) == ref
     assert unequal > 1000
+
+
+def rotated(op, k):
+    """A RingOperator equal to op: its scalar times e(k/N), and each packed
+    cell times x^-k."""
+    n, width = op.level, op.width
+    low = (1 << n * width) - 1
+    ring = [[v >> k * width | v << (n - k) * width & low for v in row] for row in op.ring]
+    return RingOperator(op.labels, op.coeff * root_of_unity(k, n), n, width, ring, op.form)
+
+
+def ring_corruptions(op, rng):
+    """(name, operator): op with the constant coefficient of one packed cell
+    moved by one, and with its scalar negated."""
+    i, j = rng.randrange(op.dim), rng.randrange(op.dim)
+    ring = [row[:] for row in op.ring]
+    ring[i][j] ^= 1
+    yield "one cell", RingOperator(op.labels, op.coeff, op.level, op.width, ring, op.form)
+    yield "coeff negated", RingOperator(op.labels, -op.coeff, op.level, op.width, op.ring,
+                                        op.form)
+
+
+def test_value_equality_agrees_with_dense_equality(monkeypatch):
+    # The pairs no integer path decides, each compared by its cell scalars:
+    # two ring operators with different scalars, and a phase or a ring
+    # operator at level 2N against the oracle at level N.  Each equals the
+    # oracle, and one changed cell or a changed scalar breaks that, as the
+    # dense comparison of the cells says.
+    def no_phase_path(self, op):
+        raise AssertionError("an integer path compared operators it cannot decide")
+
+    rng = random.Random(30)
+    unequal = 0
+    for lattice, x in ring_equality_cases():
+        oracle = rho_oracle(lattice, x)
+        ref = dense(oracle)
+        n = oracle.level
+        phase = shifted(rho_closed(lattice, x), rng.randrange(n), 2)
+        double = WeilOperator.identity(oracle.labels, oracle.form, 2 * n)
+        ring = rotated(oracle, rng.randrange(1, n) if n > 1 else 0)
+        assert ring.coeff != oracle.coeff or n == 1
+        cases = [(ring, ring_corruptions(ring, rng)), (phase, phase_corruptions(phase, rng)),
+                 (phase * double, ring_corruptions(phase * double, rng))]
+        for cand, corrupted in cases:
+            assert dense(cand) == ref
+            with monkeypatch.context() as patch:
+                patch.setattr(RingOperator, "_same_phases", no_phase_path)
+                assert cand == oracle and oracle == cand, (lattice.gram, x)
+                for name, bad in corrupted:
+                    assert dense(bad) != ref, name
+                    assert bad != oracle and oracle != bad, (lattice.gram, x, name)
+                    unequal += 1
+    assert unequal > 1000
+
+
+def test_identity_is_the_fourth_power_of_z():
+    for gram in EVEN_GRAMS + ODD_GRAMS + [A2_5]:
+        form = GramLattice(gram).discriminant_form()
+        one = WeilOperator.identity(form.elements(), form)
+        z = rho_Z(form)
+        z4 = z * z * z * z
+        assert isinstance(one, PhaseOperator) and one.level == 1
+        assert one.is_identity() and z4.is_identity()
+        assert one == z4 and z4 == one, gram
+        assert dense(one) == dense_identity(form) and dense(z4) == dense_identity(form)
+        minus = PhaseOperator(one.labels, -ONE, 1, one.phases, form)
+        assert minus != z4 and z4 != minus and not minus.is_identity()
 
 
 def test_oracle_walks_its_word_once_and_roots_delta_once(monkeypatch):
@@ -457,7 +527,6 @@ def test_oracle_keeps_its_product_packed():
         assert op.is_identity() == dense_is_identity(ref)
         assert [[c.to_json() for c in row] for row in op.entries] \
             == [[c.to_json() for c in row] for row in ref.entries]
-        assert type(op.to_weil()) is WeilOperator and op.to_weil() is op.to_weil()
         if op.dim <= 4:
             assert digest(op.to_json(64)) == digest(ref.to_json(64))
             assert op.to_numeric_json(64) == ref.to_numeric_json(64)
@@ -748,15 +817,14 @@ def test_r0_entry_ratio_constant():
     # of entries agree and the supports coincide.
     lattice = GramLattice([[2, 0], [0, 4]])
     mat = SL2(2, 1, 3, 2)
-    rho = rho_closed(lattice, MpElement(mat, 1))
-    r0 = r0_direct(lattice, mat)
-    pairs = [(i, j) for i in range(rho.dim) for j in range(rho.dim)]
+    op = rho_closed(lattice, MpElement(mat, 1))
+    rho, r0 = op.entries, r0_direct(lattice, mat).entries
+    pairs = [(i, j) for i in range(op.dim) for j in range(op.dim)]
     for i, j in pairs:
-        assert rho.entries[i][j].is_zero() == r0.entries[i][j].is_zero()
-    i0, j0 = next((i, j) for i, j in pairs if not rho.entries[i][j].is_zero())
+        assert rho[i][j].is_zero() == r0[i][j].is_zero()
+    i0, j0 = next((i, j) for i, j in pairs if not rho[i][j].is_zero())
     for i, j in pairs:
-        assert rho.entries[i][j] * r0.entries[i0][j0] \
-            == rho.entries[i0][j0] * r0.entries[i][j]
+        assert rho[i][j] * r0[i0][j0] == rho[i0][j0] * r0[i][j]
 
 
 def test_xi_values():
@@ -795,10 +863,10 @@ def test_column_support():
             op = rho_closed(lattice, x)
             x_c, _ = choose_xc(jordan_decompose(lattice, 2), x.mat.c)
             coset = [beta for beta, _ in form.coset_Dcstar(x.mat.c, x_c)]
+            cells = op.entries
             for g in form.elements():
                 j = op.index_of(g)
-                support = {op.labels[i] for i in range(op.dim)
-                           if not op.entries[i][j].is_zero()}
+                support = {op.labels[i] for i in range(op.dim) if not cells[i][j].is_zero()}
                 d_g = form.smul(x.mat.d, g)
                 assert support == {form.add(b, d_g) for b in coset}
 
@@ -947,20 +1015,19 @@ def digest(payload):
 
 
 def test_phase_json_equals_dense_json():
-    # The phase table, the kept dense form (one object per phase) and a dense
+    # The phase table, its `entries` view (one object per phase) and a dense
     # matrix with one scalar object per cell encode to the same bytes.
     for name, op in phase_corpus():
         assert isinstance(op, PhaseOperator)
-        dense = op.to_weil()
-        assert type(dense) is WeilOperator
+        ref = dense(op)
         plain = digest(op.to_json())
-        assert plain == digest(dense.to_json()), name
+        assert plain == digest(ref.to_json()), name
         if op.dim <= 32:
-            assert digest(op.to_json(64)) == digest(dense.to_json(64)), name
+            assert digest(op.to_json(64)) == digest(ref.to_json(64)), name
         cells = [[from_rational(0) if k == ZERO_PHASE
                   else op.coeff * root_of_unity(k, op.level) for k in row]
                  for row in op.phases]
-        unshared = WeilOperator(op.labels, cells, op.form)
+        unshared = DenseOperator(op.labels, cells, op.form)
         assert plain == digest(unshared.to_json()), name
         if op.dim <= 4:
             assert digest(op.to_json(64)) == digest(unshared.to_json(64)), name
@@ -984,7 +1051,7 @@ def test_phase_equality_agrees_with_dense_equality():
                         rng.choice((1, 2, 3)))
         assert other.coeff != op.coeff or op.level == 1
         assert op == other and other == op
-        assert op == other.to_weil() and op.to_weil() == other
+        assert op == dense(other) and dense(op) == other
         # one cell's phase moved by one, one cell switched between zero and
         # nonzero, and the scalar negated
         i, j = rng.randrange(op.dim), rng.randrange(op.dim)
@@ -994,12 +1061,12 @@ def test_phase_equality_agrees_with_dense_equality():
             phases = [row[:] for row in op.phases]
             phases[i][j] = new
             moved = PhaseOperator(op.labels, op.coeff, op.level, phases, op.form)
-            assert (op == moved) == (op.to_weil() == moved.to_weil()), (op, i, j, new)
+            assert (op == moved) == (dense(op) == dense(moved)), (op, i, j, new)
         negated = PhaseOperator(op.labels, -op.coeff, op.level, op.phases, op.form)
-        assert op != negated and op.to_weil() != negated.to_weil()
+        assert op != negated and dense(op) != dense(negated)
     for a, b in zip(ops, ops[1:]):
         if a.labels == b.labels:
-            assert (a == b) == (a.to_weil() == b.to_weil())
+            assert (a == b) == (dense(a) == dense(b))
 
 
 def base_group_sample(rng, n, modulus):
@@ -1024,18 +1091,18 @@ def test_phase_is_identity_agrees_with_dense():
             found = []
             for eps in (1, -1):
                 op = rho_closed(lattice, MpElement(mat, eps))
-                assert op.is_identity() == dense_is_identity(op.to_weil())
+                assert op.is_identity() == dense_is_identity(dense(op))
                 found.append(op.is_identity())
             assert any(found), (gram, mat)
             if desc["cover"] == "double-cover":
                 assert all(found), (gram, mat)
             x = mp_word(rng)
             op = rho_closed(lattice, x)
-            assert op.is_identity() == dense_is_identity(op.to_weil())
+            assert op.is_identity() == dense_is_identity(dense(op))
         # a scalar that is a root of unity but not the one the diagonal needs
         t = rho_T(lattice.discriminant_form())
         off = PhaseOperator(t.labels, -t.coeff, t.level, t.phases, t.form)
-        assert not off.is_identity() and not dense_is_identity(off.to_weil())
+        assert not off.is_identity() and not dense_is_identity(dense(off))
 
 
 def test_operator_product_equals_dense_reference():
@@ -1047,7 +1114,7 @@ def test_operator_product_equals_dense_reference():
             y = MpElement(y.mat, (1, -1)[k % 2] * y.eps)
             phase = rho_closed(lattice, x), rho_closed(lattice, y)
             ring = rho_oracle(lattice, x), rho_oracle(lattice, y)
-            ref = dense_product(phase[0].to_weil(), phase[1].to_weil())
+            ref = dense_product(dense(phase[0]), dense(phase[1]))
             xy = rho_closed(lattice, mp_mul(x, y))
             for a in (phase[0], ring[0]):
                 for b in (phase[1], ring[1]):
@@ -1102,9 +1169,9 @@ def test_is_unitary_agrees_with_dense():
         assert all(not b.is_unitary() for b in bad), name
         if op.dim <= 12:
             for cand, unitary in [(op, True)] + [(b, False) for b in bad]:
-                dense = cand.to_weil()
-                assert dense_is_identity(dense_product(dense, dense_adjoint(dense))) == unitary
-                assert cand.adjoint() == dense_adjoint(dense), name
+                ref = dense(cand)
+                assert dense_is_identity(dense_product(ref, dense_adjoint(ref))) == unitary
+                assert cand.adjoint() == dense_adjoint(ref), name
 
 
 def test_operator_product_checks_the_cap_before_packing(monkeypatch):
@@ -1143,9 +1210,9 @@ def test_operator_product_rejects_mixed_forms_and_levels():
         with pytest.raises(ValueError, match="one form and one level"):
             b * a
     with pytest.raises(TypeError):
-        s * s.to_weil()
+        s * dense(s)
     with pytest.raises(TypeError):
-        s.to_weil() * s
+        dense(s) * s
 
 
 def test_group_law_and_unitarity_at_large_discriminants():
@@ -1316,7 +1383,7 @@ _CORRUPTIONS = {
         from exactweil import metaplectic
         from exactweil.metaplectic import MP_ONE, SL2
         metaplectic.word_mp = lambda word: MP_ONE
-        metaplectic.decompose_ST(SL2(0, -1, 1, 0))
+        metaplectic.decompose(SL2(0, -1, 1, 0), 1)
     """),
     "x_c coset": ("ArithmeticError", """
         from exactweil.jordan import choose_xc, jordan_decompose
@@ -1346,7 +1413,8 @@ def test_operator_json_cells_are_not_aliased():
     assert out == fresh
     cells = [(i, j) for i in range(op.dim) for j in range(op.dim)]
     # the operator shares scalar objects between cells, so aliasing would show
-    assert len({id(op.entries[i][j]) for i, j in cells}) < len(cells)
+    entries = op.entries
+    assert len({id(entries[i][j]) for i, j in cells}) < len(cells)
     i, j = cells[0]
     out["entries"][i][j]["coeffs"].append("7")
     out["entries"][i][j]["order"] = -1
@@ -1383,7 +1451,7 @@ def test_phase_paths_build_no_fraction(monkeypatch):
                                      form.coset_Dcstar(0, form.zero()))
         weilrep_mod._group_ring_product(form, [("T", 2), ("S", 1), ("T", -2), ("S", -1)])
         # the word oracle's bookkeeping: the word, its sign and the ring product
-        word = decompose_ST(m) if form.lattice.is_even else decompose_T2S(m)
+        word = decompose(m, 1 if form.lattice.is_even else 2)[0]
         word_mp(word)
         weilrep_mod._group_ring_product(form, word + [("T", 2)])
     mp_mul(MP_S, mp_mul(MP_S_INV, MP_S))
