@@ -16,6 +16,7 @@ from .jordan import gauss_sum_brute, gauss_sum_closed
 from .lattice import CapExceededError, DiscriminantForm, GramLattice
 from .metaplectic import SL2, MpElement, mp_mul
 from .weilrep import (
+    ZERO_PHASE,
     braun_check,
     phi_char,
     rho_S,
@@ -138,13 +139,14 @@ def verify_suites(lattice: GramLattice) -> List[dict]:
     def phi_suite() -> int:
         checks = 0
         n = lattice.level()
-        form = lattice.discriminant_form()
         for _ in range(8):
             x = MpElement(_gamma0_word(rng, n), rng.choice((1, -1)))
             y = MpElement(_gamma0_word(rng, n), rng.choice((1, -1)))
             op = rho_closed(lattice, x)
-            i0 = op.index_of(form.zero())
-            _holds(phi_char(lattice, x) == op.entries[i0][i0],
+            # e_0 is basis element 0; phi is a unit, so a zero cell fails
+            k = op.phases[0][0]
+            _holds(k != ZERO_PHASE
+                   and phi_char(lattice, x) == op.coeff * root_of_unity(k, op.level),
                    "phi == e_0 scalar of rho")
             _holds(phi_char(lattice, mp_mul(x, y))
                    == phi_char(lattice, x) * phi_char(lattice, y),

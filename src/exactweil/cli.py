@@ -138,10 +138,9 @@ def run_rho(req: Request) -> dict:
     x = MpElement(req.matrix, req.eps)
     op = rho_closed(req.lattice, x)
     bits = req.precision or DEFAULT_BITS
-    if req.fmt == "numeric":
-        out = op.to_numeric_json(bits)
-    else:
-        out = op.to_json(precision_bits=bits if req.fmt == "both" else None)
+    out = {} if req.fmt == "numeric" else op.to_json()
+    if req.fmt != "exact":
+        out.update(op.to_numeric_json(bits))
     out["labels"] = [list(g) for g in op.labels]
     out["matrix"] = list(req.matrix.entries())
     out["eps"] = req.eps

@@ -22,26 +22,26 @@ The routes share no formulas, so their exact agreement is the central
 correctness check of the package.  Odd lattices are supported on the index-3
 parity subgroup (ac and bd even), where T^2 and S generate.
 
-Every operator has one shape, a WeilOperator: a single scalar times a
-matrix over the group ring Z[x]/(x^N - 1), N the level, read at x = zeta_N.
-The closed formula, T, S, Z and their p-parts have e(k/N) in every nonzero
-cell.  They are built as a PhaseOperator, which stores the scalar once and
-the phases k as one integer table, with ZERO_PHASE marking the zero cells;
-the integers are read from the form's element tables (N q(gamma) and the
-pairing rows).  T and S on a p-part come from the same two builders as on
-the whole form, applied to the p-part, a DiscriminantForm with its own
-coordinates and level N_p.  Identity and equality tests, the tensor product
-over the p-parts and the JSON encoding work on those integers.  The word
-oracle returns its product as it is built, a RingOperator: one scalar times
-the packed group-ring cells.  Its equality with a phase operator of the same
-level compares integer vectors reduced mod Phi_N and checks one scalar; any
-other pair of operators compares the scalars of each distinct pair of cell
-keys once.  The one operator product, A * B, runs in that packed group ring
-through the oracle's S-step kernel (_fold_products) and gives a
+Every operator has one shape, a WeilOperator: its discriminant form, which
+gives the basis (form.elements()), the dimension and the level N, one scalar,
+and a matrix over the group ring Z[x]/(x^N - 1) read at x = zeta_N.  The
+closed formula, T, S, Z, the identity and their p-parts have e(k/N) in every
+nonzero cell.  They are built as a PhaseOperator, which stores the scalar
+once and the phases k as one integer table, with ZERO_PHASE marking the zero
+cells; the integers are read from the form's tables (N q(gamma) and the
+pairing rows).  T and S on a p-part come from the same builders, applied to
+the p-part, a DiscriminantForm with its own coordinates and level N_p.
+Identity and equality tests, the tensor product over the p-parts and the
+JSON encoding work on those integers.  The word oracle returns its product
+as it is built, a RingOperator: one scalar times packed group-ring cells.
+Equality needs one basis and one level; a ring operator equals a phase
+operator when integer vectors reduced mod Phi_N agree and one scalar checks,
+and two ring operators compare the scalars of each distinct pair of cell
+keys once.  The one operator product, A * B on one form, runs in that group
+ring through the oracle's S-step kernel (_fold_products) and gives a
 RingOperator; unitarity is (A * A.adjoint()).is_identity().  `entries`, the
-cells as ExactScalars, is a view built on every read and never kept or
-multiplied.  Operator equality is exact and the tests use it with zero
-tolerance.
+cells as ExactScalars, is a view built on every read.  Operator equality is
+exact and the tests use it with zero tolerance.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import compress, product
 from math import lcm, prod
 from operator import lshift, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import (ExactScalar, euler_phi, from_powers, from_rational,
                     reduce_powers, root_of_unity, scalar_sum, sqrt_rat)
@@ -71,16 +71,16 @@ ZERO_PHASE = -1
 
 
 class WeilOperator:
-    """One scalar `coeff` times a matrix over Z[x]/(x^N - 1), N = level, read
-    at x = zeta_N, in the canonical basis (e_gamma): the one shape of every
-    operator, a PhaseOperator or a RingOperator.
+    """A discriminant form `form`, one scalar `coeff` and a matrix over
+    Z[x]/(x^N - 1) read at x = zeta_N: the one shape of every operator, a
+    PhaseOperator or a RingOperator.
 
-    `labels` lists the basis elements in order; cell (i, j) is the
-    coefficient of e_{labels[i]} in the image of e_{labels[j]}.  Full-space
-    operators are labelled by DiscriminantForm.elements(); the p-part
-    generator matrices are labelled by the p-part elements.  A subclass
-    gives _cell_table, the cells' scalars by key and the key of every cell,
-    and its cells at x = 1 (_sums) and packed at a width (_packed).
+    The form alone gives the basis, labels = form.elements() (form.index
+    inverts it), dim = form.delta and N = level = form.level: cell (i, j) is
+    the coefficient of e_{labels[i]} in the image of e_{labels[j]}.  A
+    subclass gives _cell_table, the cells' scalars by key and the key of
+    every cell, its cells at x = 1 (_sums) and packed at a width (_packed),
+    and _equals, equality with an operator of the same basis and level.
 
     A * B is a RingOperator with scalar A.coeff * B.coeff, multiplied with
     packed cells.  Its nonnegative coefficients are at most their cell's
@@ -89,34 +89,29 @@ class WeilOperator:
     its value.
     """
 
-    __slots__ = ("labels", "dim", "form", "coeff", "level", "_index")
+    __slots__ = ("form", "coeff")
 
-    def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
-                 form: Optional[DiscriminantForm]):
-        self.labels = list(labels)
-        self.dim = len(self.labels)
-        self.coeff, self.level, self.form = coeff, level, form
-        self._index: Optional[Dict[DFElement, int]] = None
+    def __init__(self, coeff: ExactScalar, form: DiscriminantForm):
+        self.coeff, self.form = coeff, form
+
+    dim = property(lambda self: self.form.delta)
+    level = property(lambda self: self.form.level)
+    labels = property(lambda self: self.form.elements(), doc="form.elements(), a fresh list")
 
     @staticmethod
-    def identity(labels: Sequence[DFElement], form: Optional[DiscriminantForm] = None,
-                 level: int = 1) -> "PhaseOperator":
-        """The identity on `labels`: phase 0 on the diagonal, at `level`."""
-        n = len(labels)
-        phases = [[0 if i == j else ZERO_PHASE for j in range(n)] for i in range(n)]
-        return PhaseOperator(labels, _ONE, level, phases, form)
-
-    def index_of(self, elem: DFElement) -> int:
-        if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.labels)}
-        return self._index[elem]
+    def identity(labels: Sequence[DFElement], form: DiscriminantForm) -> "PhaseOperator":
+        """The identity on the basis `labels` of `form`, at the form's level;
+        raises ValueError unless labels == form.elements()."""
+        if list(labels) != form.elements():
+            raise ValueError("the identity's labels must be its form's elements")
+        n = form.delta
+        return _one_per_column(form, _ONE, range(n), [0] * n)
 
     def __mul__(self, other) -> "RingOperator":
         if not isinstance(other, WeilOperator):
             return NotImplemented
-        if other.labels != self.labels or other.form is not self.form \
-                or other.level != self.level:
-            raise ValueError("an operator product needs one form and one level")
+        if other.form is not self.form:
+            raise ValueError("an operator product needs one form")
         n, dim = self.level, self.dim
         require_dense(dim, dim * dim * (n - 1))
         expected = _table_product(self._sums(), other._sums())
@@ -130,7 +125,7 @@ class WeilOperator:
             ring = _fold_products(rows, shifts, n * width, lshift, masks)
         else:
             ring = _fold_products(rows, list(zip(*other._packed(width))), n * width, mul)
-        out = RingOperator(self.labels, self.coeff * other.coeff, n, width, ring, self.form)
+        out = RingOperator(self.coeff * other.coeff, width, ring, self.form)
         out._require_sums(expected)
         return out
 
@@ -142,98 +137,75 @@ class WeilOperator:
         return [list(map(cells.__getitem__, keys)) for keys in table]
 
     def __eq__(self, other) -> bool:
+        """Cell-wise equality; operators on bases of different orders or at
+        different levels are never equal."""
         if not isinstance(other, WeilOperator):
             return NotImplemented
-        if self.labels != other.labels:
+        if self.form.orders != other.form.orders or self.level != other.level:
             return False
-        if isinstance(other, PhaseOperator):
-            return other._same_cells(self)
-        if isinstance(self, PhaseOperator):
-            return self._same_cells(other)
-        return self._same_values(other)
-
-    def _same_values(self, other: "WeilOperator") -> bool:
-        """Cell-wise equality of the scalars: each distinct pair of cell keys
-        of the two _cell_table()s is compared once."""
-        cells, table = self._cell_table()
-        other_cells, other_table = other._cell_table()
-        pairs = set()
-        for keys, other_keys in zip(table, other_table):
-            pairs.update(zip(keys, other_keys))
-        return all(cells[k] == other_cells[m] for k, m in pairs)
+        return self._equals(other)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return "%s(dim=%d, level=%d)" % (type(self).__name__, self.dim, self.level)
 
-    def to_json(self, precision_bits: Optional[int] = None) -> dict:
-        """{"dim", "entries"} and, with precision_bits, "entries_numeric".
-
-        The one encoder of every operator type: each distinct scalar of
-        _cell_table is encoded and evaluated once, then every cell gets a
-        dict and lists of its own.
-        """
+    def to_json(self) -> dict:
+        """{"dim", "entries"}: the one exact encoder of every operator type.
+        Each distinct scalar of _cell_table is encoded once, then every cell
+        gets a dict and lists of its own."""
         cells, table = self._cell_table()
         exact = {}
         for key, x in cells.items():
             data = x.to_json()
             exact[key] = (data["order"], data["coeffs"])
-        out = {
+        return {
             "dim": self.dim,
             "entries": [[{"order": order, "coeffs": coeffs[:]}
                          for order, coeffs in map(exact.__getitem__, keys)]
                         for keys in table],
         }
-        if precision_bits is not None:
-            out["entries_numeric"] = _numeric_cells(cells, table, precision_bits)
-        return out
 
     def to_numeric_json(self, precision_bits: int) -> dict:
-        """{"dim", "entries_numeric"}: to_json(precision_bits) without
-        building the exact cells."""
+        """{"dim", "entries_numeric"}: the [real, imag] midpoints of every
+        cell, each distinct scalar of _cell_table evaluated once."""
         cells, table = self._cell_table()
+        numeric = {}
+        for key, x in cells.items():
+            box = x.eval_numeric(precision_bits)
+            numeric[key] = [float(box.real_mid), float(box.imag_mid)]
         return {"dim": self.dim,
-                "entries_numeric": _numeric_cells(cells, table, precision_bits)}
-
-
-def _numeric_cells(cells: dict, table: List[list], precision_bits: int) -> List[List[list]]:
-    """[real, imag] midpoints per cell, each distinct scalar evaluated once."""
-    numeric = {}
-    for key, x in cells.items():
-        box = x.eval_numeric(precision_bits)
-        numeric[key] = [float(box.real_mid), float(box.imag_mid)]
-    return [[mid[:] for mid in map(numeric.__getitem__, keys)] for keys in table]
+                "entries_numeric": [[mid[:] for mid in map(numeric.__getitem__, keys)]
+                                    for keys in table]}
 
 
 class PhaseOperator(WeilOperator):
-    """coeff * e(phases[i][j] / level) at cell (i, j), and zero where the
-    phase is ZERO_PHASE.
+    """coeff * e(phases[i][j] / N) at cell (i, j), N the form's level, and
+    zero where the phase is ZERO_PHASE.
 
-    Every other phase must lie in [0, level); the constructor raises
-    ValueError otherwise.  Build the table only after PhaseOperator.require
-    has passed.
+    The table must be dim x dim and every other phase must lie in [0, N);
+    the constructor raises ValueError otherwise.  Build the table only after
+    PhaseOperator.require has passed.
     """
 
     __slots__ = ("phases",)
 
-    def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
-                 phases: List[List[int]], form: Optional[DiscriminantForm] = None):
-        super().__init__(labels, coeff, level, form)
-        n = self.dim
+    def __init__(self, coeff: ExactScalar, phases: List[List[int]], form: DiscriminantForm):
+        super().__init__(coeff, form)
+        n = form.delta
         if coeff.is_zero():
             raise ValueError("a phase operator needs a nonzero scalar")
         if len(phases) != n or any(len(row) != n for row in phases):
             raise ValueError("the phase table must be %d x %d" % (n, n))
-        if min(map(min, phases)) < ZERO_PHASE or max(map(max, phases)) >= level:
-            raise ValueError("a phase lies outside [0, %d)" % level)
+        if min(map(min, phases)) < ZERO_PHASE or max(map(max, phases)) >= form.level:
+            raise ValueError("a phase lies outside [0, %d)" % form.level)
         self.phases = phases
 
     @staticmethod
-    def require(coeff: ExactScalar, level: int, dim: int, nonzero: int) -> None:
+    def require(coeff: ExactScalar, form: DiscriminantForm, nonzero: int) -> None:
         """Raise CapExceededError unless the dense form fits DENSE_CAP: dim^2
-        cells, `nonzero` of them holding phi(lcm(order, level)) coefficients."""
-        require_dense(dim, nonzero * (euler_phi(lcm(coeff.order, level)) - 1))
+        cells, `nonzero` of them holding phi(lcm(order, N)) coefficients."""
+        require_dense(form.delta, nonzero * (euler_phi(lcm(coeff.order, form.level)) - 1))
 
     def _cell_table(self) -> Tuple[dict, List[List[int]]]:
         coeff, n = self.coeff, self.level
@@ -253,7 +225,7 @@ class PhaseOperator(WeilOperator):
         the transposed table."""
         n = self.level
         phases = [[k if k == ZERO_PHASE else -k % n for k in col] for col in zip(*self.phases)]
-        return PhaseOperator(self.labels, self.coeff.conjugate(), n, phases, self.form)
+        return PhaseOperator(self.coeff.conjugate(), phases, self.form)
 
     def is_unitary(self) -> bool:
         return (self * self.adjoint()).is_identity()
@@ -268,17 +240,14 @@ class PhaseOperator(WeilOperator):
         return all(row[i] == k0 and row.count(ZERO_PHASE) == n - 1
                    for i, row in enumerate(self.phases))
 
-    def _same_cells(self, other: WeilOperator) -> bool:
-        """Equality on integers where they decide it: with a ring operator of
-        the same level, and with a phase operator by one phase offset."""
-        if isinstance(other, RingOperator) and other.level == self.level:
+    def _equals(self, other: WeilOperator) -> bool:
+        """Equality on integers: with a ring operator by its _same_phases;
+        with a phase operator, c1 e(k1/N) = c2 e(k2/N) on every nonzero cell
+        if the zero patterns agree, k1 - k2 is one delta mod N, and
+        c2 = c1 e(delta/N)."""
+        if isinstance(other, RingOperator):
             return other._same_phases(self)
-        if not isinstance(other, PhaseOperator):
-            return self._same_values(other)
-        # c1 e(k1/N1) = c2 e(k2/N2) on every nonzero cell: the zero patterns
-        # agree, k1 - k2 is one delta mod L = lcm(N1, N2), c2 = c1 e(delta/L).
-        big = lcm(self.level, other.level)
-        s, t = big // self.level, big // other.level
+        n = self.level
         delta = None
         for row, other_row in zip(self.phases, other.phases):
             for a, b in zip(row, other_row):
@@ -286,12 +255,12 @@ class PhaseOperator(WeilOperator):
                     if a != b:
                         return False
                     continue
-                k = (a * s - b * t) % big
+                k = (a - b) % n
                 if delta is None:
                     delta = k
                 elif k != delta:
                     return False
-        return delta is None or other.coeff == self.coeff * root_of_unity(delta, big)
+        return delta is None or other.coeff == self.coeff * root_of_unity(delta, n)
 
 
 # -- generator matrices ----------------------------------------------------
@@ -305,23 +274,30 @@ def rho_T(form: DiscriminantForm) -> PhaseOperator:
     return _t_diagonal(form)
 
 
+def _one_per_column(form: DiscriminantForm, coeff: ExactScalar, rows: Sequence[int],
+                    phases: Sequence[int]) -> PhaseOperator:
+    """coeff * e(phases[j]/N) at cell (rows[j], j) and zero elsewhere: the
+    identity, T and Z, each with one nonzero cell per column."""
+    n = form.delta
+    table = [[ZERO_PHASE] * n for _ in range(n)]
+    for j, (i, k) in enumerate(zip(rows, phases)):
+        table[i][j] = k
+    return PhaseOperator(coeff, table, form)
+
+
 def _t_diagonal(form: DiscriminantForm) -> PhaseOperator:
     """The diagonal matrix of e(gamma^2/2), read off form.q_table()."""
-    n, level = form.delta, form.level
-    PhaseOperator.require(_ONE, level, n, n)
-    phases = [[ZERO_PHASE] * n for _ in range(n)]
-    for i, k in enumerate(form.q_table()):
-        phases[i][i] = k
-    return PhaseOperator(form.elements(), _ONE, level, phases, form)
+    n = form.delta
+    PhaseOperator.require(_ONE, form, n)
+    return _one_per_column(form, _ONE, range(n), form.q_table())
 
 
 def _fourier(form: DiscriminantForm, coeff: ExactScalar) -> PhaseOperator:
     """coeff * e(-(gamma, delta)) at row delta, column gamma, read off
     form.pairing_table()."""
-    n, dim = form.level, form.delta
-    PhaseOperator.require(coeff, n, dim, dim ** 2)
-    return PhaseOperator(form.elements(), coeff, n,
-                         [[-p % n for p in row] for row in form.pairing_table()], form)
+    n = form.level
+    PhaseOperator.require(coeff, form, form.delta ** 2)
+    return PhaseOperator(coeff, [[-p % n for p in row] for row in form.pairing_table()], form)
 
 
 def rho_S(form: DiscriminantForm) -> PhaseOperator:
@@ -338,14 +314,11 @@ def rho_S(form: DiscriminantForm) -> PhaseOperator:
 def rho_Z(form: DiscriminantForm) -> PhaseOperator:
     """rho(Z) = rho(S)^2: e_gamma -> zeta_8^(-2 sgn) e_{-gamma}."""
     require_dense(form.delta)
-    elems = form.elements()
-    n = len(elems)
+    n = form.delta
     coeff = root_of_unity(-2 * form.signature, 8)
-    PhaseOperator.require(coeff, form.level, n, n)
-    phases = [[ZERO_PHASE] * n for _ in range(n)]
-    for j, g in enumerate(elems):
-        phases[form.index(form.neg(g))][j] = 0
-    return PhaseOperator(elems, coeff, form.level, phases, form)
+    PhaseOperator.require(coeff, form, n)
+    return _one_per_column(form, coeff, [form.index(form.neg(g)) for g in form.elements()],
+                           [0] * n)
 
 
 def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[PhaseOperator, PhaseOperator]:
@@ -473,26 +446,26 @@ def _group_ring_product(form: DiscriminantForm,
 
 class RingOperator(WeilOperator):
     """coeff * ring[i][j] at cell (i, j), each cell an element of the group
-    ring Z[x]/(x^N - 1) read at x = zeta_N, N = level, with coefficient t in
-    bits [tB, (t+1)B), B = width: the product of a generator word as
-    _group_ring_product returns it, or the product of two operators.
+    ring Z[x]/(x^N - 1) read at x = zeta_N, N the form's level, with
+    coefficient t in bits [tB, (t+1)B), B = width: the product of a
+    generator word as _group_ring_product returns it, or the product of two
+    operators.
 
     `coeffs` maps each distinct packed cell to its N coefficients, unpacked
-    once here.  Equality with a phase operator of the same level, the
-    identity test and the cell sums at x = 1 run on these integers; the
-    ExactScalar cells are built only for `entries`, to_json() and
-    comparisons with other operators.
+    once here.  Equality with a phase operator, the identity test and the
+    cell sums at x = 1 run on these integers; the ExactScalar cells are
+    built only for `entries`, to_json() and equality with another ring
+    operator.
     """
 
     __slots__ = ("width", "ring", "coeffs")
 
-    def __init__(self, labels: Sequence[DFElement], coeff: ExactScalar, level: int,
-                 width: int, ring: List[List[int]],
-                 form: Optional[DiscriminantForm] = None):
-        super().__init__(labels, coeff, level, form)
+    def __init__(self, coeff: ExactScalar, width: int, ring: List[List[int]],
+                 form: DiscriminantForm):
+        super().__init__(coeff, form)
         self.width, self.ring = width, ring
         mask = (1 << width) - 1
-        fields = range(0, level * width, width)
+        fields = range(0, form.level * width, width)
         self.coeffs = {v: [v >> t & mask for t in fields]
                        for v in {v for row in ring for v in row}}
 
@@ -520,10 +493,25 @@ class RingOperator(WeilOperator):
                                   "a packed coefficient carried")
 
     def is_identity(self) -> bool:
-        return self._same_phases(WeilOperator.identity(self.labels, self.form, self.level))
+        return self._same_phases(WeilOperator.identity(self.labels, self.form))
+
+    def _equals(self, other: WeilOperator) -> bool:
+        if isinstance(other, PhaseOperator):
+            return self._same_phases(other)
+        return self._same_values(other)
+
+    def _same_values(self, other: "RingOperator") -> bool:
+        """Cell-wise equality of the scalars: each distinct pair of cell keys
+        of the two _cell_table()s is compared once."""
+        cells, table = self._cell_table()
+        other_cells, other_table = other._cell_table()
+        pairs = set()
+        for keys, other_keys in zip(table, other_table):
+            pairs.update(zip(keys, other_keys))
+        return all(cells[k] == other_cells[m] for k, m in pairs)
 
     def _same_phases(self, op: PhaseOperator) -> bool:
-        """Cell-wise equality with a phase operator of the same level N.
+        """Cell-wise equality with a phase operator at the same level N.
 
         Where op has a zero cell, our cell must vanish in Q(zeta_N); where it
         has c e(k/N), x^-k times our cell must reduce mod Phi_N to one common
@@ -575,7 +563,7 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> RingOperator:
         scalar = scalar * sqrt_rat(Fraction(1, form.delta))
     if achieved.eps != x.eps and sgn % 2:
         scalar = -scalar
-    op = RingOperator(form.elements(), scalar, form.level, width, ring, form)
+    op = RingOperator(scalar, width, ring, form)
     # The product at x = 1 is J^s: dim^(s-1) J, or I for s = 0.
     dim = len(ring)
     op._require_sums([[dim ** (s - 1)] * dim for _ in range(dim)] if s
@@ -665,7 +653,7 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar,
     n = form.level
     elems = form.elements()
     dim = len(elems)
-    PhaseOperator.require(coeff, n, dim, dim * len(coset))
+    PhaseOperator.require(coeff, form, dim * len(coset))
     pairs = form.pairing_table()
     # one step in coordinate r moves a cell this far down the row-major table
     steps = [prod(form.orders[r + 1:]) * dim for r in range(len(form.orders))]
@@ -682,7 +670,7 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar,
         # flat[at[j]] = ks[j] for every j; setitem returns None, so any() runs it all
         any(map(flat.__setitem__, at, ks))
     phases = [flat[i:i + dim] for i in range(0, dim * dim, dim)]
-    return PhaseOperator(elems, coeff, n, phases, form)
+    return PhaseOperator(coeff, phases, form)
 
 
 def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
@@ -841,9 +829,10 @@ def _kronecker(form: DiscriminantForm, ops: Sequence[PhaseOperator],
                local: Sequence[Sequence[int]]) -> PhaseOperator:
     """The tensor product of the p-part operators `ops` over form.elements():
     local[t][i] is the index of the i-th element's projection in ops[t].
-    Cell phases add mod the lcm of the levels (a zero factor makes a zero
-    cell), and the local scalars multiply once."""
-    level = lcm(1, *(op.level for op in ops))
+    The form's level N is the lcm of the p-parts' levels N_p, so a phase of
+    ops[t] is scaled by N/N_p; cell phases add mod N (a zero factor makes a
+    zero cell), and the local scalars multiply once."""
+    level = form.level
     coeff = prod((op.coeff for op in ops), start=_ONE)
     scales = [level // op.level for op in ops]
     phases = []
@@ -854,7 +843,7 @@ def _kronecker(form: DiscriminantForm, ops: Sequence[PhaseOperator],
             row = [ZERO_PHASE if k == ZERO_PHASE or src[j] == ZERO_PHASE
                    else k + src[j] * s for k, j in zip(row, loc)]
         phases.append([k if k == ZERO_PHASE else k % level for k in row])
-    return PhaseOperator(form.elements(), coeff, level, phases, form)
+    return PhaseOperator(coeff, phases, form)
 
 
 def tensor_check(lattice: GramLattice) -> bool:

@@ -43,9 +43,6 @@ class DenseOperator:
         self.entries = entries
         self.form = form
 
-    def index_of(self, elem: DFElement) -> int:
-        return self.labels.index(elem)
-
     def __eq__(self, other) -> bool:
         if not hasattr(other, "entries"):
             return NotImplemented
@@ -53,12 +50,9 @@ class DenseOperator:
             x == y for row, other_row in zip(self.entries, other.entries)
             for x, y in zip(row, other_row))
 
-    def to_json(self, precision_bits: Optional[int] = None) -> dict:
-        """The package's operator JSON, encoded and evaluated cell by cell."""
-        out = {"dim": self.dim, "entries": [[x.to_json() for x in row] for row in self.entries]}
-        if precision_bits is not None:
-            out.update(self.to_numeric_json(precision_bits))
-        return out
+    def to_json(self) -> dict:
+        """The package's operator JSON, encoded cell by cell."""
+        return {"dim": self.dim, "entries": [[x.to_json() for x in row] for row in self.entries]}
 
     def to_numeric_json(self, precision_bits: int) -> dict:
         boxes = [[x.eval_numeric(precision_bits) for x in row] for row in self.entries]

@@ -364,7 +364,7 @@ def test_09_phi_character():
             assert phi_char(lattice, mp_mul(x, y)) \
                 == phi_char(lattice, x) * phi_char(lattice, y)
             op = rho_closed(lattice, x)
-            i0 = op.index_of(form.zero())
+            i0 = op.form.index(form.zero())
             assert phi_char(lattice, x) == op.entries[i0][i0]
 
 

@@ -57,6 +57,7 @@ from exactweil.weilrep import (
     kernel_descriptor,
     phi_char,
     _group_ring_product,
+    _kronecker,
     rho_S,
     rho_T,
     rho_Z,
@@ -134,8 +135,8 @@ def assert_same_action(left, right):
     cells, other = left.entries, right.entries
     for g in left.labels:
         for h in left.labels:
-            assert cells[left.index_of(g)][left.index_of(h)] \
-                == other[right.index_of(g)][right.index_of(h)]
+            assert cells[left.form.index(g)][left.form.index(h)] \
+                == other[right.form.index(g)][right.form.index(h)]
 
 
 def nonzero_element(form):
@@ -148,9 +149,9 @@ def test_rho_t_tables():
     z, g = f.zero(), nonzero_element(f)
     assert t.dim == 2
     cells = t.entries
-    assert cells[t.index_of(z)][t.index_of(z)] == ONE
-    assert cells[t.index_of(g)][t.index_of(g)] == root_of_unity(1, 4)
-    assert cells[t.index_of(z)][t.index_of(g)].is_zero()
+    assert cells[t.form.index(z)][t.form.index(z)] == ONE
+    assert cells[t.form.index(g)][t.form.index(g)] == root_of_unity(1, 4)
+    assert cells[t.form.index(z)][t.form.index(g)].is_zero()
     assert rho_T(UL.discriminant_form()).is_identity()
     cells = rho_T(A2.discriminant_form()).entries
     diag = [cells[i][i] for i in range(3)]
@@ -167,7 +168,7 @@ def test_rho_s_tables():
     f = A1.discriminant_form()
     s = rho_S(f)
     z, g = f.zero(), nonzero_element(f)
-    iz, ig = s.index_of(z), s.index_of(g)
+    iz, ig = s.form.index(z), s.form.index(g)
     c8 = root_of_unity(-1, 8) * sqrt_rat(Fraction(1, 2))
     cells = s.entries
     assert cells[iz][iz] == c8
@@ -191,7 +192,7 @@ def test_rho_z_tables():
     z2 = rho_Z(f2)
     cells = z2.entries
     for g in f2.elements():
-        assert cells[z2.index_of(f2.neg(g))][z2.index_of(g)] == from_rational(-1)
+        assert cells[z2.form.index(f2.neg(g))][z2.form.index(g)] == from_rational(-1)
 
 
 def test_generator_relations():
@@ -383,8 +384,8 @@ def phase_corruptions(op, rng):
     for name, (i, j), move in moves:
         phases = [row[:] for row in op.phases]
         phases[i][j] = move(phases[i][j])
-        yield name, PhaseOperator(op.labels, op.coeff, op.level, phases, op.form)
-    yield "coeff negated", PhaseOperator(op.labels, -op.coeff, op.level, op.phases, op.form)
+        yield name, PhaseOperator(op.coeff, phases, op.form)
+    yield "coeff negated", PhaseOperator(-op.coeff, op.phases, op.form)
 
 
 def test_ring_equality_agrees_with_dense_equality(monkeypatch):
@@ -416,9 +417,6 @@ def test_ring_equality_agrees_with_dense_equality(monkeypatch):
                 assert expected
             elif name != "eps flipped" and (name != "phase + 1" or closed.level > 1):
                 assert not expected, (lattice.gram, x.mat, x.eps, name)
-        # another level: the same operator at level 2N compares cell scalars
-        other = shifted(closed, rng.randrange(closed.level), 2)
-        assert (other == oracle) and (oracle == other) and dense(other) == ref
     assert unequal > 1000
 
 
@@ -428,7 +426,7 @@ def rotated(op, k):
     n, width = op.level, op.width
     low = (1 << n * width) - 1
     ring = [[v >> k * width | v << (n - k) * width & low for v in row] for row in op.ring]
-    return RingOperator(op.labels, op.coeff * root_of_unity(k, n), n, width, ring, op.form)
+    return RingOperator(op.coeff * root_of_unity(k, n), width, ring, op.form)
 
 
 def ring_corruptions(op, rng):
@@ -437,17 +435,16 @@ def ring_corruptions(op, rng):
     i, j = rng.randrange(op.dim), rng.randrange(op.dim)
     ring = [row[:] for row in op.ring]
     ring[i][j] ^= 1
-    yield "one cell", RingOperator(op.labels, op.coeff, op.level, op.width, ring, op.form)
-    yield "coeff negated", RingOperator(op.labels, -op.coeff, op.level, op.width, op.ring,
-                                        op.form)
+    yield "one cell", RingOperator(op.coeff, op.width, ring, op.form)
+    yield "coeff negated", RingOperator(-op.coeff, op.width, op.ring, op.form)
 
 
 def test_value_equality_agrees_with_dense_equality(monkeypatch):
     # The pairs no integer path decides, each compared by its cell scalars:
-    # two ring operators with different scalars, and a phase or a ring
-    # operator at level 2N against the oracle at level N.  Each equals the
-    # oracle, and one changed cell or a changed scalar breaks that, as the
-    # dense comparison of the cells says.
+    # two ring operators with different scalars, the oracle rotated and the
+    # closed formula times the identity.  Each equals the oracle, and one
+    # changed cell or a changed scalar breaks that, as the dense comparison
+    # of the cells says.
     def no_phase_path(self, op):
         raise AssertionError("an integer path compared operators it cannot decide")
 
@@ -457,12 +454,12 @@ def test_value_equality_agrees_with_dense_equality(monkeypatch):
         oracle = rho_oracle(lattice, x)
         ref = dense(oracle)
         n = oracle.level
-        phase = shifted(rho_closed(lattice, x), rng.randrange(n), 2)
-        double = WeilOperator.identity(oracle.labels, oracle.form, 2 * n)
+        form = oracle.form
+        product = rho_closed(lattice, x) * WeilOperator.identity(form.elements(), form)
         ring = rotated(oracle, rng.randrange(1, n) if n > 1 else 0)
         assert ring.coeff != oracle.coeff or n == 1
-        cases = [(ring, ring_corruptions(ring, rng)), (phase, phase_corruptions(phase, rng)),
-                 (phase * double, ring_corruptions(phase * double, rng))]
+        cases = [(ring, ring_corruptions(ring, rng)),
+                 (product, ring_corruptions(product, rng))]
         for cand, corrupted in cases:
             assert dense(cand) == ref
             with monkeypatch.context() as patch:
@@ -481,11 +478,11 @@ def test_identity_is_the_fourth_power_of_z():
         one = WeilOperator.identity(form.elements(), form)
         z = rho_Z(form)
         z4 = z * z * z * z
-        assert isinstance(one, PhaseOperator) and one.level == 1
+        assert isinstance(one, PhaseOperator) and one.level == form.level
         assert one.is_identity() and z4.is_identity()
         assert one == z4 and z4 == one, gram
         assert dense(one) == dense_identity(form) and dense(z4) == dense_identity(form)
-        minus = PhaseOperator(one.labels, -ONE, 1, one.phases, form)
+        minus = PhaseOperator(-ONE, one.phases, form)
         assert minus != z4 and z4 != minus and not minus.is_identity()
 
 
@@ -528,7 +525,7 @@ def test_oracle_keeps_its_product_packed():
         assert [[c.to_json() for c in row] for row in op.entries] \
             == [[c.to_json() for c in row] for row in ref.entries]
         if op.dim <= 4:
-            assert digest(op.to_json(64)) == digest(ref.to_json(64))
+            assert digest(both_json(op)) == digest(both_json(ref))
             assert op.to_numeric_json(64) == ref.to_numeric_json(64)
 
 
@@ -622,7 +619,7 @@ def test_numeric_json_evaluates_each_distinct_scalar_once(monkeypatch):
         return evaluate(self, precision_bits)
 
     monkeypatch.setattr(ExactScalar, "eval_numeric", counted)
-    out = op.to_json(64)
+    out = op.to_numeric_json(64)
     assert op.dim == 64 and len(calls) == 32
     assert out["entries_numeric"] == per_cell
 
@@ -797,7 +794,7 @@ def test_r0_direct():
     h = sqrt_rat(Fraction(1, 2))
     r0 = r0_direct(A1, S_MAT)
     f = A1.discriminant_form()
-    iz, ig = r0.index_of(f.zero()), r0.index_of(nonzero_element(f))
+    iz, ig = f.index(f.zero()), f.index(nonzero_element(f))
     assert r0.entries[iz][iz] == h and r0.entries[iz][ig] == h
     assert r0.entries[ig][iz] == h
     assert r0.entries[ig][ig] == from_rational(-1) * h
@@ -865,7 +862,7 @@ def test_column_support():
             coset = [beta for beta, _ in form.coset_Dcstar(x.mat.c, x_c)]
             cells = op.entries
             for g in form.elements():
-                j = op.index_of(g)
+                j = op.form.index(g)
                 support = {op.labels[i] for i in range(op.dim) if not cells[i][j].is_zero()}
                 d_g = form.smul(x.mat.d, g)
                 assert support == {form.add(b, d_g) for b in coset}
@@ -888,7 +885,7 @@ def test_phi_is_the_e0_scalar():
         for _ in range(6):
             x = MpElement(gamma0_sample(rng, n), rng.choice((1, -1)))
             op = rho_closed(lattice, x)
-            i0 = op.index_of(form.zero())
+            i0 = op.form.index(form.zero())
             assert phi_char(lattice, x) == op.entries[i0][i0]
 
 
@@ -978,7 +975,7 @@ def test_operator_json():
     assert plain["dim"] == 2
     assert len(plain["entries"]) == 2 and len(plain["entries"][0]) == 2
     assert "entries_numeric" not in plain
-    boxed = op.to_json(precision_bits=64)
+    boxed = op.to_numeric_json(64)
     re, im = boxed["entries_numeric"][0][0]
     assert abs(re - 0.5) < 1e-12 and abs(im + 0.5) < 1e-12
 
@@ -1014,6 +1011,14 @@ def digest(payload):
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
+def both_json(op, bits=64):
+    """The exact and the numeric JSON in one document, as `rho --format
+    both` prints them."""
+    out = op.to_json()
+    out.update(op.to_numeric_json(bits))
+    return out
+
+
 def test_phase_json_equals_dense_json():
     # The phase table, its `entries` view (one object per phase) and a dense
     # matrix with one scalar object per cell encode to the same bytes.
@@ -1023,32 +1028,30 @@ def test_phase_json_equals_dense_json():
         plain = digest(op.to_json())
         assert plain == digest(ref.to_json()), name
         if op.dim <= 32:
-            assert digest(op.to_json(64)) == digest(ref.to_json(64)), name
+            assert digest(both_json(op)) == digest(both_json(ref)), name
         cells = [[from_rational(0) if k == ZERO_PHASE
                   else op.coeff * root_of_unity(k, op.level) for k in row]
                  for row in op.phases]
         unshared = DenseOperator(op.labels, cells, op.form)
         assert plain == digest(unshared.to_json()), name
         if op.dim <= 4:
-            assert digest(op.to_json(64)) == digest(unshared.to_json(64)), name
+            assert digest(both_json(op)) == digest(both_json(unshared)), name
 
 
-def shifted(op, delta, factor=1):
-    """op with every phase lowered by delta, at level factor * N, and the
-    scalar raised by e(delta/N): the same operator, built differently."""
-    n = op.level * factor
-    phases = [[ZERO_PHASE if k == ZERO_PHASE else (k - delta) * factor % n for k in row]
+def shifted(op, delta):
+    """op with every phase lowered by delta and the scalar raised by
+    e(delta/N): the same operator, built differently."""
+    n = op.level
+    phases = [[ZERO_PHASE if k == ZERO_PHASE else (k - delta) % n for k in row]
               for row in op.phases]
-    return PhaseOperator(op.labels, op.coeff * root_of_unity(delta, op.level), n,
-                         phases, op.form)
+    return PhaseOperator(op.coeff * root_of_unity(delta, n), phases, op.form)
 
 
 def test_phase_equality_agrees_with_dense_equality():
     rng = random.Random(22)
     ops = [op for _, op in phase_corpus() if op.dim <= 12]
     for op in ops:
-        other = shifted(op, rng.randrange(1, op.level) if op.level > 1 else 0,
-                        rng.choice((1, 2, 3)))
+        other = shifted(op, rng.randrange(1, op.level) if op.level > 1 else 0)
         assert other.coeff != op.coeff or op.level == 1
         assert op == other and other == op
         assert op == dense(other) and dense(op) == other
@@ -1060,9 +1063,9 @@ def test_phase_equality_agrees_with_dense_equality():
                     0 if k == ZERO_PHASE else ZERO_PHASE):
             phases = [row[:] for row in op.phases]
             phases[i][j] = new
-            moved = PhaseOperator(op.labels, op.coeff, op.level, phases, op.form)
+            moved = PhaseOperator(op.coeff, phases, op.form)
             assert (op == moved) == (dense(op) == dense(moved)), (op, i, j, new)
-        negated = PhaseOperator(op.labels, -op.coeff, op.level, op.phases, op.form)
+        negated = PhaseOperator(-op.coeff, op.phases, op.form)
         assert op != negated and dense(op) != dense(negated)
     for a, b in zip(ops, ops[1:]):
         if a.labels == b.labels:
@@ -1101,7 +1104,7 @@ def test_phase_is_identity_agrees_with_dense():
             assert op.is_identity() == dense_is_identity(dense(op))
         # a scalar that is a root of unity but not the one the diagonal needs
         t = rho_T(lattice.discriminant_form())
-        off = PhaseOperator(t.labels, -t.coeff, t.level, t.phases, t.form)
+        off = PhaseOperator(-t.coeff, t.phases, t.form)
         assert not off.is_identity() and not dense_is_identity(dense(off))
 
 
@@ -1157,14 +1160,14 @@ def test_is_unitary_agrees_with_dense():
     for name, op in phase_corpus():
         if op.dim > 32:
             continue
-        bad = [PhaseOperator(op.labels, op.coeff * 2, op.level, op.phases, op.form)]
+        bad = [PhaseOperator(op.coeff * 2, op.phases, op.form)]
         cells = [(i, j) for i, row in enumerate(op.phases) for j, k in enumerate(row)
                  if k != ZERO_PHASE and sum(r[j] != ZERO_PHASE for r in op.phases) > 1]
         if cells and op.level > 1:
             i, j = rng.choice(cells)
             phases = [row[:] for row in op.phases]
             phases[i][j] = (phases[i][j] + 1) % op.level
-            bad.append(PhaseOperator(op.labels, op.coeff, op.level, phases, op.form))
+            bad.append(PhaseOperator(op.coeff, phases, op.form))
         assert op.is_unitary(), name
         assert all(not b.is_unitary() for b in bad), name
         if op.dim <= 12:
@@ -1203,16 +1206,76 @@ def test_operator_product_rejects_mixed_forms_and_levels():
     assert s.labels == other.labels and s.level == other.level
     lattice = GramLattice([[2, 0], [0, 6]])
     t2, _ = rho_p_generators(lattice, 2)
-    for a, b in ((s, other), (s * s, other), (s, shifted(s, 1, 2)),
-                 (s * s, shifted(s, 0, 2)), (rho_T(lattice.discriminant_form()), t2)):
-        with pytest.raises(ValueError, match="one form and one level"):
+    for a, b in ((s, other), (s * s, other), (rho_T(lattice.discriminant_form()), t2)):
+        with pytest.raises(ValueError, match="needs one form"):
             a * b
-        with pytest.raises(ValueError, match="one form and one level"):
+        with pytest.raises(ValueError, match="needs one form"):
             b * a
     with pytest.raises(TypeError):
         s * dense(s)
     with pytest.raises(TypeError):
         dense(s) * s
+
+
+def test_every_operator_reads_basis_and_level_off_its_form():
+    # T, S, Z, the p-part generators, the closed formula, the oracle,
+    # products, adjoints, the tensor product over the p-parts and the
+    # identity each live on the form they were built from, at its level,
+    # with a dim x dim table.  Three refusals: the identity on another
+    # basis, a product across forms, and equality across bases of
+    # different orders.
+    def check(op, form):
+        assert (op.level, op.dim, op.labels) == (form.level, form.delta, form.elements())
+        cells = op.phases if isinstance(op, PhaseOperator) else op.ring
+        assert len(cells) == form.delta and all(len(row) == form.delta for row in cells)
+        if isinstance(op, RingOperator):
+            assert all(len(c) == form.level for c in op.coeffs.values())
+
+    forms, units = [], []
+    for gram in EVEN_GRAMS + ODD_GRAMS + [A2_5, DIAG_2_6_10]:
+        lattice = GramLattice(gram)
+        form = lattice.discriminant_form()
+        x = MpElement(SL2(2, 1, 3, 2) if lattice.is_even else SL2(3, 2, 4, 3), -1)
+        closed, oracle = rho_closed(lattice, x), rho_oracle(lattice, x)
+        s, z = rho_S(form), rho_Z(form)
+        one = WeilOperator.identity(form.elements(), form)
+        ops = [s, z, closed, oracle, closed * oracle, oracle * closed, s * s,
+               closed.adjoint(), one]
+        if lattice.is_even:
+            ops.append(rho_T(form))
+            t_ops, s_ops, local = [], [], []
+            for p in sorted(interesting_primes(lattice) | {5}):
+                t_p, s_p = rho_p_generators(lattice, p)
+                part = form.p_part(p)
+                for op in (t_p, s_p, t_p * s_p, s_p.adjoint()):
+                    assert op.form.orders == part.orders
+                    check(op, part)
+                if p in interesting_primes(lattice):
+                    t_ops.append(t_p)
+                    s_ops.append(s_p)
+                    local.append([t_p.form.index(t_p.form.project(g)) for g in form.elements()])
+            ops += [_kronecker(form, t_ops, local), _kronecker(form, s_ops, local)]
+        for op in ops:
+            assert op.form is form, gram
+            check(op, form)
+        if form.delta > 1:
+            with pytest.raises(ValueError, match="its form's elements"):
+                WeilOperator.identity(form.elements()[::-1], form)
+        forms.append(form)
+        units.append((one, rho_oracle(lattice, MP_ONE), s))
+    assert any(a.level == b.level and a.orders != b.orders for a in forms for b in forms)
+    for a, (one_a, ring_a, s_a) in zip(forms, units):
+        for b, (one_b, ring_b, s_b) in zip(forms, units):
+            if a is b:
+                continue
+            with pytest.raises(ValueError, match="needs one form"):
+                s_a * s_b
+            if a.orders != b.orders:
+                with pytest.raises(ValueError, match="its form's elements"):
+                    WeilOperator.identity(b.elements(), a)
+                for left, right in ((one_a, one_b), (ring_a, one_b), (one_a, ring_b),
+                                    (ring_a, ring_b)):
+                    assert left != right and not left == right, (a.orders, b.orders)
 
 
 def test_group_law_and_unitarity_at_large_discriminants():
@@ -1343,8 +1406,10 @@ _CORRUPTIONS = {
     """),
     "phase range": ("ValueError: a phase lies outside", """
         from exactweil.exact import from_rational
+        from exactweil.lattice import GramLattice
         from exactweil.weilrep import PhaseOperator
-        PhaseOperator([(0,), (1,)], from_rational(1), 4, [[0, -1], [-1, 4]])
+        PhaseOperator(from_rational(1), [[0, -1], [-1, 4]],
+                      GramLattice([[2]]).discriminant_form())
     """),
     "smith pivot": ("ArithmeticError", """
         from exactweil import lattice
