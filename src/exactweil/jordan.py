@@ -391,16 +391,15 @@ def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ..
 
 
 # -- Weil indices -------------------------------------------------------
+# Each is e(k/8), returned as k mod 8, as Conway and Sloane keep p-excesses:
+# a sign -1 is 4, a product is a sum and a conjugate is -k.
 
 
-def weil_index_component(comp: JordanComponent) -> ExactScalar:
-    """The 8th root of unity attached to one Jordan component."""
-    if comp.p != 2:
-        k = (comp.n * (1 - comp.q)) % 8
-        value = root_of_unity(k, 8)
-    else:
-        value = root_of_unity(comp.t or 0, 8)
-    return value if comp.eps ** comp.e == 1 else -value
+def weil_index_component(comp: JordanComponent) -> int:
+    """k mod 8 with e(k/8) the Weil index of one Jordan component: n (1 - q)
+    at odd p and the oddity t (0 for type II) at p = 2, plus 4 when eps^e = -1."""
+    k = comp.n * (1 - comp.q) if comp.p != 2 else comp.t or 0
+    return (k + (0 if comp.eps ** comp.e == 1 else 4)) % 8
 
 
 def scale_component(comp: JordanComponent, x) -> JordanComponent:
@@ -416,22 +415,21 @@ def scale_component(comp: JordanComponent, x) -> JordanComponent:
                            comp.eps * two_over(u) ** comp.n, t)
 
 
-def weil_index_scaled(comp: JordanComponent, a: int) -> ExactScalar:
-    """Weil index of the component scaled by a unit, in closed form."""
+def weil_index_scaled(comp: JordanComponent, a: int) -> int:
+    """k mod 8 for the Weil index of the component scaled by a unit, in
+    closed form: gamma (a / p)^(e n) at odd p, gamma^a (2/a)^(e n) at p = 2."""
     if a % comp.p == 0:
         raise ValueError("scaling unit must be coprime to p")
-    gamma = weil_index_component(comp)
+    k = weil_index_component(comp)
     en = comp.e * comp.n
     if comp.p != 2:
-        return gamma if legendre(a, comp.p) ** en == 1 else -gamma
-    return gamma ** (a % 8) * two_over(a) ** en
+        return (k + 2 * (1 - legendre(a, comp.p) ** en)) % 8
+    return (k * a + 2 * (1 - two_over(a) ** en)) % 8
 
 
-def weil_index_lattice(lattice: GramLattice, p: int) -> ExactScalar:
-    out = from_rational(1)
-    for comp in jordan_components(lattice, p):
-        out = out * weil_index_component(comp)
-    return out
+def weil_index_lattice(lattice: GramLattice, p: int) -> int:
+    """k mod 8 for gamma_p(f), the product of the components' Weil indices."""
+    return sum(map(weil_index_component, jordan_components(lattice, p))) % 8
 
 
 # -- x_c and the local Gauss sums ---------------------------------------
@@ -492,7 +490,8 @@ def _gauss_valuation(lattice: GramLattice, p: int, a: int, c: int) -> int:
 
 
 def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:
-    """The closed value p^(m v/2) sqrt(Delta_{M,c}) delta of the local sum.
+    """The closed value p^(m v/2) sqrt(Delta_{M,c}) delta of the local sum,
+    delta = e(k/8), k the Weil-index exponents of the scaled components added.
 
     Its one costly step is sqrt(p) in Q(zeta_4p), O(p^2), taken when the
     power of p under the root is odd; p^2 must then stay within BRUTE_CAP.
@@ -504,11 +503,9 @@ def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScala
         raise CapExceededError("sqrt(%d) in Q(zeta_%d) exceeds the cap %d"
                                % (p, 4 * p, BRUTE_CAP))
     a_p = valuation_split(a, p).unit_part if a else 1
-    delta = from_rational(1)
-    for comp in components:
-        if comp.e < v:
-            delta = delta * weil_index_component(scale_component(comp, a_p * c))
-    return sqrt_rat(radicand) * delta
+    delta = sum(weil_index_component(scale_component(comp, a_p * c))
+                for comp in components if comp.e < v)
+    return sqrt_rat(radicand) * root_of_unity(delta, 8)
 
 
 def gauss_sum_brute(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import lshift, mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -326,12 +326,12 @@ def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[PhaseOperator, Phase
     the form p_part(p), at its level N_p.
 
     T_p is diagonal with the characters e(gamma^2/2) of D_p; S_p carries the
-    scalar conj(gamma(f_p)) / sqrt(Delta_p).  Tensoring over p recovers
-    rho_T and rho_S (see tensor_check).
+    scalar conj(gamma(f_p)) / sqrt(Delta_p), gamma(f_p) = e(k/8).  Tensoring
+    over p recovers rho_T and rho_S (see tensor_check).
     """
     part = lattice.discriminant_form().p_part(p)
     require_dense(part.delta)
-    coeff = weil_index_lattice(lattice, p).conjugate() * sqrt_rat(Fraction(1, part.delta))
+    coeff = root_of_unity(-weil_index_lattice(lattice, p), 8) * sqrt_rat(Fraction(1, part.delta))
     return _t_diagonal(part), _fourier(part, coeff)
 
 
@@ -581,17 +581,17 @@ def _unit_at(x: int, p: int, zero_default: int = 1) -> int:
     return int(valuation_split(x, p).unit_part)
 
 
-def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> ExactScalar:
-    """The local root of unity xi_p of the closed formula.
+def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
+    """The local root of unity xi_p = e(k/8) of the closed formula, as k mod 8.
 
     For odd p this is the quadratic symbol (a_p / Delta_p) times the product
     of conjugate Weil indices of the components of scale q not dividing c,
     scaled by a_p c.  At p = 2 the quadratic symbols in a_2 and c_2 and the
-    power gamma(f_2)^(a_2 - 1) enter as well.  For a = 0 the unit a_p is
-    taken to be 1 (the value does not depend on the choice); for c = 0 the
-    component product is empty and c_2 = +1 by convention.  The components
-    come from jordan_components: at odd p by integer elimination modulo
-    p^(v_p(det)+1), at p = 2 from jordan_decompose.
+    power gamma(f_2)^(a_2 - 1) enter as well.  A symbol -1 adds 4 to k, a
+    Weil index e(j/8) adds j.  For a = 0 the unit a_p is taken to be 1 (the
+    value does not depend on the choice); for c = 0 the component product is
+    empty and c_2 = +1 by convention.  The components come from
+    jordan_components.
     """
     m = lattice.rank
     a, c = mat.a, mat.c
@@ -599,15 +599,11 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> ExactScalar:
     a_p = _unit_at(a, p)
     # v_p(c) compared against component scales; c = 0 is divisible by all q.
     v = valuation_split(c, p).valuation if c else None
-    comp_prod = _ONE
-    if c != 0:
-        for comp in components:
-            if comp.e > v:
-                scaled = scale_component(comp, a_p * c)
-                comp_prod = comp_prod * weil_index_component(scaled).conjugate()
+    comp_prod = -sum(weil_index_component(scale_component(comp, a_p * c))
+                     for comp in components if c and comp.e > v)
     delta_p = p ** sum(comp.e * comp.n for comp in components)
     if p != 2:
-        return from_rational(legendre(a_p, delta_p)) * comp_prod
+        return (2 * (1 - legendre(a_p, delta_p)) + comp_prod) % 8
     c2 = _unit_at(c, 2)
     v2 = v or 0
     sign = eps ** m
@@ -616,34 +612,33 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> ExactScalar:
     sign *= two_over(a_p) ** (v2 * m)
     sign *= legendre(delta_p, a_p)
     gamma2 = weil_index_lattice(lattice, 2)
-    return from_rational(sign) * gamma2 ** (a_p - 1) * comp_prod
+    return (2 * (1 - sign) + gamma2 * (a_p - 1) + comp_prod) % 8
 
 
-def _xi_product(lattice: GramLattice, mat: SL2, eps: int) -> ExactScalar:
-    # xi_p = 1 for p not dividing 2 Delta (tested), so the product is finite.
-    out = _ONE
-    for p in sorted(interesting_primes(lattice) | {2}):
-        out = out * xi_p(lattice, mat, eps, p)
-    return out
+def _xi_product(lattice: GramLattice, mat: SL2, eps: int) -> int:
+    """k mod 8 for the product of the xi_p; xi_p = 1 for p not dividing
+    2 Delta (tested), so the sum is finite."""
+    return sum(xi_p(lattice, mat, eps, p)
+               for p in sorted(interesting_primes(lattice) | {2})) % 8
 
 
 # -- the closed formula ----------------------------------------------------
 
 
-def _c0_scalar(signature: int, a: int, eps: int) -> ExactScalar:
-    """delta^(-sgn), the scalar of rho at c = 0: delta = eps for a = d = 1
-    and -i eps for a = d = -1."""
-    delta = from_rational(eps) if a == 1 else root_of_unity(-1, 4) * eps
-    return delta ** (-(signature % 8))
+def _c0_scalar(signature: int, a: int, eps: int) -> int:
+    """k mod 8 for delta^(-sgn) = e(k/8), the scalar of rho at c = 0: delta
+    = eps for a = d = 1 and -i eps = e(-2/8) eps for a = d = -1."""
+    delta = 2 * (1 - eps) + (0 if a == 1 else -2)
+    return -signature * delta % 8
 
 
-def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar,
+def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar, shift: int,
                      coset: List[Tuple[DFElement, int]]) -> PhaseOperator:
     """Sum the closed-formula phases over the c-star coset x_c + cD.
 
     `coset` is form.coset_Dcstar(c, x_c).  Each phase is an integer k mod
-    the level N, and the cell is coeff * e(k/N).  Elements are addressed by
-    their mixed-radix index in form.elements(); for each beta the phases
+    the level N, `shift` included, and the cell is coeff * e(k/N).  Elements
+    are addressed by their mixed-radix index in form.elements(); for each beta the phases
     of all gamma come from the pairing row of beta and the q table, and the
     positions of the cells (beta + d gamma, gamma) in the row-major table
     are computed one coordinate at a time.  At c = 0 the coset is {0}, and
@@ -662,7 +657,7 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar,
     flat = [ZERO_PHASE] * (dim * dim)
     for beta, h in coset:
         # a N(c alpha^2/2 + (x_c, alpha)) + b N(gamma, beta) + bd N q(gamma)
-        ah = a * h
+        ah = a * h + shift
         ks = [(ah + b * p + t) % n for p, t in zip(pairs[form.index(beta)], tails)]
         at = range(dim)
         for dcol, o, step, x in zip(d_coords, form.orders, steps, beta):
@@ -685,7 +680,11 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
     so a (c alpha^2/2) is well defined although q is only defined mod 1/2;
     for odd c its x_c is reported as zero (the half-sum is not dual) and
     xi_2 picks up zeta_8^(-a_2 c_2 t_1), t_1 the oddity of the scale-1
-    component.
+    component.  The scalar's root of unity e(s/8) is split canonically:
+    with g = gcd(8, N) and (q, r) = divmod(s mod 8, 8/g), coeff is
+    e(r/8) sqrt(1/|D/D_c|), 0 <= r < 8/g, and e(q/g) adds q N/g to every
+    phase.  No two such scalars differ by an N-th root of unity, so (coeff,
+    phases) is a function of the operator alone.
     """
     if not lattice.is_even and not gamma_odd_member(x.mat):
         raise ValueError("matrix outside the parity subgroup: "
@@ -694,15 +693,17 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
     require_dense(form.delta)
     mat, eps = x.mat, x.eps
     if mat.c == 0:
-        coeff, x_c = _c0_scalar(form.signature, mat.a, eps), form.zero()
+        s, x_c = _c0_scalar(form.signature, mat.a, eps), form.zero()
     else:
-        coeff = _xi_product(lattice, mat, eps)
+        s = _xi_product(lattice, mat, eps)
         x_c, t1 = choose_xc(jordan_decompose(lattice, 2), mat.c)
         if mat.c % 2 and t1 is not None:
-            coeff = coeff * root_of_unity(-_unit_at(mat.a, 2) * _unit_at(mat.c, 2) * t1, 8)
+            s -= _unit_at(mat.a, 2) * _unit_at(mat.c, 2) * t1
     coset = form.coset_Dcstar(mat.c, x_c)
-    coeff = coeff * sqrt_rat(Fraction(1, len(coset)))
-    return _closed_assembly(form, mat, coeff, coset)
+    g = gcd(8, form.level)
+    q, r = divmod(s % 8, 8 // g)
+    coeff = root_of_unity(r, 8) * sqrt_rat(Fraction(1, len(coset)))
+    return _closed_assembly(form, mat, coeff, q * form.level // g, coset)
 
 
 def rho_closed_odd(lattice: GramLattice, x: MpElement) -> PhaseOperator:
@@ -715,8 +716,8 @@ def rho_closed_odd(lattice: GramLattice, x: MpElement) -> PhaseOperator:
 # -- characters and kernels ------------------------------------------------
 
 
-def phi_char(lattice: GramLattice, x: MpElement) -> ExactScalar:
-    """The character phi on the preimage of Gamma_0(N).
+def phi_char(lattice: GramLattice, x: MpElement) -> int:
+    """The character phi = e(k/8) on the preimage of Gamma_0(N), as k mod 8.
 
     phi(x) is the scalar by which rho(x) acts on e_0; on Gamma_0^0(N) the
     whole operator is phi(x) e(bd gamma^2/2) e_{d gamma}.  For c != 0 the
@@ -748,8 +749,7 @@ def phi_char(lattice: GramLattice, x: MpElement) -> ExactScalar:
     if delta_two > 1:
         sign *= legendre(delta_two, a)
     sign *= legendre(a, delta_odd)
-    gamma2 = weil_index_lattice(lattice, 2)
-    return from_rational(sign) * gamma2 ** (a - 1)
+    return (2 * (1 - sign) + weil_index_lattice(lattice, 2) * (a - 1)) % 8
 
 
 def kernel_descriptor(lattice: GramLattice) -> dict:
@@ -766,8 +766,8 @@ def kernel_descriptor(lattice: GramLattice) -> dict:
     n_tilde = form.exponent
     N = lattice.level()
     m = lattice.rank
-    gamma2 = weil_index_lattice(lattice, 2)
-    gamma2_sq_one = (gamma2 * gamma2 == _ONE)
+    # gamma(f_2)^2 = e(2k/8) is 1 exactly when 4 | k
+    gamma2_sq_one = weil_index_lattice(lattice, 2) % 4 == 0
     v2_delta = valuation_split(form.delta, 2).valuation if form.delta > 1 else 0
     case_i = n_tilde % 4 == 2 and not gamma2_sq_one
     case_ii = m % 2 == 0 and n_tilde % 8 == 4 and v2_delta % 2 == 1
@@ -818,11 +818,11 @@ def braun_check(lattice: GramLattice, c: int) -> bool:
 
 
 def weil_reciprocity_check(lattice: GramLattice) -> bool:
-    """Product formula for the Weil indices: Pi_p gamma(f_p) = zeta_8^sgn."""
-    prod_all = _ONE
-    for p in sorted(interesting_primes(lattice) | {2}):
-        prod_all = prod_all * weil_index_lattice(lattice, p)
-    return prod_all == root_of_unity(lattice.signature(), 8)
+    """Product formula for the Weil indices: Pi_p gamma(f_p) = zeta_8^sgn,
+    the oddity formula sum_p k_p = sgn mod 8 on their exponents."""
+    total = sum(weil_index_lattice(lattice, p)
+                for p in sorted(interesting_primes(lattice) | {2}))
+    return (total - lattice.signature()) % 8 == 0
 
 
 def _kronecker(form: DiscriminantForm, ops: Sequence[PhaseOperator],

@@ -166,12 +166,13 @@ def test_recomposition_blocks():
 
 
 def test_weil_index_examples():
-    z8 = root_of_unity(1, 8)
-    assert weil_index_component(JordanComponent(2, 1, 1, 1, 1)) == z8
-    assert weil_index_component(JordanComponent(3, 1, 1, 1)) == root_of_unity(-2, 8)
-    assert weil_index_component(JordanComponent(2, 0, 2, 1, None)) == from_rational(1)
-    assert weil_index_scaled(JordanComponent(3, 1, 1, 1), 2) == root_of_unity(2, 8)
-    assert weil_index_scaled(JordanComponent(2, 1, 1, 1, 1), 3) == -(z8 ** 3)
+    # a Weil index e(k/8) is returned as its exponent k mod 8
+    assert weil_index_component(JordanComponent(2, 1, 1, 1, 1)) == 1
+    assert weil_index_component(JordanComponent(3, 1, 1, 1)) == -2 % 8
+    assert weil_index_component(JordanComponent(2, 0, 2, 1, None)) == 0
+    assert weil_index_scaled(JordanComponent(3, 1, 1, 1), 2) == 2
+    # -(zeta_8^3) = e(4/8) e(3/8)
+    assert weil_index_scaled(JordanComponent(2, 1, 1, 1, 1), 3) == 7
     comp = JordanComponent(5, 2, 1, -1)
     assert weil_index_scaled(comp, 1) == weil_index_component(comp)
 
@@ -208,7 +209,7 @@ def test_weil_index_stable_under_p_squared(comp):
 @settings(max_examples=100, deadline=None)
 def test_weil_index_negation_conjugates(comp):
     flipped = scale_component(comp, -1)
-    assert weil_index_component(flipped) == weil_index_component(comp).conjugate()
+    assert weil_index_component(flipped) == -weil_index_component(comp) % 8
 
 
 def test_weil_index_square_odd_p():
@@ -217,7 +218,7 @@ def test_weil_index_square_odd_p():
         for p in (3, 5, 7):
             v = valuation_split(lat.delta(), p).valuation
             gamma = weil_index_lattice(lat, p)
-            assert gamma * gamma == from_rational(legendre(-1, p) ** v)
+            assert root_of_unity(2 * gamma, 8) == from_rational(legendre(-1, p) ** v)
 
 
 def test_weil_index_gauss_oracle():
@@ -231,16 +232,16 @@ def test_weil_index_gauss_oracle():
             for k in part.q_table():
                 total = total + char_p_value(Fraction(k, part.level), p)
             v = valuation_split(df.delta, p).valuation if df.delta > 1 else 0
-            assert total == weil_index_lattice(lat, p) * sqrt_rat(p ** v)
+            assert total == root_of_unity(weil_index_lattice(lat, p), 8) * sqrt_rat(p ** v)
 
 
 def test_weil_reciprocity():
     for gram in EVEN_GRAMS:
         lat = GramLattice(gram)
-        out = from_rational(1)
+        out = 0
         for p in sorted({2, *[q for q in (2, 3, 5, 7) if lat.delta() % q == 0]}):
-            out = out * weil_index_lattice(lat, p)
-        assert out == root_of_unity(lat.signature(), 8)
+            out += weil_index_lattice(lat, p)
+        assert root_of_unity(out, 8) == root_of_unity(lat.signature(), 8)
 
 
 def test_multiplicative_over_direct_sums():
@@ -251,7 +252,7 @@ def test_multiplicative_over_direct_sums():
         ls = direct_sum(la, lb)
         for p in (2, 3, 5):
             assert weil_index_lattice(ls, p) == \
-                weil_index_lattice(la, p) * weil_index_lattice(lb, p)
+                (weil_index_lattice(la, p) + weil_index_lattice(lb, p)) % 8
             for a, c in ((1, 2), (3, 4), (2, 3), (1, -2)):
                 assert gauss_sum_closed(ls, p, a, c) == \
                     gauss_sum_closed(la, p, a, c) * gauss_sum_closed(lb, p, a, c)

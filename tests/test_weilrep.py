@@ -12,7 +12,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import exactweil
@@ -763,7 +763,7 @@ def test_factoring_through_level():
         for _ in range(6):
             g = gamma_n_sample(rng, n)
             sign = gamma4_lift(g).eps
-            assert phi_char(lattice, MpElement(g, sign)) == ONE
+            assert phi_char(lattice, MpElement(g, sign)) == 0
             assert is_in_kernel(lattice, MpElement(g, sign))
             assert not is_in_kernel(lattice, MpElement(g, -sign))
 
@@ -771,7 +771,8 @@ def test_factoring_through_level():
 def r0_scalar(lattice, x):
     """The constant relating r0_direct to the representation: the sign
     eps^m (a/c_2)^m times odd-place symbols (a_p/p^v)^m times the product
-    of conjugate Weil indices of the forms scaled by c."""
+    of conjugate Weil indices of the forms scaled by c, e(k/8) with k minus
+    the sum of their exponents."""
     a, c = x.mat.a, x.mat.c
     m = lattice.rank
     c2 = int(valuation_split(c, 2).unit_part)
@@ -781,13 +782,11 @@ def r0_scalar(lattice, x):
             continue
         a_p = int(valuation_split(a, p).unit_part) if a else 1
         sym *= legendre(a_p, p ** valuation_split(c, p).valuation) ** m
-    out = from_rational(sym)
+    k = 0
     for p in sorted(set(prime_factors(2 * lattice.delta() * abs(c)))):
-        gamma_p = ONE
         for comp in jordan_decompose(lattice, p).components:
-            gamma_p = gamma_p * weil_index_component(scale_component(comp, c))
-        out = out * gamma_p.conjugate()
-    return out
+            k -= weil_index_component(scale_component(comp, c))
+    return from_rational(sym) * root_of_unity(k, 8)
 
 
 def test_r0_direct():
@@ -825,15 +824,16 @@ def test_r0_entry_ratio_constant():
 
 
 def test_xi_values():
-    assert xi_p(A1, S_MAT, 1, 2) == root_of_unity(-1, 8)
-    assert xi_p(A1, SL2(1, 0, 4, 1), 1, 2) == ONE
+    # xi_p = e(k/8) is returned as its exponent k mod 8
+    assert xi_p(A1, S_MAT, 1, 2) == -1 % 8
+    assert xi_p(A1, SL2(1, 0, 4, 1), 1, 2) == 0
     mats = (S_MAT, SL2(1, 1, 1, 2), SL2(2, 1, 3, 2), SL2(1, 0, 0, 1))
     for gram in EVEN_GRAMS:
         lattice = GramLattice(gram)
         p = next(q for q in (5, 7, 11) if lattice.delta() % q)
         for mat in mats:
             for eps in (1, -1):
-                assert xi_p(lattice, mat, eps, p) == ONE
+                assert xi_p(lattice, mat, eps, p) == 0
 
 
 def test_xi_product_at_s():
@@ -842,10 +842,10 @@ def test_xi_product_at_s():
         primes = sorted(set(prime_factors(2 * lattice.delta())))
         for k in (0, 1, -2):
             mat = SL2(0, -1, 1, k)
-            prod = ONE
+            total = 0
             for p in primes:
-                prod = prod * xi_p(lattice, mat, 1, p)
-            assert prod == root_of_unity(-lattice.signature(), 8)
+                total += xi_p(lattice, mat, 1, p)
+            assert root_of_unity(total, 8) == root_of_unity(-lattice.signature(), 8)
 
 
 def test_column_support():
@@ -869,9 +869,10 @@ def test_column_support():
 
 
 def test_phi_examples():
-    assert phi_char(A1, MP_ONE) == ONE
-    assert phi_char(A1, MpElement(SL2(1, 0, 4, 1), 1)) == ONE
-    assert phi_char(A1, MP_Z) == root_of_unity(-1, 4)
+    # phi = e(k/8) is returned as its exponent k mod 8
+    assert phi_char(A1, MP_ONE) == 0
+    assert phi_char(A1, MpElement(SL2(1, 0, 4, 1), 1)) == 0
+    assert root_of_unity(phi_char(A1, MP_Z), 8) == root_of_unity(-1, 4)
     with pytest.raises(ValueError):
         phi_char(A1, MpElement(SL2(1, 0, 2, 1), 1))
 
@@ -886,7 +887,7 @@ def test_phi_is_the_e0_scalar():
             x = MpElement(gamma0_sample(rng, n), rng.choice((1, -1)))
             op = rho_closed(lattice, x)
             i0 = op.form.index(form.zero())
-            assert phi_char(lattice, x) == op.entries[i0][i0]
+            assert root_of_unity(phi_char(lattice, x), 8) == op.entries[i0][i0]
 
 
 def test_phi_multiplicative():
@@ -898,7 +899,7 @@ def test_phi_multiplicative():
             x = MpElement(gamma0_sample(rng, n), rng.choice((1, -1)))
             y = MpElement(gamma0_sample(rng, n), rng.choice((1, -1)))
             assert phi_char(lattice, mp_mul(x, y)) \
-                == phi_char(lattice, x) * phi_char(lattice, y)
+                == (phi_char(lattice, x) + phi_char(lattice, y)) % 8
 
 
 def test_kernel_descriptor():
@@ -919,6 +920,9 @@ def test_kernel_descriptor():
         lattice = GramLattice(gram)
         d = kernel_descriptor(lattice)
         assert d["cover"] == ("lift" if lattice.rank % 2 else "double-cover")
+    # gamma(f_2) = e(4/8) = -1 on A1^4: its square is 1, so not case (i)
+    d = kernel_descriptor(GramLattice([[2 * (i == j) for j in range(4)] for i in range(4)]))
+    assert d["gamma_f2_squared_trivial"] and d["case"] == "generic"
     with pytest.raises(ValueError):
         kernel_descriptor(ODD1)
 
@@ -1306,6 +1310,7 @@ EVEN_BLOCKS = ([[2]], [[-2]], [[4]], [[6]], [[-10]], [[12]], [[2, 1], [1, 2]],
 
 
 @settings(max_examples=12, deadline=None)
+@example([[[2]], [[2]], [[4]]], [(0, 2, 1)], [False, False, False, False], 2, 1)
 @example([A2_5, [[4]]], [(0, 1, 2), (1, 2, -1), (2, 0, 1), (0, 2, 2)],
          [True, False, True, False], 28, 5)
 @example([[[6, 3], [3, 6]], [[2]], [[-4]]], [(2, 0, 1), (0, 1, -2), (1, 2, 1), (3, 1, 1)],
@@ -1354,6 +1359,28 @@ def test_closed_formula_is_isometry_equivariant(blocks, moves, flips, c, d):
     for k, t in ((k, t) for k in (1, -2) for t in (d, 2 * d + 1) if gcd(n * k, t) == 1):
         y = MpElement(bezout_sl2(n * k, t), (1, -1)[k % 2])
         assert phi_char(moved, y) == phi_char(lattice, y)
+
+
+def test_closed_split_is_canonical():
+    # rho_closed's scalar is e(r/8) sqrt(1/|D/D_c|) for exactly one r in
+    # [0, M/N), M = lcm(8, N), so M/N = 8/gcd(8, N): no two such scalars
+    # differ by an N-th root of unity, so (coeff, phases) is a function of
+    # the operator.  Column 0 (e_0) has |D/D_c| nonzero cells.
+    mats = (SL2(1, 0, 0, 1), SL2(-1, 2, 0, -1), SL2(1, 0, 2, 1), SL2(3, 2, 4, 3),
+            SL2(5, 2, -8, -3), S_MAT, SL2(2, 1, 3, 2), SL2(4, 1, 7, 2), SL2(2, -1, 5, -2),
+            SL2(3, 2, 7, 5))
+    for gram in EVEN_GRAMS + ODD_GRAMS + [A2_5, DIAG_2_6_10]:
+        lattice = GramLattice(gram)
+        for mat in mats:
+            if not lattice.is_even and not gamma_odd_member(mat):
+                continue
+            for eps in (1, -1):
+                op = rho_closed(lattice, MpElement(mat, eps))
+                z = sum(row[0] != ZERO_PHASE for row in op.phases)
+                big = lcm(8, op.level)
+                root = sqrt_rat(Fraction(1, z))
+                assert sum(op.coeff == root_of_unity(r, 8) * root
+                           for r in range(big // op.level)) == 1, (gram, mat, eps)
 
 
 # Each snippet corrupts one invariant; the check must still raise under -O.
@@ -1510,10 +1537,10 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     for module in (lattice_mod, metaplectic_mod, numth_mod, weilrep_mod):
         monkeypatch.setattr(module, "Fraction", NoFraction)
     for form, m, x_c in prepared:
-        weilrep_mod._closed_assembly(form, m, coeff, form.coset_Dcstar(m.c, x_c))
+        weilrep_mod._closed_assembly(form, m, coeff, 3, form.coset_Dcstar(m.c, x_c))
         weilrep_mod._closed_assembly(form, SL2(-1, 4, 0, -1),
-                                     weilrep_mod._c0_scalar(form.signature, -1, -1),
-                                     form.coset_Dcstar(0, form.zero()))
+                                     root_of_unity(weilrep_mod._c0_scalar(form.signature, -1, -1), 8),
+                                     0, form.coset_Dcstar(0, form.zero()))
         weilrep_mod._group_ring_product(form, [("T", 2), ("S", 1), ("T", -2), ("S", -1)])
         # the word oracle's bookkeeping: the word, its sign and the ring product
         word = decompose(m, 1 if form.lattice.is_even else 2)[0]
