@@ -96,8 +96,9 @@ def verify_suites(lattice: GramLattice) -> List[dict]:
         _holds(s * s == z, "rho(S)^2 == rho(Z)")
         checks += 1
         if even:
-            st = s * rho_T(form)
-            _holds(st * st * st == z, "rho(ST)^3 == rho(Z)")
+            # every step a ring operator times a phase operator: the shift kernel
+            t = rho_T(form)
+            _holds(s * t * s * t * s * t == z, "rho(ST)^3 == rho(Z)")
             checks += 1
         _holds((z * z * z * z).is_identity(), "rho(Z)^4 == 1")
         return checks + 1

@@ -529,6 +529,27 @@ def root_of_unity(num: int, den: int) -> ExactScalar:
     return ExactScalar(den, _root_vec(num, den), 1, (num, 1))
 
 
+def root_multiples(x: ExactScalar, ks: Iterable[int], n: int) -> dict:
+    """{k: x * e(k/n)} for each k in ks, 0 <= k < n, each value with the
+    order and vector x * root_of_unity(k, n) gives.  e(k/n) has order n/g,
+    g = gcd(k, n), so the product lies in Q(zeta_M), M = lcm(x.order, n/g);
+    x is embedded once per M, and each k costs one shift by (k/g)(M g/n),
+    one reduction and one _make."""
+    if x._mono is not None:
+        return {k: x * root_of_unity(k, n) for k in ks}
+    embedded, out = {}, {}
+    for k in ks:
+        g = gcd(k, n)
+        M = lcm(x.order, n // g)
+        vec = embedded.get(M)
+        if vec is None:
+            vec = embedded[M] = x._num if x.order == M else x._embedded_vec(M)
+        buf = [0] * (k // g * (M * g // n))
+        buf.extend(vec)
+        out[k] = _make(M, _reduce_vec(buf, M), x._den)
+    return out
+
+
 def from_rational(r: RationalLike) -> ExactScalar:
     return ExactScalar.from_rational(r)
 

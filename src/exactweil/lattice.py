@@ -12,9 +12,9 @@ lattice's form is built from (orders, Gram matrix mod N, q diagonal, N)
 after the Smith step, and the p-part D_p of an even form is a
 DiscriminantForm of its own, on the p-primary factors of the orders, with
 its own coordinates and level N_p.  Each form keeps, from its first use,
-N q(gamma) for every element and the N (gamma_i, gamma_j) pairing rows by
-element index, so the operator builders read them instead of recomputing
-them per matrix.
+N q(gamma) for every element, the N (gamma_i, gamma_j) pairing rows and the
+addition table index(gamma_i + gamma_j), all by element index, so the
+operator builders read them instead of recomputing them per matrix.
 
 Enumeration of the full group is capped at delta <= 10**5, and a dense
 operator on it at 10**7 integers; both raise CapExceededError beyond that.
@@ -252,13 +252,13 @@ class DiscriminantForm:
 
     Element i of `elements()` has the mixed-radix digits of i against
     `orders` as coordinates (`index` inverts this).  The per-element tables,
-    `q_table` and `pairing_table`, are built on first use and kept, as the
-    lattice keeps its form.
+    `q_table`, `pairing_table` and `add_table`, are built on first use and
+    kept, as the lattice keeps its form.
     """
 
     __slots__ = ("orders", "delta", "level", "exponent", "is_even", "gram_mod",
                  "_q_gram", "_q_mod", "_strides", "_elems", "_q_table", "_pair_table",
-                 "lattice", "signature", "_u", "_d_full", "_positions")
+                 "_add_table", "lattice", "signature", "_u", "_d_full", "_positions")
 
     def __init__(self, orders: Sequence[int], gram_mod: Sequence[Sequence[int]],
                  q_diag: Sequence[int], level: int, is_even: bool = True):
@@ -278,6 +278,7 @@ class DiscriminantForm:
         self._elems: Optional[List[DFElement]] = None
         self._q_table: Optional[List[int]] = None
         self._pair_table: Optional[List[List[int]]] = None
+        self._add_table: Optional[List[List[int]]] = None
         self.lattice = self.signature = self._u = self._d_full = self._positions = None
 
     @classmethod
@@ -335,6 +336,31 @@ class DiscriminantForm:
     def index(self, x: DFElement) -> int:
         """The position of x in elements()."""
         return sum(a * s for a, s in zip(x, self._strides))
+
+    def smul_indices(self, c: int) -> List[int]:
+        """index(c x) for every x in elements(), one coordinate column at a time."""
+        at = [0] * self.delta
+        for col, o, s in zip(zip(*self.elements()), self.orders, self._strides):
+            at = [i + c * a % o * s for i, a in zip(at, col)]
+        return at
+
+    def add_table(self) -> List[List[int]]:
+        """index(x + y) for x and y in elements(), row index(x), column
+        index(y), accumulated one coordinate column at a time: delta^2
+        integers, so the dense cap is checked before the first build; do
+        not mutate."""
+        if self._add_table is None:
+            require_dense(self.delta)
+            elems = self.elements()
+            cols = list(zip(*elems))
+            table = []
+            for x in elems:
+                acc = [0] * len(elems)
+                for a, col, o, s in zip(x, cols, self.orders, self._strides):
+                    acc = [i + (a + b) % o * s for i, b in zip(acc, col)]
+                table.append(acc)
+            self._add_table = table
+        return self._add_table
 
     # -- values ------------------------------------------------------------
 

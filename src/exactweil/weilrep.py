@@ -28,9 +28,10 @@ and a matrix over the group ring Z[x]/(x^N - 1) read at x = zeta_N.  The
 closed formula, T, S, Z, the identity and their p-parts have e(k/N) in every
 nonzero cell.  They are built as a PhaseOperator, which stores the scalar
 once and the phases k as one integer table, with ZERO_PHASE marking the zero
-cells; the integers are read from the form's tables (N q(gamma) and the
-pairing rows).  T and S on a p-part come from the same builders, applied to
-the p-part, a DiscriminantForm with its own coordinates and level N_p.
+cells; the integers are read from the form's tables (N q(gamma), the
+pairing rows and the addition table).  T and S on a p-part come from the
+same builders, applied to the p-part, a DiscriminantForm with its own
+coordinates and level N_p.
 Identity and equality tests, the tensor product over the p-parts and the
 JSON encoding work on those integers.  The word oracle returns its product
 as it is built, a RingOperator: one scalar times packed group-ring cells.
@@ -52,8 +53,8 @@ from math import gcd, lcm, prod
 from operator import lshift, mul
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import (ExactScalar, euler_phi, from_powers, from_rational,
-                    reduce_powers, root_of_unity, scalar_sum, sqrt_rat)
+from .exact import (ExactScalar, euler_phi, from_powers, from_rational, reduce_powers,
+                    root_multiples, root_of_unity, scalar_sum, sqrt_rat)
 from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
                      scale_component, weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
@@ -208,9 +209,13 @@ class PhaseOperator(WeilOperator):
         require_dense(form.delta, nonzero * (euler_phi(lcm(coeff.order, form.level)) - 1))
 
     def _cell_table(self) -> Tuple[dict, List[List[int]]]:
-        coeff, n = self.coeff, self.level
-        cells = {k: _ZERO if k == ZERO_PHASE else coeff * root_of_unity(k, n)
-                 for k in set().union(*self.phases)}
+        """coeff * e(k/N) for each distinct phase k, and zero for
+        ZERO_PHASE: root_multiples embeds coeff once per target order and
+        rotates it once per phase."""
+        keys = set().union(*self.phases)
+        cells = root_multiples(self.coeff, keys - {ZERO_PHASE}, self.level)
+        if ZERO_PHASE in keys:
+            cells[ZERO_PHASE] = _ZERO
         return cells, self.phases
 
     def _sums(self) -> List[List[int]]:
@@ -317,8 +322,7 @@ def rho_Z(form: DiscriminantForm) -> PhaseOperator:
     n = form.delta
     coeff = root_of_unity(-2 * form.signature, 8)
     PhaseOperator.require(coeff, form, n)
-    return _one_per_column(form, coeff, [form.index(form.neg(g)) for g in form.elements()],
-                           [0] * n)
+    return _one_per_column(form, coeff, form.smul_indices(-1), [0] * n)
 
 
 def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[PhaseOperator, PhaseOperator]:
@@ -638,33 +642,26 @@ def _closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar, shift
 
     `coset` is form.coset_Dcstar(c, x_c).  Each phase is an integer k mod
     the level N, `shift` included, and the cell is coeff * e(k/N).  Elements
-    are addressed by their mixed-radix index in form.elements(); for each beta the phases
-    of all gamma come from the pairing row of beta and the q table, and the
-    positions of the cells (beta + d gamma, gamma) in the row-major table
-    are computed one coordinate at a time.  At c = 0 the coset is {0}, and
-    the cells are coeff * e(bd gamma^2/2) at (d gamma, gamma).
+    are addressed by their index in form.elements(), and each beta costs one
+    pass over gamma: the phases come from the pairing row of beta and the q
+    table, and the rows beta + d gamma from the addition table's row of
+    beta, gathered at index(d gamma).  At c = 0 the coset is {0}, and the
+    cells are coeff * e(bd gamma^2/2) at (d gamma, gamma).
     """
     a, b, d = mat.a, mat.b, mat.d
-    n = form.level
-    elems = form.elements()
-    dim = len(elems)
+    n, dim = form.level, form.delta
     PhaseOperator.require(coeff, form, dim * len(coset))
-    pairs = form.pairing_table()
-    # one step in coordinate r moves a cell this far down the row-major table
-    steps = [prod(form.orders[r + 1:]) * dim for r in range(len(form.orders))]
-    d_coords = [[d * g % o for g in col] for col, o in zip(zip(*elems), form.orders)]
+    pairs, add = form.pairing_table(), form.add_table()
+    d_at = form.smul_indices(d)
     tails = [b * d * t for t in form.q_table()]
-    flat = [ZERO_PHASE] * (dim * dim)
+    phases = [[ZERO_PHASE] * dim for _ in range(dim)]
     for beta, h in coset:
+        i = form.index(beta)
+        at = add[i]
         # a N(c alpha^2/2 + (x_c, alpha)) + b N(gamma, beta) + bd N q(gamma)
         ah = a * h + shift
-        ks = [(ah + b * p + t) % n for p, t in zip(pairs[form.index(beta)], tails)]
-        at = range(dim)
-        for dcol, o, step, x in zip(d_coords, form.orders, steps, beta):
-            at = [i + (x + y) % o * step for i, y in zip(at, dcol)]
-        # flat[at[j]] = ks[j] for every j; setitem returns None, so any() runs it all
-        any(map(flat.__setitem__, at, ks))
-    phases = [flat[i:i + dim] for i in range(0, dim * dim, dim)]
+        for j, x, p, t in zip(range(dim), d_at, pairs[i], tails):
+            phases[at[x]][j] = (ah + b * p + t) % n
     return PhaseOperator(coeff, phases, form)
 
 

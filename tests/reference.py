@@ -11,12 +11,15 @@ and the general Kubota cocycle.  DenseOperator is a matrix of ExactScalar
 cells, compared cell by cell: the reference for every operator's equality,
 identity test and JSON.  dense_product multiplies dense operators naively,
 one scalar_sum per cell, with no group ring: the reference for the operator
-product.
+product.  closed_assembly places the closed formula's cells one coordinate
+at a time in a flat row-major buffer, and phase_cells builds each distinct
+cell of a phase operator as coeff * root_of_unity(k, N): the references for
+the addition-table assembly and the rotated cell table.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple
 
 from exactweil.exact import ExactScalar, from_rational, root_of_unity, scalar_sum, sqrt_rat
@@ -26,6 +29,7 @@ from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
                                smith_normal_form)
 from exactweil.metaplectic import MP_ONE, MP_S, SL2, MpElement, Word, mp_inv, mp_mul
 from exactweil.numth import _unit_mod, valuation_split
+from exactweil.weilrep import ZERO_PHASE, PhaseOperator
 
 Vector = Tuple[Fraction, ...]
 
@@ -247,3 +251,46 @@ def word_mp_by_cocycle(word: Word) -> MpElement:
             for _ in range(abs(k)):
                 out = mp_mul(out, MP_S if k > 0 else mp_inv(MP_S))
     return out
+
+
+def closed_assembly(form: DiscriminantForm, mat: SL2, coeff: ExactScalar, shift: int,
+                    coset: List[Tuple[DFElement, int]]) -> PhaseOperator:
+    """weilrep._closed_assembly by positions: for each beta the phases of all
+    gamma come from the pairing row of beta and the q table, and the
+    positions of the cells (beta + d gamma, gamma) in a flat row-major table
+    are computed one coordinate at a time."""
+    a, b, d = mat.a, mat.b, mat.d
+    n = form.level
+    elems = form.elements()
+    dim = len(elems)
+    PhaseOperator.require(coeff, form, dim * len(coset))
+    pairs = form.pairing_table()
+    # one step in coordinate r moves a cell this far down the row-major table
+    steps = [prod(form.orders[r + 1:]) * dim for r in range(len(form.orders))]
+    d_coords = [[d * g % o for g in col] for col, o in zip(zip(*elems), form.orders)]
+    tails = [b * d * t for t in form.q_table()]
+    flat = [ZERO_PHASE] * (dim * dim)
+    for beta, h in coset:
+        ah = a * h + shift
+        ks = [(ah + b * p + t) % n for p, t in zip(pairs[form.index(beta)], tails)]
+        at = range(dim)
+        for dcol, o, step, x in zip(d_coords, form.orders, steps, beta):
+            at = [i + (x + y) % o * step for i, y in zip(at, dcol)]
+        for i, k in zip(at, ks):
+            flat[i] = k
+    phases = [flat[i:i + dim] for i in range(0, dim * dim, dim)]
+    return PhaseOperator(coeff, phases, form)
+
+
+def phase_cells(op: PhaseOperator) -> dict:
+    """Each distinct cell of a phase operator by its phase key, built as
+    coeff * root_of_unity(k, N): one ExactScalar product per key."""
+    coeff, n = op.coeff, op.level
+    return {k: from_rational(0) if k == ZERO_PHASE else coeff * root_of_unity(k, n)
+            for k in set().union(*op.phases)}
+
+
+def phase_json(op: PhaseOperator) -> dict:
+    """The operator JSON of a phase operator, from phase_cells."""
+    cells = phase_cells(op)
+    return {"dim": op.dim, "entries": [[cells[k].to_json() for k in row] for row in op.phases]}

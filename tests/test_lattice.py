@@ -509,6 +509,26 @@ def _brute_kernel(df, c):
     return [mu for mu in df.elements() if df.smul(c, mu) == df.zero()]
 
 
+def test_add_table_and_smul_indices(monkeypatch):
+    import exactweil.lattice as lattice_mod
+
+    for gram in _COSET_GRAMS:
+        lattice = GramLattice(gram)
+        df = lattice.discriminant_form()
+        forms = [df] + [df.p_part(p) for p in sorted(interesting_primes(lattice))
+                        if lattice.is_even]
+        for form in forms:
+            elems = form.elements()
+            assert form.add_table() == [[form.index(form.add(x, y)) for y in elems]
+                                        for x in elems], gram
+            for c in (0, 1, -1, 2, 3, 7, -12, 10 ** 12 + 1):
+                assert form.smul_indices(c) == [form.index(form.smul(c, x)) for x in elems]
+    # delta^2 integers, capped before the first build
+    monkeypatch.setattr(lattice_mod, "DENSE_CAP", 63)
+    with pytest.raises(CapExceededError):
+        GramLattice([[8]]).discriminant_form().add_table()
+
+
 def test_cosets_match_lift_enumeration():
     for gram in _COSET_GRAMS:
         lat = GramLattice(gram)

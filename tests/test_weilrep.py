@@ -69,9 +69,9 @@ from exactweil.weilrep import (
     weil_reciprocity_check,
     xi_p,
 )
-from reference import (DenseOperator, class_of_dual_vector, dense, dense_adjoint,
-                       dense_identity, dense_is_identity, dense_product, dense_scale, lift,
-                       r0_direct)
+from reference import (DenseOperator, class_of_dual_vector, closed_assembly, dense,
+                       dense_adjoint, dense_identity, dense_is_identity, dense_product,
+                       dense_scale, lift, phase_json, r0_direct)
 
 ONE = from_rational(1)
 A1 = GramLattice([[2]])
@@ -681,6 +681,57 @@ def test_closed_equals_oracle_at_large_discriminants():
                 (gram, x.mat, x.eps)
 
 
+# perfbench's rho-mid lattices, Delta 12 to 32: between the corpus (Delta <= 8)
+# and the large-discriminant test above (Delta 75 to 120).
+RHO_MID = [[[2, 0], [0, 6]], [[4, 2], [2, 4]], [[6, 3], [3, 6]], [[32]]]
+A2_5 = [[10, 5], [5, 10]]
+DIAG_2_6_10 = [[2, 0, 0], [0, 6, 0], [0, 0, 10]]
+
+
+def test_closed_equals_oracle_at_mid_discriminants():
+    rng = random.Random(31)
+    for gram in RHO_MID:
+        lattice = GramLattice(gram)
+        for k in range(12):
+            x = MpElement(bounded_sl2(rng), (1, -1)[k % 2])
+            assert neg_symmetric(rho_closed(lattice, x)) == rho_oracle(lattice, x), \
+                (gram, x.mat, x.eps)
+
+
+def split_matrices(n, odd):
+    """Matrices with c = 0, with c prime to the level n, with 1 < gcd(c, n) < n
+    where n has such a c, and with n | c, two of each; in the parity subgroup
+    for an odd lattice."""
+    mats = [SL2(1, 2, 0, 1), SL2(-1, -4, 0, -1)]
+    cs = [next(c for c in range(2, 4 * n + 3) if gcd(c, n) == 1)]
+    cs += [c for c in range(2, n) if 1 < gcd(c, n) < n][:1] + [n]
+    for c in cs:
+        found = [m for m in (bezout_sl2(c, d) for d in range(-4 * c - 9, 4 * c + 10)
+                             if gcd(c, d) == 1)
+                 if not odd or gamma_odd_member(m)]
+        mats += [found[0], found[-1]] if len(found) > 1 else found
+    return mats
+
+
+def test_closed_assembly_and_cells_equal_reference(monkeypatch):
+    # The addition-table assembly gives the phase table, list for list, and
+    # the rotated cell table the JSON, dict for dict, of the flat-buffer
+    # assembly and one coeff * root_of_unity(k, N) per phase key.
+    import exactweil.weilrep as weilrep_mod
+
+    for gram in EVEN_GRAMS + ODD_GRAMS + RHO_MID + [A2_5, DIAG_2_6_10]:
+        lattice = GramLattice(gram)
+        for mat in split_matrices(lattice.level(), not lattice.is_even):
+            for eps in (1, -1):
+                x = MpElement(mat, eps)
+                op = rho_closed(lattice, x)
+                with monkeypatch.context() as patch:
+                    patch.setattr(weilrep_mod, "_closed_assembly", closed_assembly)
+                    ref = rho_closed(lattice, x)
+                assert op.coeff == ref.coeff and op.phases == ref.phases, (gram, mat, eps)
+                assert op.to_json() == phase_json(ref), (gram, mat, eps)
+
+
 def test_closed_odd_examples():
     op = rho_closed_odd(ODD1, MpElement(S_MAT, 1))
     assert op.dim == 1 and op.entries[0][0] == root_of_unity(-1, 8)
@@ -984,16 +1035,12 @@ def test_operator_json():
     assert abs(re - 0.5) < 1e-12 and abs(im + 0.5) < 1e-12
 
 
-A2_5 = [[10, 5], [5, 10]]
-DIAG_2_6_10 = [[2, 0, 0], [0, 6, 0], [0, 0, 10]]
-
-
 def phase_corpus():
     """(name, operator) for T, S, Z, every p-part pair, and rho_closed at
-    c = 0 and at seeded c != 0, over the conftest corpus, A2(5) and
-    diag(2, 6, 10)."""
+    c = 0 and at seeded c != 0, over the conftest corpus, A2(5),
+    diag(2, 6, 10) and the rho-mid lattices."""
     rng = random.Random(21)
-    for gram in EVEN_GRAMS + ODD_GRAMS + [A2_5, DIAG_2_6_10]:
+    for gram in EVEN_GRAMS + ODD_GRAMS + [A2_5, DIAG_2_6_10] + RHO_MID:
         lattice = GramLattice(gram)
         form = lattice.discriminant_form()
         step = 1 if lattice.is_even else 2
