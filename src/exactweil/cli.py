@@ -16,9 +16,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 from .checks import milgram_value, verify_suites
 from .exact import ExactScalar, check_precision
 from .jordan import gauss_sum_brute, gauss_sum_closed, jordan_components
-from .lattice import CapExceededError, GramLattice
+from .lattice import CapExceededError, GramLattice, interesting_primes
 from .metaplectic import SL2, MpElement
-from .numth import prime_factors
 from .weilrep import is_in_kernel, kernel_descriptor, rho_closed
 
 EXIT_OK = 0
@@ -102,7 +101,7 @@ def run_jordan(req: Request) -> dict:
     if req.prime is not None:
         primes = [req.prime]
     else:
-        primes = sorted(set(prime_factors(2 * lattice.delta())))
+        primes = sorted(interesting_primes(lattice) | {2})
     blocks = []
     for p in primes:
         components = jordan_components(lattice, p)

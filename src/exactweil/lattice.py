@@ -26,6 +26,7 @@ from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import CapExceededError, ExactScalar, from_rational, root_of_unity
+from .numth import prime_factors
 
 DFElement = Tuple[int, ...]
 
@@ -211,8 +212,6 @@ def direct_sum(left: GramLattice, right: GramLattice) -> GramLattice:
 
 def interesting_primes(lattice: GramLattice) -> set:
     """Primes dividing the discriminant (equivalently the level)."""
-    from .numth import prime_factors
-
     return set(prime_factors(lattice.delta()))
 
 

@@ -32,17 +32,20 @@ cells; the integers are read from the form's tables (N q(gamma), the
 pairing rows and the addition table).  T and S on a p-part come from the
 same builders, applied to the p-part, a DiscriminantForm with its own
 coordinates and level N_p.
-Identity and equality tests, the tensor product over the p-parts and the
-JSON encoding work on those integers.  The word oracle returns its product
-as it is built, a RingOperator: one scalar times packed group-ring cells.
-Equality needs one basis and one level; a ring operator equals a phase
-operator when integer vectors reduced mod Phi_N agree and one scalar checks,
-and two ring operators compare the scalars of each distinct pair of cell
-keys once.  The one operator product, A * B on one form, runs in that group
-ring through the oracle's S-step kernel (_fold_products) and gives a
-RingOperator; unitarity is (A * A.adjoint()).is_identity().  `entries`, the
-cells as ExactScalars, is a view built on every read.  Operator equality is
-exact and the tests use it with zero tolerance.
+The tensor product over the p-parts and the JSON encoding work on those
+integers.  The word oracle returns its product as it is built, a
+RingOperator: one scalar times packed group-ring cells, and a phase table is
+that ring packed at width 1, each nonzero cell the monomial x^k.
+Equality needs one basis and one level, and has one route: one side is read
+as a ring operator, and when the other is a phase operator the two are equal
+when integer vectors reduced mod Phi_N agree and one scalar checks; two ring
+operators compare the scalars of each distinct pair of cell keys once.
+is_identity() is equality with the identity.  The one operator product,
+A * B on one form, runs in that group ring through the oracle's S-step
+kernel (_fold_products) and gives a RingOperator; unitarity is
+(A * A.adjoint()).is_identity().  `entries`, the cells as ExactScalars, is a
+view built on every read.  Operator equality is exact and the tests use it
+with zero tolerance.
 """
 
 from __future__ import annotations
@@ -80,8 +83,9 @@ class WeilOperator:
     inverts it), dim = form.delta and N = level = form.level: cell (i, j) is
     the coefficient of e_{labels[i]} in the image of e_{labels[j]}.  A
     subclass gives _cell_table, the cells' scalars by key and the key of
-    every cell, its cells at x = 1 (_sums) and packed at a width (_packed),
-    and _equals, equality with an operator of the same basis and level.
+    every cell, and its cells at x = 1 (_sums) and packed at a width
+    (_packed).  Equality and is_identity are defined here, once: a phase
+    table is compared as the ring operator of its cells packed at width 1.
 
     A * B is a RingOperator with scalar A.coeff * B.coeff, multiplied with
     packed cells.  Its nonnegative coefficients are at most their cell's
@@ -139,12 +143,23 @@ class WeilOperator:
 
     def __eq__(self, other) -> bool:
         """Cell-wise equality; operators on bases of different orders or at
-        different levels are never equal."""
+        different levels are never equal.  One side is read as a ring
+        operator, a phase table as its monomials x^k packed at width 1; a
+        phase operator on the other side is compared on integers
+        (_same_phases), a ring operator by its cell scalars (_same_values)."""
         if not isinstance(other, WeilOperator):
             return NotImplemented
         if self.form.orders != other.form.orders or self.level != other.level:
             return False
-        return self._equals(other)
+        ring, op = (self, other) if isinstance(self, RingOperator) else (other, self)
+        if isinstance(ring, PhaseOperator):
+            ring = RingOperator(ring.coeff, 1, ring._packed(1), ring.form)
+        if isinstance(op, PhaseOperator):
+            return ring._same_phases(op)
+        return ring._same_values(op)
+
+    def is_identity(self) -> bool:
+        return self == WeilOperator.identity(self.labels, self.form)
 
     __hash__ = None
 
@@ -234,38 +249,6 @@ class PhaseOperator(WeilOperator):
 
     def is_unitary(self) -> bool:
         return (self * self.adjoint()).is_identity()
-
-    def is_identity(self) -> bool:
-        # Cell (0, 0) fixes the one phase k0 with coeff * e(k0/N) = 1; every
-        # diagonal phase must be k0 and every other cell zero.
-        k0 = self.phases[0][0]
-        if k0 == ZERO_PHASE or self.coeff * root_of_unity(k0, self.level) != _ONE:
-            return False
-        n = self.dim
-        return all(row[i] == k0 and row.count(ZERO_PHASE) == n - 1
-                   for i, row in enumerate(self.phases))
-
-    def _equals(self, other: WeilOperator) -> bool:
-        """Equality on integers: with a ring operator by its _same_phases;
-        with a phase operator, c1 e(k1/N) = c2 e(k2/N) on every nonzero cell
-        if the zero patterns agree, k1 - k2 is one delta mod N, and
-        c2 = c1 e(delta/N)."""
-        if isinstance(other, RingOperator):
-            return other._same_phases(self)
-        n = self.level
-        delta = None
-        for row, other_row in zip(self.phases, other.phases):
-            for a, b in zip(row, other_row):
-                if a == ZERO_PHASE or b == ZERO_PHASE:
-                    if a != b:
-                        return False
-                    continue
-                k = (a - b) % n
-                if delta is None:
-                    delta = k
-                elif k != delta:
-                    return False
-        return delta is None or other.coeff == self.coeff * root_of_unity(delta, n)
 
 
 # -- generator matrices ----------------------------------------------------
@@ -456,10 +439,10 @@ class RingOperator(WeilOperator):
     operators.
 
     `coeffs` maps each distinct packed cell to its N coefficients, unpacked
-    once here.  Equality with a phase operator, the identity test and the
-    cell sums at x = 1 run on these integers; the ExactScalar cells are
-    built only for `entries`, to_json() and equality with another ring
-    operator.
+    once here.  Equality with a phase operator (the identity test among
+    them) and the cell sums at x = 1 run on these integers; the ExactScalar
+    cells are built only for `entries`, to_json() and equality of two ring
+    operators.
     """
 
     __slots__ = ("width", "ring", "coeffs")
@@ -495,14 +478,6 @@ class RingOperator(WeilOperator):
         if self._sums() != expected:
             raise ArithmeticError("group ring cell sums at x = 1 differ from the expected ones: "
                                   "a packed coefficient carried")
-
-    def is_identity(self) -> bool:
-        return self._same_phases(WeilOperator.identity(self.labels, self.form))
-
-    def _equals(self, other: WeilOperator) -> bool:
-        if isinstance(other, PhaseOperator):
-            return self._same_phases(other)
-        return self._same_values(other)
 
     def _same_values(self, other: "RingOperator") -> bool:
         """Cell-wise equality of the scalars: each distinct pair of cell keys

@@ -14,15 +14,20 @@ one scalar_sum per cell, with no group ring: the reference for the operator
 product.  closed_assembly places the closed formula's cells one coordinate
 at a time in a flat row-major buffer, and phase_cells builds each distinct
 cell of a phase operator as coeff * root_of_unity(k, N): the references for
-the addition-table assembly and the rotated cell table.
+the addition-table assembly and the rotated cell table.  form_gauss_sum is
+the Gauss sum of a form, read off the histogram of N q(x) with no lattice
+basis: the reference for the Jordan route's local exponents.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from exactweil.exact import ExactScalar, from_rational, root_of_unity, scalar_sum, sqrt_rat
+from exactweil.exact import (ExactScalar, from_powers, from_rational, root_of_unity,
+                             scalar_sum, sqrt_rat)
 from exactweil.jordan import BRUTE_CAP, JordanDecomposition, choose_xc
 from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
                                DiscriminantForm, GramLattice, require_dense,
@@ -294,3 +299,20 @@ def phase_json(op: PhaseOperator) -> dict:
     """The operator JSON of a phase operator, from phase_cells."""
     cells = phase_cells(op)
     return {"dim": op.dim, "entries": [[cells[k].to_json() for k in row] for row in op.phases]}
+
+
+def form_gauss_sum(form: DiscriminantForm, s: int,
+                   x_c: Optional[DFElement] = None) -> ExactScalar:
+    """G(s), the sum of e(s q(x)) over the form, or of e(s q(x) + (x_c, x))
+    when x_c is given: the histogram of N q(x) (of N (s q(x) + (x_c, x))
+    with x_c) re-indexed by s mod N, read with one from_powers call."""
+    n = form.level
+    counts = [0] * n
+    if x_c is None:
+        for k, h in Counter(form.q_table()).items():
+            counts[s * k % n] += h
+    else:
+        row = form.pairing_row(x_c)
+        for k, x in zip(form.q_table(), form.elements()):
+            counts[(s * k + sum(map(mul, x, row))) % n] += 1
+    return from_powers(counts, n)

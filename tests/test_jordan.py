@@ -3,8 +3,10 @@
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +29,7 @@ from exactweil.jordan import (
     xc_vector,
 )
 from exactweil.lattice import CapExceededError, GramLattice, direct_sum
-from reference import lift, pairing_of_lifts, q_of_lift, xc_phase
+from reference import form_gauss_sum, lift, pairing_of_lifts, q_of_lift, xc_phase
 from exactweil.numth import char_p_value, legendre, prime_factors, valuation_split
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -301,6 +303,64 @@ def test_xc_phase_examples_and_direct_evaluation():
                 expected = from_rational(1) if vec is None else \
                     char_p_value(Fraction(a, c) * q_of_lift(df, vec), 2)
                 assert xc_phase(d, a, c) == expected, (gram, a, c)
+
+
+def _assert_local_exponents_are_form_gauss_sums(gram, seen):
+    """The Jordan route's local exponents against the Gauss sums G(s) of the
+    p-parts D_p (form_gauss_sum), at each p dividing 2 Delta, with no oracle
+    and no lattice basis:
+      (i)   G(1) = sqrt|D_p| e(k/8), k = weil_index_lattice(L, p);
+      (ii)  G(u p^v) = sqrt(|D_p| prod gcd(s, q_i)) e(k/8) for a unit u and
+            v <= 3, k summing the Weil indices of the components of scale
+            > p^v scaled by s;
+      (iii) where p = 2 and the component of scale 2^v is odd, G(s) = 0
+            instead, and for v >= 1 the sum shifted by choose_xc's x_c
+            takes the value of (ii).
+    `seen` counts the checks of each kind."""
+    lat = GramLattice(gram)
+    form = lat.discriminant_form()
+    for p in prime_factors(2 * lat.delta()):
+        part = form.p_part(p)
+        components = jordan_components(lat, p)
+        assert form_gauss_sum(part, 1) == \
+            sqrt_rat(part.delta) * root_of_unity(weil_index_lattice(lat, p), 8), (gram, p)
+        seen["i"] += 1
+        for v, u in product(range(4), [u for u in (1, -1, 2, 3, 5, 7) if u % p]):
+            s = u * p ** v
+            k = sum(weil_index_component(scale_component(comp, s))
+                    for comp in components if comp.e > v)
+            value = sqrt_rat(part.delta * prod(gcd(s, q) for q in part.orders)) \
+                * root_of_unity(k, 8)
+            if p == 2 and any(comp.e == v and comp.t is not None for comp in components):
+                assert form_gauss_sum(part, s).is_zero(), (gram, s)
+                seen["iii"] += 1
+                if v >= 1:
+                    x_c = part.project(choose_xc(jordan_decompose(lat, 2), s)[0])
+                    assert form_gauss_sum(part, s, x_c) == value, (gram, s)
+                    seen["iii shifted"] += 1
+            else:
+                assert form_gauss_sum(part, s) == value, (gram, p, s)
+                seen["ii"] += 1
+
+
+def test_local_exponents_are_form_gauss_sums():
+    seen = Counter()
+    rho_mid = list(workloads.WORKLOADS["rho-mid"].grams)
+    for gram in EVEN_GRAMS + rho_mid + [[[10, 5], [5, 10]], [[2, 0, 0], [0, 6, 0], [0, 0, 10]]]:
+        _assert_local_exponents_are_form_gauss_sums(gram, seen)
+    assert min(seen[kind] for kind in ("i", "ii", "iii", "iii shifted")) > 20, seen
+
+
+@given(data=st.data(), n=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_local_exponents_are_form_gauss_sums_hypothesis(data, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 * data.draw(st.integers(-5, 5))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(-4, 4))
+    assume(0 < abs(workloads.det(rows)) <= 600)
+    _assert_local_exponents_are_form_gauss_sums(rows, Counter())
 
 
 def test_gauss_sum_examples():
