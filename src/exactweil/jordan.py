@@ -3,25 +3,28 @@
 At an odd prime p the Jordan symbol (scale, rank and Legendre sign of each
 block) is fixed by the Gram matrix modulo p^(v+1), v = v_p(det), so
 jordan_components reads it off by integer elimination modulo that power,
-with no Fraction and no basis.  jordan_decompose, the reference, works over
-rationals whose denominators are coprime to p and keeps the basis, so every
-step is exact; it is the path at p = 2, where a scale that mixes diagonal
-and even 2x2 blocks is fused and fully diagonalized and the trace of the
-resulting diagonal units mod 8 is the oddity index t.  jordan_decompose
-evaluates each pairing of its working basis once per scan, over unordered
-pairs, and checks the finished blocks against one Gram matrix of the final
-basis, b_i . (G b_j).  Symbols at p = 2 are not canonical across different
+with no Fraction and no basis.  At p = 2 the symbol comes from
+jordan_decompose, the one decomposition with a basis: it works over
+rationals with odd denominators, so every step is exact, and it keeps the
+basis that x_c is read from.  A
+scale that mixes diagonal and even 2x2 blocks is fused and fully
+diagonalized, and the trace of the resulting diagonal units mod 8 is the
+oddity index t.  jordan_decompose evaluates each pairing of its working
+basis once per scan, over unordered pairs, and checks the finished blocks
+against one Gram matrix of the final basis, b_i . (G b_j), with integer
+determinants.  Symbols at p = 2 are not canonical across different
 decompositions, but every value derived from them downstream is.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import ExactScalar, from_rational, root_of_unity, sqrt_rat
-from .lattice import CapExceededError, DFElement, GramLattice
-from .numth import _unit_mod, char_p_value, is_prime, legendre, two_over, valuation_split
+from .lattice import CapExceededError, DFElement, GramLattice, _det_int
+from .numth import (_unit_mod, char_p_value, is_prime, legendre, two_over, unit_part,
+                    valuation_split)
 
 BRUTE_CAP = 10 ** 6
 
@@ -129,15 +132,18 @@ def _val(x: Fraction, p: int) -> Optional[int]:
 
 
 def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
-    """Split the p-local lattice into scaled unimodular blocks.
+    """Split the 2-adic lattice into scaled unimodular blocks.
 
     Returns components with strictly increasing exponent whose ranks sum
     to the rank of the lattice, plus the rational basis realizing them.
     Every scan of the working basis evaluates each pairing once, over the
     unordered pairs; the blocks are then checked, independently of the
-    elimination, from one Gram product of the final basis.
+    elimination, from one Gram product of the final basis.  p must be 2:
+    at odd p, jordan_components gives the symbol.
     """
-    _check_prime(p)
+    if p != 2:
+        raise ValueError("jordan_decompose is the 2-adic decomposition; "
+                         "at p = %d use jordan_components" % p)
     gram = lattice.gram
     m = lattice.rank
     vecs: List[List[Fraction]] = [[Fraction(int(i == j)) for j in range(m)]
@@ -148,35 +154,20 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
 
     def min_valuation(active: List[int]) -> int:
         entries = (pr(i, j) for i, j in _pairs(active))
-        return min(_val(x, p) for x in entries if x)
+        return min(_val(x, 2) for x in entries if x)
 
     active = list(range(m))
     raw_blocks: List[Tuple[int, List[int]]] = []
     while active:
         v_min = min_valuation(active)
-        diag = next((i for i in active if _val(pr(i, i), p) == v_min), None)
-        if p != 2:
-            if diag is None:
-                # g_ii and g_jj have valuation > v_min and, p being odd,
-                # 2 g_ij has valuation v_min; so g_ii + 2 g_ij + g_jj, the
-                # new g_ii of x_i -> x_i + x_j, has valuation exactly v_min.
-                i, j = next((i, j) for i, j in _pairs(active)
-                            if i != j and _val(pr(i, j), p) == v_min)
-                vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
-                if _val(pr(i, i), p) != v_min:
-                    raise ArithmeticError("no diagonal entry of valuation %d at p = %d"
-                                          % (v_min, p))
-                diag = i
-            _sweep(gram, vecs, diag, active)
-            raw_blocks.append((v_min, [diag]))
-            active.remove(diag)
-        elif diag is not None:
+        diag = next((i for i in active if _val(pr(i, i), 2) == v_min), None)
+        if diag is not None:
             _sweep(gram, vecs, diag, active)
             raw_blocks.append((v_min, [diag]))
             active.remove(diag)
         else:
             i, j = next((i, j) for i, j in _pairs(active)
-                        if i != j and _val(pr(i, j), p) == v_min)
+                        if i != j and _val(pr(i, j), 2) == v_min)
             gii, gij, gjj = pr(i, i), pr(i, j), pr(j, j)
             det = gii * gjj - gij * gij
             for k in active:
@@ -195,18 +186,14 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
     scales = sorted({e for e, _ in raw_blocks})
     components: List[JordanComponent] = []
     spans: List[Tuple[int, ...]] = []
-    ordered: List[int] = []
     for e in scales:
         idxs = [i for be, block in raw_blocks for i in block if be == e]
         has_odd_diag = any(len(block) == 1 for be, block in raw_blocks if be == e)
-        if p == 2 and has_odd_diag and len(idxs) > 1:
+        if has_odd_diag and len(idxs) > 1:
             _fuse_scale(gram, vecs, idxs, e)
-        scale = Fraction(p) ** e
+        scale = 2 ** e
         n = len(idxs)
-        if p != 2:
-            det_unit = prod((pr(i, i) / scale for i in idxs), start=Fraction(1))
-            components.append(JordanComponent(p, e, n, legendre(det_unit, p)))
-        elif has_odd_diag:
+        if has_odd_diag:
             units = [pr(i, i) / scale for i in idxs]
             t = sum(_unit_mod(u, 8) for u in units) % 8
             eps = two_over(prod(units, start=Fraction(1)))
@@ -219,10 +206,9 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
                     det_unit *= (pr(i, i) * pr(j, j) - pr(i, j) ** 2) / scale ** 2
             components.append(JordanComponent(2, e, n, two_over(det_unit), None))
         spans.append(tuple(idxs))
-        ordered.extend(idxs)
 
     decomp = JordanDecomposition(
-        lattice, p, components,
+        lattice, 2, components,
         [tuple(vecs[i]) for i in range(m)], spans)
     _validate_blocks(decomp)
     return decomp
@@ -282,7 +268,10 @@ def _validate_blocks(decomp: JordanDecomposition) -> None:
     spans = decomp._spans
     for idx, comp in enumerate(decomp.components):
         block = [[gram[i][j] for j in spans[idx]] for i in spans[idx]]
-        det = _det_fraction(block)
+        # the determinant of the block cleared of its denominators, over the
+        # cleared factor
+        den = lcm(*(x.denominator for row in block for x in row))
+        det = Fraction(_det_int([[x * den for x in row] for row in block]), den ** len(block))
         if valuation_split(det, p).valuation != comp.e * comp.n:
             raise ArithmeticError("Jordan component %d at p = %d has the wrong "
                                   "determinant valuation" % (idx, p))
@@ -299,35 +288,6 @@ def _validate_blocks(decomp: JordanDecomposition) -> None:
                                       % (idx, jdx, p))
 
 
-def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-def _vp(n: int, p: int) -> int:
-    """v_p of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ...]:
     """The Jordan components of the p-local lattice, by increasing scale.
 
@@ -340,7 +300,7 @@ def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ..
     if p == 2:
         return jordan_decompose(lattice, 2).components
     _check_prime(p)
-    k = _vp(lattice.det(), p)
+    k = valuation_split(lattice.det(), p).valuation
     mod = p ** (k + 1)
     g = [[x % mod for x in row] for row in lattice.gram]
     active = list(range(lattice.rank))
@@ -354,7 +314,8 @@ def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ..
 
     pivots: List[Tuple[int, int]] = []
     while active:
-        entries = [(_vp(g[i][j], p), i, j) for i in active for j in active if g[i][j]]
+        entries = [(valuation_split(g[i][j], p).valuation, i, j)
+                   for i in active for j in active if g[i][j]]
         if not entries:
             raise ArithmeticError("the Gram matrix vanishes modulo p^%d at p = %d"
                                   % (k + 1, p))
@@ -366,7 +327,7 @@ def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ..
             # x_i -> x_i + x_j has valuation exactly e modulo p^(k+1).
             i, j = next((i, j) for v, i, j in entries if v == e)
             add(i, j, 1)
-            if _vp(g[i][i], p) != e:
+            if valuation_split(g[i][i], p).valuation != e:
                 raise ArithmeticError("no diagonal entry of valuation %d at p = %d"
                                       % (e, p))
         scale = p ** e
@@ -437,8 +398,6 @@ def weil_index_lattice(lattice: GramLattice, p: int) -> int:
 
 def xc_vector(decomp: JordanDecomposition, v: int) -> Optional[Vector]:
     """Half the sum of the basis of the scale-2^v component, if odd type."""
-    if decomp.p != 2:
-        return None
     for idx, comp in enumerate(decomp.components):
         if comp.e == v and comp.t is not None:
             vec = decomp.component_vectors(idx)
@@ -455,8 +414,6 @@ def choose_xc(decomp: JordanDecomposition, c: int) -> Tuple[DFElement, Optional[
     class is also reported as zero (the true half-sum is not dual); the
     caller compensates through the returned index.
     """
-    if decomp.p != 2:
-        raise ValueError("x_c lives at p = 2")
     if c == 0:
         raise ValueError("x_0 = 0 by convention; no component lookup")
     df = decomp.lattice.discriminant_form()
@@ -502,7 +459,7 @@ def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScala
     if valuation_split(radicand, p).valuation % 2 and p * p > BRUTE_CAP:
         raise CapExceededError("sqrt(%d) in Q(zeta_%d) exceeds the cap %d"
                                % (p, 4 * p, BRUTE_CAP))
-    a_p = valuation_split(a, p).unit_part if a else 1
+    a_p = unit_part(a, p)
     delta = sum(weil_index_component(scale_component(comp, a_p * c))
                 for comp in components if comp.e < v)
     return sqrt_rat(radicand) * root_of_unity(delta, 8)

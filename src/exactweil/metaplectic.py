@@ -243,7 +243,7 @@ def i_map(x: MpElement) -> Tuple[SL2, int]:
     if x.mat.c == 0:
         return x.mat, x.eps
     c2 = valuation_split(x.mat.c, 2).unit_part
-    return x.mat, legendre(x.mat.a, int(c2)) * x.eps
+    return x.mat, legendre(x.mat.a, c2) * x.eps
 
 
 def gamma4_lift(mat: SL2) -> MpElement:
@@ -253,5 +253,5 @@ def gamma4_lift(mat: SL2) -> MpElement:
     if mat.c == 0:
         return MpElement(mat, 1)
     v, c2 = valuation_split(mat.c, 2)
-    sign = two_over(mat.a) ** v * legendre(mat.a, int(c2))
+    sign = two_over(mat.a) ** v * legendre(mat.a, c2)
     return MpElement(mat, sign)

@@ -28,12 +28,15 @@ REAL_PLACE = "real"
 
 class ValUnit(NamedTuple):
     valuation: int
-    unit_part: Fraction
+    unit_part: RationalLike
 
 
 def valuation_split(x: RationalLike, p: int) -> ValUnit:
-    """Write x = p^v * u with u a p-adic unit; returns (v, u) exactly."""
-    x = Fraction(x)
+    """Write x = p^v * u with u a p-adic unit; returns (v, u) exactly.
+
+    The unit keeps the type of x: an int for an int, a Fraction for a
+    Fraction.
+    """
     if x == 0:
         raise ValueError("valuation of zero is undefined")
     v = 0
@@ -44,7 +47,12 @@ def valuation_split(x: RationalLike, p: int) -> ValUnit:
     while den % p == 0:
         den //= p
         v -= 1
-    return ValUnit(v, Fraction(num, den))
+    return ValUnit(v, num if isinstance(x, int) else Fraction(num, den))
+
+
+def unit_part(x: int, p: int) -> int:
+    """The signed p-adic unit part of an integer, and 1 for x = 0."""
+    return valuation_split(x, p).unit_part if x else 1
 
 
 def sigma(x: RationalLike) -> int:
@@ -54,7 +62,6 @@ def sigma(x: RationalLike) -> int:
 
 def eps_parity(K: RationalLike) -> int:
     """(K-1)/2 mod 2 for odd K (integer or 2-adic unit rational)."""
-    K = Fraction(K)
     num, den = K.numerator, K.denominator
     if num % 2 == 0 or den % 2 == 0:
         raise ValueError("eps is only defined for odd arguments")
@@ -78,7 +85,7 @@ def eps_data(K: int) -> EpsData:
     return EpsData(scalar, e, sigma(K))
 
 
-def _unit_mod(x: Fraction, modulus: int) -> int:
+def _unit_mod(x: RationalLike, modulus: int) -> int:
     """Reduce a rational with denominator prime to modulus."""
     num, den = x.numerator, x.denominator
     if gcd(den, modulus) != 1:
@@ -88,7 +95,7 @@ def _unit_mod(x: Fraction, modulus: int) -> int:
 
 def two_over(y: RationalLike) -> int:
     """(2/y) for odd y, by the y mod 8 rule (sign of y is immaterial)."""
-    r = _unit_mod(Fraction(y), 8)
+    r = _unit_mod(y, 8)
     if r % 2 == 0:
         raise ValueError("(2/y) requires odd y")
     return 1 if r in (1, 7) else -1
@@ -122,11 +129,8 @@ def legendre(x: RationalLike, y: int) -> int:
     n = abs(y)
     if n == 1:
         return 1
-    if isinstance(x, int):
-        return _jacobi(x, n)
-    x = Fraction(x)
     if x.denominator == 1:
-        return _jacobi(x.numerator % n, n)
+        return _jacobi(x.numerator, n)
     return _jacobi(_unit_mod(x, n), n)
 
 
@@ -147,9 +151,7 @@ def hilbert(a: RationalLike, b: RationalLike, place) -> int:
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     if place == REAL_PLACE:
-        # Only the signs matter, so no Fraction is built.
         return -1 if (a < 0 and b < 0) else 1
-    a, b = Fraction(a), Fraction(b)
     p = place
     va, ua = valuation_split(a, p)
     vb, ub = valuation_split(b, p)

@@ -63,7 +63,7 @@ from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
                       GramLattice, interesting_primes, require_dense)
 from .metaplectic import MpElement, SL2, Word, decompose, gamma_odd_member
-from .numth import eps_parity, legendre, two_over, valuation_split
+from .numth import eps_parity, legendre, two_over, unit_part, valuation_split
 
 _ONE = from_rational(1)
 _ZERO = from_rational(0)
@@ -553,13 +553,6 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> RingOperator:
 # -- local factors ---------------------------------------------------------
 
 
-def _unit_at(x: int, p: int, zero_default: int = 1) -> int:
-    """The p-adic unit part of an integer, signed; zero maps to the default."""
-    if x == 0:
-        return zero_default
-    return int(valuation_split(x, p).unit_part)
-
-
 def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
     """The local root of unity xi_p = e(k/8) of the closed formula, as k mod 8.
 
@@ -575,7 +568,7 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
     m = lattice.rank
     a, c = mat.a, mat.c
     components = jordan_components(lattice, p)
-    a_p = _unit_at(a, p)
+    a_p = unit_part(a, p)
     # v_p(c) compared against component scales; c = 0 is divisible by all q.
     v = valuation_split(c, p).valuation if c else None
     comp_prod = -sum(weil_index_component(scale_component(comp, a_p * c))
@@ -583,7 +576,7 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
     delta_p = p ** sum(comp.e * comp.n for comp in components)
     if p != 2:
         return (2 * (1 - legendre(a_p, delta_p)) + comp_prod) % 8
-    c2 = _unit_at(c, 2)
+    c2 = unit_part(c, 2)
     v2 = v or 0
     sign = eps ** m
     sign *= legendre(a, c2) ** m
@@ -670,7 +663,7 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
         s = _xi_product(lattice, mat, eps)
         x_c, t1 = choose_xc(jordan_decompose(lattice, 2), mat.c)
         if mat.c % 2 and t1 is not None:
-            s -= _unit_at(mat.a, 2) * _unit_at(mat.c, 2) * t1
+            s -= unit_part(mat.a, 2) * unit_part(mat.c, 2) * t1
     coset = form.coset_Dcstar(mat.c, x_c)
     g = gcd(8, form.level)
     q, r = divmod(s % 8, 8 // g)
@@ -706,8 +699,7 @@ def phi_char(lattice: GramLattice, x: MpElement) -> int:
     form = lattice.discriminant_form()
     if c == 0:
         return _c0_scalar(form.signature, a, x.eps)
-    c2 = _unit_at(c, 2)
-    v2 = valuation_split(c, 2).valuation
+    v2, c2 = valuation_split(c, 2)
     v2_delta = valuation_split(form.delta, 2).valuation
     delta_two = 2 ** v2_delta
     delta_odd = form.delta // delta_two
@@ -740,7 +732,7 @@ def kernel_descriptor(lattice: GramLattice) -> dict:
     m = lattice.rank
     # gamma(f_2)^2 = e(2k/8) is 1 exactly when 4 | k
     gamma2_sq_one = weil_index_lattice(lattice, 2) % 4 == 0
-    v2_delta = valuation_split(form.delta, 2).valuation if form.delta > 1 else 0
+    v2_delta = valuation_split(form.delta, 2).valuation
     case_i = n_tilde % 4 == 2 and not gamma2_sq_one
     case_ii = m % 2 == 0 and n_tilde % 8 == 4 and v2_delta % 2 == 1
     return {

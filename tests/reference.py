@@ -17,6 +17,9 @@ cell of a phase operator as coeff * root_of_unity(k, N): the references for
 the addition-table assembly and the rotated cell table.  form_gauss_sum is
 the Gauss sum of a form, read off the histogram of N q(x) with no lattice
 basis: the reference for the Jordan route's local exponents.
+rational_jordan is a Jordan decomposition with its basis at every prime:
+at odd p the elimination over rationals, the reference for
+jordan_components' integer route.
 """
 
 from collections import Counter
@@ -28,12 +31,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from exactweil.exact import (ExactScalar, from_powers, from_rational, root_of_unity,
                              scalar_sum, sqrt_rat)
-from exactweil.jordan import BRUTE_CAP, JordanDecomposition, choose_xc
+from exactweil.jordan import (BRUTE_CAP, JordanComponent, JordanDecomposition,
+                              _check_prime, _pair, _pairs, _sweep, _val, _validate_blocks,
+                              choose_xc, jordan_decompose)
 from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
                                DiscriminantForm, GramLattice, require_dense,
                                smith_normal_form)
 from exactweil.metaplectic import MP_ONE, MP_S, SL2, MpElement, Word, mp_inv, mp_mul
-from exactweil.numth import _unit_mod, valuation_split
+from exactweil.numth import _unit_mod, legendre, valuation_split
 from exactweil.weilrep import ZERO_PHASE, PhaseOperator
 
 Vector = Tuple[Fraction, ...]
@@ -316,3 +321,48 @@ def form_gauss_sum(form: DiscriminantForm, s: int,
         for k, x in zip(form.q_table(), form.elements()):
             counts[(s * k + sum(map(mul, x, row))) % n] += 1
     return from_powers(counts, n)
+
+
+def rational_jordan(lattice: GramLattice, p: int) -> JordanDecomposition:
+    """The Jordan decomposition at p with its rational basis: the package's
+    2-adic jordan_decompose at p = 2, and at odd p an elimination over
+    rationals whose denominators are prime to p, one diagonal pivot of
+    least valuation at a time, with each block's sign the Legendre symbol
+    of its determinant's unit part.  The blocks pass _validate_blocks."""
+    if p == 2:
+        return jordan_decompose(lattice, 2)
+    _check_prime(p)
+    gram, m = lattice.gram, lattice.rank
+    vecs = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+
+    def pr(i: int, j: int) -> Fraction:
+        return _pair(gram, vecs[i], vecs[j])
+
+    active = list(range(m))
+    pivots: List[Tuple[int, int]] = []
+    while active:
+        v_min = min(_val(x, p) for x in (pr(i, j) for i, j in _pairs(active)) if x)
+        diag = next((i for i in active if _val(pr(i, i), p) == v_min), None)
+        if diag is None:
+            # g_ii and g_jj have valuation > v_min and, p being odd, 2 g_ij
+            # has valuation v_min; so g_ii + 2 g_ij + g_jj, the new g_ii of
+            # x_i -> x_i + x_j, has valuation exactly v_min.
+            i, j = next((i, j) for i, j in _pairs(active)
+                        if i != j and _val(pr(i, j), p) == v_min)
+            vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
+            if _val(pr(i, i), p) != v_min:
+                raise ArithmeticError("no diagonal entry of valuation %d at p = %d"
+                                      % (v_min, p))
+            diag = i
+        _sweep(gram, vecs, diag, active)
+        pivots.append((v_min, diag))
+        active.remove(diag)
+    components, spans = [], []
+    for e in sorted({e for e, _ in pivots}):
+        idxs = [i for be, i in pivots if be == e]
+        det_unit = prod((pr(i, i) / p ** e for i in idxs), start=Fraction(1))
+        components.append(JordanComponent(p, e, len(idxs), legendre(det_unit, p)))
+        spans.append(tuple(idxs))
+    decomp = JordanDecomposition(lattice, p, components, [tuple(v) for v in vecs], spans)
+    _validate_blocks(decomp)
+    return decomp

@@ -29,7 +29,8 @@ from exactweil.jordan import (
     xc_vector,
 )
 from exactweil.lattice import CapExceededError, GramLattice, direct_sum
-from reference import form_gauss_sum, lift, pairing_of_lifts, q_of_lift, xc_phase
+from reference import (form_gauss_sum, lift, pairing_of_lifts, q_of_lift, rational_jordan,
+                       xc_phase)
 from exactweil.numth import char_p_value, legendre, prime_factors, valuation_split
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -50,7 +51,7 @@ def test_decomposition_examples():
     assert jordan_decompose(GramLattice(i8), 2).symbol() == "1^+8_0"
     d4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
     assert jordan_decompose(GramLattice(d4), 2).symbol() == "1^-2_II 2^-2_II"
-    d = jordan_decompose(GramLattice([[2, 1], [1, 2]]), 3)
+    d = rational_jordan(GramLattice([[2, 1], [1, 2]]), 3)
     assert [c.q for c in d.components] == [1, 3]
     assert sum(c.n for c in d.components) == 2
     with pytest.raises(ValueError):
@@ -60,7 +61,7 @@ def test_decomposition_examples():
 def test_block_check_rejects_tampered_decompositions():
     # [[2, 0], [0, 18]] at p = 3 is 1^(+-1) 9^(+-1) on the standard basis
     lat = GramLattice([[2, 0], [0, 18]])
-    unit, nine = jordan_decompose(lat, 3).components
+    unit, nine = rational_jordan(lat, 3).components
     assert (unit.q, nine.q) == (1, 9)
     e0, e1 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
 
@@ -83,11 +84,35 @@ def test_block_check_rejects_tampered_decompositions():
           "components 0 and 1 at p = 3 are not orthogonal")
 
 
+def test_jordan_decompose_is_the_two_adic_route():
+    lat = GramLattice([[2, 1], [1, 2]])
+    for p in (3, 5):
+        with pytest.raises(ValueError):
+            jordan_decompose(lat, p)
+    assert jordan_decompose(lat, 2).p == 2
+
+
+def test_block_check_clears_denominators():
+    # e0/3 has norm 2/9 in diag(2, 18): its block determinant has v_3 = -2,
+    # not its component's 0.  The determinant check, on the block cleared of
+    # its denominator, reports it before the entry check runs.
+    lat = GramLattice([[2, 0], [0, 18]])
+    unit, nine = rational_jordan(lat, 3).components
+    third, half = (Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match="component 0 at p = 3 has the wrong "
+                                              "determinant valuation"):
+        _validate_blocks(JordanDecomposition(lat, 3, (unit, nine), (third, half),
+                                             ((0,), (1,))))
+    # denominators prime to p leave the valuations alone: 18/4 has v_3 = 2
+    _validate_blocks(JordanDecomposition(lat, 3, (unit, nine), ((Fraction(1, 2), Fraction(0)),
+                                                                half), ((0,), (1,))))
+
+
 def _assert_components_match_reference(gram):
     lat = GramLattice(gram)
     for p in prime_factors(2 * lat.delta()):
         if p != 2:
-            assert jordan_components(lat, p) == jordan_decompose(lat, p).components, \
+            assert jordan_components(lat, p) == rational_jordan(lat, p).components, \
                 (gram, p)
 
 
@@ -153,7 +178,7 @@ def test_recomposition_blocks():
     for gram in ALL_GRAMS:
         lat = GramLattice(gram)
         for p in (2, 3, 5):
-            d = jordan_decompose(lat, p)
+            d = rational_jordan(lat, p)
             # block Grams have the declared scale and a p-unit determinant,
             # and distinct blocks are orthogonal (checked inside, reprove here)
             for idx, comp in enumerate(d.components):
@@ -404,7 +429,7 @@ def test_gauss_sum_under_change_of_basis():
             other = GramLattice(moved)
             for p in (2, 3, 5):
                 assert weil_index_lattice(other, p) == weil_index_lattice(lat, p)
-                decomp = jordan_decompose(other, p)
+                decomp = rational_jordan(other, p)
                 for a, c in ((1, 2), (3, 4), (1, 3), (5, 8), (2, 5)):
                     ours = gauss_sum_closed(other, p, a, c)
                     assert ours == gauss_sum_brute(other, p, a, c), (gram, t, p, a, c)

@@ -19,6 +19,7 @@ from exactweil.numth import (
     prime_factors,
     sigma,
     two_over,
+    unit_part,
     valuation_split,
     zeta8_identity_check,
 )
@@ -30,6 +31,37 @@ def test_valuation_split_examples():
     assert valuation_split(5, 7) == (0, 5)
     with pytest.raises(ValueError):
         valuation_split(0, 2)
+
+
+def test_valuation_split_keeps_integers_integral():
+    v, u = valuation_split(-12, 2)
+    assert (v, u) == (2, -3) and type(u) is int
+    for x in (Fraction(-12), Fraction(-8, 3)):
+        assert type(valuation_split(x, 2).unit_part) is Fraction
+    assert (unit_part(-12, 2), unit_part(-45, 3), unit_part(7, 5)) == (-3, -5, 7)
+    for p in (2, 3, 5, 7):
+        assert unit_part(0, p) == 1
+        assert unit_part(-12 * p ** 3, p) == valuation_split(-12, p).unit_part
+
+
+def test_symbols_agree_on_integers_and_fractions():
+    for n in range(-60, 61):
+        if n % 2:
+            assert eps_parity(n) == eps_parity(Fraction(n))
+            assert two_over(n) == two_over(Fraction(n))
+        else:
+            for f in (eps_parity, two_over):
+                for x in (n, Fraction(n)):
+                    with pytest.raises(ValueError):
+                        f(x)
+        for y in (3, -5, 7, 9, -15, 25):
+            assert legendre(n, y) == legendre(Fraction(n), y), (n, y)
+        if n:
+            for b in (-12, -3, -1, 2, 5, 18):
+                for place in (REAL_PLACE, 2, 3, 5):
+                    value = hilbert(n, b, place)
+                    assert hilbert(Fraction(n), b, place) == value
+                    assert hilbert(Fraction(n), Fraction(b), place) == value
 
 
 @given(num=st.integers(-400, 400).filter(bool), den=st.integers(1, 400),

@@ -12,18 +12,20 @@ import sys
 import textwrap
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 
 import exactweil
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import EVEN_GRAMS, ODD_GRAMS
 from exactweil.exact import from_powers, from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
     choose_xc,
+    jordan_components,
     jordan_decompose,
     scale_component,
     weil_index_component,
@@ -71,7 +73,7 @@ from exactweil.weilrep import (
 )
 from reference import (DenseOperator, class_of_dual_vector, closed_assembly, dense,
                        dense_adjoint, dense_identity, dense_is_identity, dense_product,
-                       dense_scale, lift, phase_json, r0_direct)
+                       dense_scale, lift, phase_json, r0_direct, rational_jordan)
 
 ONE = from_rational(1)
 A1 = GramLattice([[2]])
@@ -835,7 +837,7 @@ def r0_scalar(lattice, x):
         sym *= legendre(a_p, p ** valuation_split(c, p).valuation) ** m
     k = 0
     for p in sorted(set(prime_factors(2 * lattice.delta() * abs(c)))):
-        for comp in jordan_decompose(lattice, p).components:
+        for comp in rational_jordan(lattice, p).components:
             k -= weil_index_component(scale_component(comp, c))
     return from_rational(sym) * root_of_unity(k, 8)
 
@@ -1408,6 +1410,56 @@ def test_closed_formula_is_isometry_equivariant(blocks, moves, flips, c, d):
         assert phi_char(moved, y) == phi_char(lattice, y)
 
 
+# The lattices of the closed == oracle tests, even and odd, Delta 1 to 120.
+ORACLE_GRAMS = EVEN_GRAMS + ODD_GRAMS + RHO_MID + [A2_5, [[100]], DIAG_2_6_10]
+
+
+@settings(max_examples=60, deadline=None)
+@example([[3]], DIAG_2_6_10, [(0, 3, 1), (2, 1, -1)], [False, True, False, True], -6, -11)
+@example([[6]], A2_5, [(1, 0, 2), (2, 1, 1)], [True, False, False, False], 17, 20)
+@example([[1, 0], [0, 2]], [[6, 3], [3, 6]], [], [False, False, True, False], 5, 18)
+@given(st.sampled_from(ORACLE_GRAMS), st.sampled_from(ORACLE_GRAMS),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)),
+                max_size=6),
+       st.lists(st.booleans(), min_size=4, max_size=4),
+       st.integers(-40, 40), st.integers(-40, 40))
+def test_closed_formula_of_a_direct_sum_is_the_tensor_product(g1, g2, moves, flips, c, d):
+    # rho_{L1 + L2}(x) = rho_L1(x) (x) rho_L2(x) for the same (A, eps), on a
+    # sum moved by a unimodular U whose first move mixes the summands.  D of
+    # the moved sum maps to D1 x D2 by v' -> U v', split into the summands'
+    # coordinates; _kronecker adds the factors' phases scaled to N and
+    # multiplies their scalars.  No oracle: Delta reaches 480.
+    l1, l2 = GramLattice(g1), GramLattice(g2)
+    total = direct_sum(l1, l2)
+    gram, m, m1 = total.gram, total.rank, l1.rank
+    assume(m <= 4 and gcd(c, d) == 1 and total.delta() <= 480)
+    mat = bezout_sl2(c, d)
+    assume(total.is_even or gamma_odd_member(mat))
+    u = [[int(i == j or (i, j) == (m - 1, 0)) for j in range(m)] for i in range(m)]
+    for i, j, k in moves:
+        if i % m != j % m:
+            for row in u:
+                row[i % m] += k * row[j % m]
+    u = [[-a if flip else a for a, flip in zip(row, flips)] for row in u]
+    moved = GramLattice([[sum(u[k][i] * gram[k][l] * u[l][j] for k in range(m) for l in range(m))
+                          for j in range(m)] for i in range(m)])
+    form, f1, f2 = moved.discriminant_form(), l1.discriminant_form(), l2.discriminant_form()
+    local = [[], []]
+    for g in form.elements():
+        v = [sum(map(mul, row, lift(form, g))) for row in u]
+        local[0].append(f1.index(class_of_dual_vector(f1, v[:m1])))
+        local[1].append(f2.index(class_of_dual_vector(f2, v[m1:])))
+    assert sorted(zip(*local)) == sorted(product(range(f1.delta), range(f2.delta)))
+    for eps in (1, -1):
+        x = MpElement(mat, eps)
+        try:
+            op = rho_closed(moved, x)
+        except CapExceededError:
+            reject()  # the dense cap is checked before any work
+        assert op == _kronecker(form, [rho_closed(l1, x), rho_closed(l2, x)], local), \
+            (g1, g2, u, mat, eps)
+
+
 def test_closed_split_is_canonical():
     # rho_closed's scalar is e(r/8) sqrt(1/|D/D_c|) for exactly one r in
     # [0, M/N), M = lcm(8, N), so M/N = 8/gcd(8, N): no two such scalars
@@ -1506,10 +1558,9 @@ _CORRUPTIONS = {
         DiscriminantForm((2,), [[1]], [1], 6).p_part(2)
     """),
     "jordan blocks": ("ArithmeticError", """
-        from fractions import Fraction
         from exactweil import jordan
         from exactweil.lattice import GramLattice
-        jordan._det_fraction = lambda rows: Fraction(3)
+        jordan._det_int = lambda rows: 3
         jordan.jordan_decompose(GramLattice([[2]]), 2)
     """),
     "jordan symbol valuation": ("ArithmeticError", """
@@ -1602,6 +1653,47 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     weilrep_mod._fourier(form, coeff)
     part = form.p_part(2)
     weilrep_mod._t_diagonal(part), weilrep_mod._fourier(part, coeff)
+
+
+def test_local_factors_build_no_fraction(monkeypatch):
+    # With each lattice's Jordan components and Weil indices computed
+    # beforehand, the local factors are integer work: no Fraction in the
+    # valuations, units and symbols they read.
+    import exactweil.lattice as lattice_mod
+    import exactweil.metaplectic as metaplectic_mod
+    import exactweil.numth as numth_mod
+    import exactweil.weilrep as weilrep_mod
+
+    lattices = [GramLattice(g) for g in EVEN_GRAMS + RHO_MID + [A2_5, DIAG_2_6_10]]
+    mats = [SL2(1, 1, 2, 3), SL2(-3, 1, -16, 5), SL2(7, 2, 45, 13), SL2(0, -1, 1, 0),
+            SL2(1, 0, 120, 1), SL2(-1, 0, -360, -1), SL2(-1, 3, 0, -1)]
+    components, indices = {}, {}
+    for lattice in lattices:
+        lattice.discriminant_form()
+        for p in interesting_primes(lattice) | {2, 3, 5}:
+            components[id(lattice), p] = jordan_components(lattice, p)
+            indices[id(lattice), p] = weil_index_lattice(lattice, p)
+    monkeypatch.setattr(weilrep_mod, "jordan_components",
+                        lambda lattice, p: components[id(lattice), p])
+    monkeypatch.setattr(weilrep_mod, "weil_index_lattice",
+                        lambda lattice, p: indices[id(lattice), p])
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built on an integer path")
+
+    for module in (lattice_mod, metaplectic_mod, numth_mod, weilrep_mod):
+        monkeypatch.setattr(module, "Fraction", NoFraction)
+    for lattice in lattices:
+        for mat in mats:
+            for eps in (1, -1):
+                x = MpElement(mat, eps)
+                for p in (2, 3, 5):
+                    xi_p(lattice, mat, eps, p)
+                weilrep_mod._xi_product(lattice, mat, eps)
+                if mat.c % lattice.level() == 0:
+                    phi_char(lattice, x)
+        kernel_descriptor(lattice)
 
 
 def test_no_assert_statements_in_src():
