@@ -15,6 +15,8 @@ All ring arithmetic runs on integers: a result is an integer numerator vector
 over one common denominator, reduced by a single gcd.  A scalar known to be
 a rational multiple of one root of unity, q * zeta_L^k, also carries its
 exponent, so products with it are rotations rather than convolutions.
+A sum of roots of unity e(k/n) over integer exponents k is one count per
+power of zeta_n and one reduction (root_sum).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ _phi_cache: dict[int, int] = {}
 TRIAL_DIVISION_CAP = 10 ** 6
 # Working precision above which a numeric enclosure is refused.
 PRECISION_CAP = 2 ** 14
+# Terms a brute-force sum may add, and p^2 for sqrt(p), whose check costs
+# O(p^2) in Q(zeta_4p).
+BRUTE_CAP = 10 ** 6
 
 
 class CapExceededError(RuntimeError):
@@ -554,6 +559,17 @@ def from_rational(r: RationalLike) -> ExactScalar:
     return ExactScalar.from_rational(r)
 
 
+def root_sum(ks: Iterable[int], n: int) -> ExactScalar:
+    """sum of e(k/n) over the integers ks: one count per power of zeta_n and
+    one from_powers, at the order n/g, g = gcd(n, ks), that a sum of
+    root_of_unity(k, n) terms has."""
+    counts = [0] * n
+    for k in ks:
+        counts[k % n] += 1
+    g = gcd(n, *(k for k, h in enumerate(counts) if h))
+    return from_powers(counts[::g], n // g)
+
+
 def from_powers(coeffs: Sequence[int], L: int) -> ExactScalar:
     """sum of coeffs[t] * zeta_L^t over t, for integer coefficients: an
     element of the group ring Z[x]/(x^L - 1) read in Q(zeta_L), with one
@@ -583,16 +599,18 @@ def _sqrt_prime(p: int) -> ExactScalar:
     that s^2 = p and s is real, so s = +-sqrt(p); the sign is read off a
     float sum of the real part, whose rounding error (below p * 2^-40) is
     far less than sqrt(p).  So exact evaluation never imports mpmath.
+    That check is a product in Q(zeta_4p), O(p^2), so p^2 above BRUTE_CAP
+    raises CapExceededError.
     """
+    if p * p > BRUTE_CAP:
+        raise CapExceededError("sqrt(%d) in Q(zeta_%d) exceeds the cap %d"
+                               % (p, 4 * p, BRUTE_CAP))
     if p in _sqrt_prime_cache:
         return _sqrt_prime_cache[p]
     if p == 2:
-        s = root_of_unity(1, 8) + root_of_unity(-1, 8)
+        s = root_sum((1, -1), 8)
     else:
-        counts = [0] * p
-        for k in range(p):
-            counts[(k * k) % p] += 1
-        gauss = _make(p, _reduce_vec(counts, p), 1)
+        gauss = root_sum((k * k for k in range(p)), p)
         s = gauss if p % 4 == 1 else gauss * root_of_unity(3, 4)
     real = sum(c * cos(2 * pi * k / s.order) for k, c in enumerate(s._num)) / s._den
     if not (s * s == from_rational(p) and s.conjugate() == s and real > 0):
@@ -617,29 +635,6 @@ def sqrt_rat(r: RationalLike) -> ExactScalar:
         if e % 2:
             result = result * _sqrt_prime(p)
     return result
-
-
-def scalar_sum(terms: Iterable[ExactScalar]) -> ExactScalar:
-    """Sum of many scalars with a single normalization at the end.
-
-    Equivalent to repeated +, but embeds every term into the compositum once
-    and accumulates integer vectors; the r0 sums and Braun's sum build
-    totals of many single-root terms, where the term-by-term path would
-    renormalize at every step.
-    """
-    live = [t for t in terms if not t.is_zero()]
-    if not live:
-        return _ZERO
-    L = lcm(*(t.order for t in live))
-    den = lcm(*(t._den for t in live))
-    acc = [0] * euler_phi(L)
-    for t in live:
-        scale = den // t._den
-        vec = t._num if t.order == L else t._embedded_vec(L)
-        for k, c in enumerate(vec):
-            if c:
-                acc[k] += c * scale
-    return _make(L, acc, den)
 
 
 # -- rigorous numeric evaluation ------------------------------------------

@@ -19,14 +19,12 @@ decompositions, but every value derived from them downstream is.
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import ExactScalar, from_rational, root_of_unity, sqrt_rat
+from .exact import BRUTE_CAP, ExactScalar, root_of_unity, root_sum, sqrt_rat
 from .lattice import CapExceededError, DFElement, GramLattice, _det_int
-from .numth import (_unit_mod, char_p_value, is_prime, legendre, two_over, unit_part,
-                    valuation_split)
-
-BRUTE_CAP = 10 ** 6
+from .numth import _unit_mod, is_prime, legendre, two_over, unit_part, valuation_split
 
 Vector = Tuple[Fraction, ...]
 
@@ -450,15 +448,12 @@ def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScala
     """The closed value p^(m v/2) sqrt(Delta_{M,c}) delta of the local sum,
     delta = e(k/8), k the Weil-index exponents of the scaled components added.
 
-    Its one costly step is sqrt(p) in Q(zeta_4p), O(p^2), taken when the
-    power of p under the root is odd; p^2 must then stay within BRUTE_CAP.
+    Its one costly step is sqrt(p) in Q(zeta_4p), taken when the power of p
+    under the root is odd; exact._sqrt_prime caps it at p^2 <= BRUTE_CAP.
     """
     v = _gauss_valuation(lattice, p, a, c)
     components = jordan_components(lattice, p)
     radicand = p ** (lattice.rank * v) * _local_kernel_size(components, v)
-    if valuation_split(radicand, p).valuation % 2 and p * p > BRUTE_CAP:
-        raise CapExceededError("sqrt(%d) in Q(zeta_%d) exceeds the cap %d"
-                               % (p, 4 * p, BRUTE_CAP))
     a_p = unit_part(a, p)
     delta = sum(weil_index_component(scale_component(comp, a_p * c))
                 for comp in components if comp.e < v)
@@ -469,24 +464,30 @@ def gauss_sum_brute(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar
     """Direct summation of chi_p(a/c eta^2/2 + a (x_c, eta)/c) over M/cM.
 
     Over Z_p the quotient M/cM is (Z/p^v)^m; representatives are taken in
-    the original basis.  Each of the p^(v m) terms is added in
-    Q(zeta_(p^v)), so p^(v (m + 1)) must stay within BRUTE_CAP.
+    the original basis.  x_c = u/(2D) with u integral, so with
+    2cD = p^j w, w prime to p, a term is e(k/p^j),
+    k = a (D eta^2 + (u, eta)) w^-1 mod p^j: an integer, counted into one
+    root_sum.  The p^(v m) terms cost O(p^(v m)) steps and a vector of p^j
+    counts, and p^(v (m + 1)) must stay within BRUTE_CAP.
     """
     v = _gauss_valuation(lattice, p, a, c)
     m = lattice.rank
     if p ** (v * (m + 1)) > BRUTE_CAP:
         raise CapExceededError("a Gauss sum of %d^%d terms in Q(zeta_%d^%d) exceeds "
                                "the cap %d" % (p, v * m, p, v, BRUTE_CAP))
-    xc = None
-    if p == 2:
-        xc = xc_vector(jordan_decompose(lattice, 2), v)
     gram = lattice.gram
-    total = from_rational(0)
-    for eta in product(range(p ** v), repeat=m):
-        norm = sum(eta[i] * gram[i][j] * eta[j] for i in range(m) for j in range(m))
-        arg = Fraction(a, c) * Fraction(norm, 2)
-        if xc is not None:
-            pair = sum(xc[i] * gram[i][j] * eta[j] for i in range(m) for j in range(m))
-            arg += Fraction(a, 1) * pair / c
-        total = total + char_p_value(arg, p)
-    return total
+    u, d = [0] * m, 1
+    xc = xc_vector(jordan_decompose(lattice, 2), v) if p == 2 else None
+    if xc is not None:
+        d = lcm(*(x.denominator for x in xc))
+        u = [x.numerator * (2 * d // x.denominator) for x in xc]
+    gu = [sum(g * x for g, x in zip(row, u)) for row in gram]
+    j, w = valuation_split(2 * c * d, p)
+    pj = p ** j
+    scale = a * pow(w, -1, pj)
+
+    def exponent(eta: Tuple[int, ...]) -> int:
+        norm = sum(eta[i] * gram[i][k] * eta[k] for i in range(m) for k in range(m))
+        return (d * norm + sum(map(mul, gu, eta))) * scale
+
+    return root_sum(map(exponent, product(range(p ** v), repeat=m)), pj)

@@ -25,7 +25,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import CapExceededError, ExactScalar, from_rational, root_of_unity
+from .exact import CapExceededError, ExactScalar, root_sum
 from .numth import prime_factors
 
 DFElement = Tuple[int, ...]
@@ -505,11 +505,7 @@ class DiscriminantForm:
         """Sum of e(gamma^2/2) over the group; even lattices only."""
         if not self.is_even:
             raise ValueError("Milgram sum needs an even lattice")
-        n = self.level
-        total = from_rational(0)
-        for k in self.q_table():
-            total = total + root_of_unity(k, n)
-        return total
+        return root_sum(self.q_table(), self.level)
 
     def to_json(self) -> dict:
         return {

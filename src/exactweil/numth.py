@@ -219,28 +219,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def char_p_exponent(x: RationalLike, p: int) -> Fraction:
-    """The p-local additive character chi_p evaluated on x, as an exponent.
-
-    chi_p kills Z_p and the prime-to-p part of the denominator: writing
-    x = n/(p^k m) with m prime to p and alpha*m + beta*p^k = 1, one has
-    chi_p(x) = e(n*alpha/p^k).  Returns n*alpha/p^k mod 1.
-    """
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    v, _ = valuation_split(x, p)
-    if v >= 0:
-        return Fraction(0)
-    pk = p ** (-v)
-    m = x.denominator // pk
-    n = x.numerator
-    alpha = pow(m, -1, pk)
-    return Fraction((n * alpha) % pk, pk)
-
-
-def char_p_value(x: RationalLike, p: int) -> ExactScalar:
-    e = char_p_exponent(x, p)
-    return root_of_unity(e.numerator, e.denominator)

@@ -57,7 +57,7 @@ from operator import lshift, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import (ExactScalar, euler_phi, from_powers, from_rational, reduce_powers,
-                    root_multiples, root_of_unity, scalar_sum, sqrt_rat)
+                    root_multiples, root_of_unity, root_sum, sqrt_rat)
 from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
                      scale_component, weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
@@ -768,12 +768,9 @@ def braun_check(lattice: GramLattice, c: int) -> bool:
         raise CapExceededError("M/cM has %d^%d elements" % (abs(c), m))
     g = lattice.gram
     sign = 1 if c > 0 else -1
-    terms = []
-    for eta in product(range(abs(c)), repeat=m):
-        # e(eta^2/2c) = e(sign(c) eta^T G eta / 2|c|), from integers alone
-        norm = sum(eta[i] * g[i][j] * eta[j] for i in range(m) for j in range(m))
-        terms.append(root_of_unity(sign * norm, 2 * abs(c)))
-    left = scalar_sum(terms)
+    # e(eta^2/2c) = e(sign(c) eta^T G eta / 2|c|), from integers alone
+    left = root_sum((sign * sum(eta[i] * g[i][j] * eta[j] for i in range(m) for j in range(m))
+                     for eta in product(range(abs(c)), repeat=m)), 2 * abs(c))
     right = root_of_unity(lattice.signature(), 8) \
         * sqrt_rat(abs(c) ** m * lattice.delta())
     if c < 0:

@@ -9,9 +9,14 @@ x_c.  peel_by_fraction and word_mp_by_cocycle are the word decomposition and
 the metaplectic sign of a word through SL2 products, round() on a Fraction
 and the general Kubota cocycle.  DenseOperator is a matrix of ExactScalar
 cells, compared cell by cell: the reference for every operator's equality,
-identity test and JSON.  dense_product multiplies dense operators naively,
-one scalar_sum per cell, with no group ring: the reference for the operator
-product.  closed_assembly places the closed formula's cells one coordinate
+identity test and JSON.  scalar_sum adds scalars with one normalisation
+at the lcm of their orders, and dense_product multiplies dense operators
+naively, one scalar_sum per cell, with no group ring: the reference for the
+operator product.  char_p_value is the p-local additive character chi_p on
+a rational.  milgram_by_terms, braun_by_terms and gauss_by_terms build one
+ExactScalar per term, root_of_unity or chi_p of a Fraction, and add them
+with scalar_sum: the references for the package's sums of roots of unity,
+which count integer exponents into one exact.root_sum.  closed_assembly places the closed formula's cells one coordinate
 at a time in a flat row-major buffer, and phase_cells builds each distinct
 cell of a phase operator as coeff * root_of_unity(k, N): the references for
 the addition-table assembly and the rotated cell table.  form_gauss_sum is
@@ -25,15 +30,15 @@ jordan_components' integer route.
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from exactweil.exact import (ExactScalar, from_powers, from_rational, root_of_unity,
-                             scalar_sum, sqrt_rat)
+from exactweil.exact import (_ZERO, ExactScalar, _make, euler_phi, from_powers, from_rational,
+                             root_of_unity, sqrt_rat)
 from exactweil.jordan import (BRUTE_CAP, JordanComponent, JordanDecomposition,
                               _check_prime, _pair, _pairs, _sweep, _val, _validate_blocks,
-                              choose_xc, jordan_decompose)
+                              choose_xc, jordan_decompose, xc_vector)
 from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
                                DiscriminantForm, GramLattice, require_dense,
                                smith_normal_form)
@@ -103,6 +108,25 @@ def dense_adjoint(op: DenseOperator) -> DenseOperator:
     """The conjugate transpose, cell by cell."""
     return DenseOperator(op.labels, [[x.conjugate() for x in col] for col in zip(*op.entries)],
                          op.form)
+
+
+def scalar_sum(terms: Iterable[ExactScalar]) -> ExactScalar:
+    """The sum of the terms: each embedded into the compositum of their
+    orders, integer vectors added over one common denominator, one
+    normalisation at the end."""
+    live = [t for t in terms if not t.is_zero()]
+    if not live:
+        return _ZERO
+    L = lcm(*(t.order for t in live))
+    den = lcm(*(t._den for t in live))
+    acc = [0] * euler_phi(L)
+    for t in live:
+        scale = den // t._den
+        vec = t._num if t.order == L else t._embedded_vec(L)
+        for k, c in enumerate(vec):
+            if c:
+                acc[k] += c * scale
+    return _make(L, acc, den)
 
 
 def dense_product(a: DenseOperator, b: DenseOperator) -> DenseOperator:
@@ -366,3 +390,55 @@ def rational_jordan(lattice: GramLattice, p: int) -> JordanDecomposition:
     decomp = JordanDecomposition(lattice, p, components, [tuple(v) for v in vecs], spans)
     _validate_blocks(decomp)
     return decomp
+
+
+def char_p_exponent(x, p: int) -> Fraction:
+    """The p-local additive character chi_p evaluated on x, as an exponent.
+
+    chi_p kills Z_p and the prime-to-p part of the denominator: writing
+    x = n/(p^k m) with m prime to p and alpha*m + beta*p^k = 1, one has
+    chi_p(x) = e(n*alpha/p^k).  Returns n*alpha/p^k mod 1.
+    """
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(0)
+    v, _ = valuation_split(x, p)
+    if v >= 0:
+        return Fraction(0)
+    pk = p ** (-v)
+    m = x.denominator // pk
+    alpha = pow(m, -1, pk)
+    return Fraction((x.numerator * alpha) % pk, pk)
+
+
+def char_p_value(x, p: int) -> ExactScalar:
+    """chi_p(x) as a root of unity."""
+    e = char_p_exponent(x, p)
+    return root_of_unity(e.numerator, e.denominator)
+
+
+def milgram_by_terms(form: DiscriminantForm) -> ExactScalar:
+    """The Milgram sum, one root_of_unity(N q(x), N) per element."""
+    return scalar_sum(root_of_unity(k, form.level) for k in form.q_table())
+
+
+def braun_by_terms(lattice: GramLattice, c: int) -> ExactScalar:
+    """Braun's sum over M/cM, one root_of_unity(eta^2/2c) per eta."""
+    gram, sign = lattice.gram, 1 if c > 0 else -1
+    return scalar_sum(root_of_unity(sign * _pair(gram, eta, eta), 2 * abs(c))
+                      for eta in product(range(abs(c)), repeat=lattice.rank))
+
+
+def gauss_by_terms(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:
+    """The local Gauss sum of gauss_sum_brute, one chi_p(a/c eta^2/2 +
+    a (x_c, eta)/c) per eta of (Z/p^v)^m, on the rational x_c of xc_vector."""
+    v = valuation_split(c, p).valuation
+    gram = lattice.gram
+    xc = xc_vector(jordan_decompose(lattice, 2), v) if p == 2 else None
+    terms = []
+    for eta in product(range(p ** v), repeat=lattice.rank):
+        arg = Fraction(a, c) * Fraction(_pair(gram, eta, eta), 2)
+        if xc is not None:
+            arg += Fraction(a, c) * _pair(gram, xc, eta)
+        terms.append(char_p_value(arg, p))
+    return scalar_sum(terms)

@@ -161,6 +161,24 @@ def test_cli_exit_codes(capsys):
         main(["frobnicate", "--lattice", "[[2]]"])
 
 
+def test_cli_milgram_caps_the_square_root_of_a_prime(capsys, monkeypatch):
+    import exactweil.exact as exact_mod
+
+    # sqrt(7) costs O(7^2) in Q(zeta_28): under a cap below 49 the Milgram
+    # value of Delta = 7 is refused where the root is built, cached or not.
+    argv = ["milgram", "--lattice", "[[2, 1], [1, 4]]"]
+    assert invoke(capsys, argv)[0] == EXIT_OK
+    monkeypatch.setattr(exact_mod, "BRUTE_CAP", 48)
+    code, out = invoke(capsys, argv)
+    assert code == EXIT_CAP and "sqrt(7)" in json.loads(out)["error"]
+    monkeypatch.setattr(exact_mod, "BRUTE_CAP", 49)
+    assert invoke(capsys, argv)[0] == EXIT_OK
+    # at the default cap, a prime Delta near the enumeration cap exits 3
+    # before the root's O(p^2) check
+    code, out = invoke(capsys, ["milgram", "--lattice", "[[2, 1], [1, 49996]]"])
+    assert code == EXIT_CAP and "sqrt(99991)" in json.loads(out)["error"]
+
+
 def test_cli_rho_dense_cap(capsys, monkeypatch):
     import exactweil.lattice as lattice_mod
 

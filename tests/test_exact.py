@@ -21,9 +21,10 @@ from exactweil.exact import (
     from_rational,
     reduce_powers,
     root_of_unity,
-    scalar_sum,
+    root_sum,
     sqrt_rat,
 )
+from reference import scalar_sum
 
 
 def test_root_of_unity_basics():
@@ -300,6 +301,24 @@ def test_negative_powers_of_monomials_match_sympy(m, e):
     assert power * m ** e == 1
 
 
+@given(n=st.integers(1, 60), ks=st.lists(st.integers(-200, 200), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_root_sum_is_the_sum_of_its_roots(n, ks):
+    # Value and order: the order is n/gcd(n, ks), that of the separate roots.
+    ref = scalar_sum(root_of_unity(k, n) for k in ks)
+    assert root_sum(ks, n).to_json() == ref.to_json()
+    assert root_sum(iter(ks), n) == ref
+
+
+def test_root_sum_examples():
+    assert root_sum([], 5).to_json() == {"order": 1, "coeffs": ["0"]}
+    # 2 e(4/12) + e(8/12) = 2 z3 + z3^2 = z3 - 1, at order 12/4
+    assert root_sum([4, 4, 8], 12).to_json() == {"order": 3, "coeffs": ["-1", "1"]}
+    assert root_sum([1, 3], 4).is_zero()
+    assert root_sum([0, 8], 8).to_json() == {"order": 1, "coeffs": ["2"]}
+    assert root_sum([k * k for k in range(5)], 5) == sqrt_rat(5)
+
+
 @given(L=st.integers(1, 60), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_from_powers_is_the_sum_of_roots(L, data):
@@ -332,9 +351,9 @@ def test_ring_paths_build_no_fraction(monkeypatch):
             raise AssertionError("Fraction built on an integer path")
 
     monkeypatch.setattr(exact, "Fraction", NoFraction)
-    root_of_unity(7, 30), from_powers([3, 0, 1, 5], 6)
+    root_of_unity(7, 30), from_powers([3, 0, 1, 5], 6), root_sum([3, 0, 5, 5], 6)
     for a, b in ((mono, other), (mono, general), (general, mono), (general, general)):
-        a * b, a + b, a - b, a * 3, scalar_sum([a, b, a])
+        a * b, a + b, a - b, a * 3
     mono ** -3, mono.inverse(), mono.conjugate(), general ** 3, general.conjugate()
     general.inverse(), general ** -2
 

@@ -29,9 +29,9 @@ from exactweil.jordan import (
     xc_vector,
 )
 from exactweil.lattice import CapExceededError, GramLattice, direct_sum
-from reference import (form_gauss_sum, lift, pairing_of_lifts, q_of_lift, rational_jordan,
-                       xc_phase)
-from exactweil.numth import char_p_value, legendre, prime_factors, valuation_split
+from reference import (char_p_value, form_gauss_sum, lift, pairing_of_lifts, q_of_lift,
+                       rational_jordan, xc_phase)
+from exactweil.numth import legendre, prime_factors, valuation_split
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from perfbench import workloads  # noqa: E402
@@ -249,15 +249,13 @@ def test_weil_index_square_odd_p():
 
 
 def test_weil_index_gauss_oracle():
-    # sum of chi_p(gamma^2/2) over the p-part equals gamma(M_p) sqrt(Delta_p)
+    # the Milgram sum of the p-part D_p, at a p-power level, is gamma(M_p) sqrt(Delta_p)
     for gram in EVEN_GRAMS:
         lat = GramLattice(gram)
         df = lat.discriminant_form()
         for p in (2, 3, 5):
             part = df.p_part(p)
-            total = from_rational(0)
-            for k in part.q_table():
-                total = total + char_p_value(Fraction(k, part.level), p)
+            total = part.milgram_sum()
             v = valuation_split(df.delta, p).valuation if df.delta > 1 else 0
             assert total == root_of_unity(weil_index_lattice(lat, p), 8) * sqrt_rat(p ** v)
 

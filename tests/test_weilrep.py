@@ -22,16 +22,18 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import EVEN_GRAMS, ODD_GRAMS
-from exactweil.exact import from_powers, from_rational, root_of_unity, sqrt_rat
+from exactweil.exact import ExactScalar, from_powers, from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
     choose_xc,
+    gauss_sum_brute,
     jordan_components,
     jordan_decompose,
     scale_component,
     weil_index_component,
     weil_index_lattice,
 )
-from exactweil.lattice import CapExceededError, GramLattice, direct_sum, interesting_primes
+from exactweil.lattice import (CapExceededError, GramLattice, _det_int, direct_sum,
+                               interesting_primes)
 from exactweil.metaplectic import (
     MP_ONE,
     MP_S,
@@ -71,9 +73,10 @@ from exactweil.weilrep import (
     weil_reciprocity_check,
     xi_p,
 )
-from reference import (DenseOperator, class_of_dual_vector, closed_assembly, dense,
-                       dense_adjoint, dense_identity, dense_is_identity, dense_product,
-                       dense_scale, lift, phase_json, r0_direct, rational_jordan)
+from reference import (DenseOperator, braun_by_terms, class_of_dual_vector, closed_assembly,
+                       dense, dense_adjoint, dense_identity, dense_is_identity, dense_product,
+                       dense_scale, gauss_by_terms, lift, milgram_by_terms, phase_json,
+                       r0_direct, rational_jordan)
 
 ONE = from_rational(1)
 A1 = GramLattice([[2]])
@@ -1694,6 +1697,124 @@ def test_local_factors_build_no_fraction(monkeypatch):
                 if mat.c % lattice.level() == 0:
                     phi_char(lattice, x)
         kernel_descriptor(lattice)
+
+
+SUM_GRAMS = EVEN_GRAMS + ODD_GRAMS + RHO_MID + [A2_5, DIAG_2_6_10]
+
+
+def _sum_cases(gram):
+    """(key, terms, thunk, per-term reference) for the Milgram sum of an even
+    lattice, Braun's sum at c = +-N and +-2N within 4000 terms, and the
+    local Gauss sums at p = 2, 3, 5 with c in {p, p^2, 2p, -p}."""
+    lattice = GramLattice(gram)
+    m, n = lattice.rank, lattice.level()
+    cases = []
+    if lattice.is_even:
+        form = lattice.discriminant_form()
+        cases.append((("milgram", gram), form.delta, form.milgram_sum,
+                      lambda: milgram_by_terms(form)))
+    for c in (n, -n, 2 * n, -2 * n):
+        if abs(c) ** m <= 4000:
+            cases.append((("braun", gram, c), abs(c) ** m, lambda c=c: braun_check(lattice, c),
+                          lambda c=c: braun_by_terms(lattice, c)))
+    for p in (2, 3, 5):
+        for a, c in ((1, p), (-1, p * p), (3 if p != 3 else 2, 2 * p), (1, -p)):
+            v = valuation_split(c, p).valuation
+            if p ** (v * (m + 1)) <= 4000:
+                cases.append((("gauss", gram, p, a, c), p ** (v * m),
+                              lambda p=p, a=a, c=c: gauss_sum_brute(lattice, p, a, c),
+                              lambda p=p, a=a, c=c: gauss_by_terms(lattice, p, a, c)))
+    return cases
+
+
+def test_sums_of_roots_build_no_fraction(monkeypatch):
+    # milgram_sum, braun_check and gauss_sum_brute count integer exponents
+    # into one root_sum: no Fraction, no ExactScalar addition, and a number
+    # of scalars built that does not grow with the number of terms.  The
+    # 2-adic decompositions, whose basis is rational, are computed first.
+    import exactweil.exact as exact_mod
+    import exactweil.jordan as jordan_mod
+    import exactweil.lattice as lattice_mod
+    import exactweil.numth as numth_mod
+    import exactweil.weilrep as weilrep_mod
+
+    cases = [case for gram in SUM_GRAMS for case in _sum_cases(gram)]
+    decomps = {}
+    for gram in SUM_GRAMS:
+        lattice = GramLattice(gram)
+        lattice.discriminant_form()
+        decomps[lattice.gram] = jordan_decompose(lattice, 2)
+    monkeypatch.setattr(jordan_mod, "jordan_decompose",
+                        lambda lattice, p: decomps[lattice.gram])
+    for p in (2, 3, 5, 7, 11):
+        exact_mod.sqrt_rat(p)  # the cached square roots, built once by design
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built in a sum of roots of unity")
+
+    def no_add(self, other):
+        raise AssertionError("a sum of roots of unity added ExactScalars")
+
+    built = [0]
+    init = ExactScalar.__init__
+
+    def counted_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    for module in (jordan_mod, lattice_mod, numth_mod, weilrep_mod):
+        monkeypatch.setattr(module, "Fraction", NoFraction)
+    monkeypatch.setattr(ExactScalar, "__add__", no_add)
+    monkeypatch.setattr(ExactScalar, "__init__", counted_init)
+    for key, _, thunk, _ in cases:
+        built[0] = 0
+        thunk()
+        assert built[0] <= 12, (key, built[0])
+    assert max(terms for _, terms, _, _ in cases) >= 100
+
+
+def _assert_sums_match_per_term_references(gram):
+    import exactweil.weilrep as weilrep_mod
+
+    left = []
+    root_sum = weilrep_mod.root_sum
+
+    def spy(ks, n):
+        left.append(root_sum(ks, n))
+        return left[-1]
+
+    for key, _, thunk, reference in _sum_cases(gram):
+        left.clear()
+        weilrep_mod.root_sum = spy
+        try:
+            value = thunk()
+        finally:
+            weilrep_mod.root_sum = root_sum
+        if key[0] == "braun":
+            assert value, key
+            (value,) = left
+        assert value.to_json() == reference().to_json(), key
+
+
+def test_sums_of_roots_match_per_term_references():
+    # The order of each sum is n/gcd(n, exponents), the order a sum of the
+    # separate roots of unity has; the JSON pins it with the value.
+    for gram in SUM_GRAMS:
+        _assert_sums_match_per_term_references(gram)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sums_of_roots_match_per_term_references_on_random_lattices(data):
+    n = data.draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = data.draw(st.integers(-6, 6))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(-3, 3))
+    assume(_det_int(rows) != 0)
+    _assert_sums_match_per_term_references(rows)
 
 
 def test_no_assert_statements_in_src():
