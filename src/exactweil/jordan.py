@@ -22,7 +22,8 @@ from math import lcm, prod
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import BRUTE_CAP, ExactScalar, root_of_unity, root_sum, sqrt_rat
+from . import exact
+from .exact import ExactScalar, root_of_unity, root_sum, sqrt_rat
 from .lattice import CapExceededError, DFElement, GramLattice, _det_int
 from .numth import _unit_mod, is_prime, legendre, two_over, unit_part, valuation_split
 
@@ -449,7 +450,7 @@ def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScala
     delta = e(k/8), k the Weil-index exponents of the scaled components added.
 
     Its one costly step is sqrt(p) in Q(zeta_4p), taken when the power of p
-    under the root is odd; exact._sqrt_prime caps it at p^2 <= BRUTE_CAP.
+    under the root is odd; exact._sqrt_prime caps it at p^2 <= exact.BRUTE_CAP.
     """
     v = _gauss_valuation(lattice, p, a, c)
     components = jordan_components(lattice, p)
@@ -468,13 +469,13 @@ def gauss_sum_brute(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar
     2cD = p^j w, w prime to p, a term is e(k/p^j),
     k = a (D eta^2 + (u, eta)) w^-1 mod p^j: an integer, counted into one
     root_sum.  The p^(v m) terms cost O(p^(v m)) steps and a vector of p^j
-    counts, and p^(v (m + 1)) must stay within BRUTE_CAP.
+    counts, and p^(v (m + 1)) must stay within exact.BRUTE_CAP.
     """
     v = _gauss_valuation(lattice, p, a, c)
     m = lattice.rank
-    if p ** (v * (m + 1)) > BRUTE_CAP:
+    if p ** (v * (m + 1)) > exact.BRUTE_CAP:
         raise CapExceededError("a Gauss sum of %d^%d terms in Q(zeta_%d^%d) exceeds "
-                               "the cap %d" % (p, v * m, p, v, BRUTE_CAP))
+                               "the cap %d" % (p, v * m, p, v, exact.BRUTE_CAP))
     gram = lattice.gram
     u, d = [0] * m, 1
     xc = xc_vector(jordan_decompose(lattice, 2), v) if p == 2 else None

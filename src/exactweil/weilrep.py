@@ -56,9 +56,10 @@ from math import gcd, lcm, prod
 from operator import lshift, mul
 from typing import List, Optional, Sequence, Tuple
 
+from . import exact
 from .exact import (ExactScalar, euler_phi, from_powers, from_rational, reduce_powers,
                     root_multiples, root_of_unity, root_sum, sqrt_rat)
-from .jordan import (BRUTE_CAP, choose_xc, jordan_components, jordan_decompose,
+from .jordan import (choose_xc, jordan_components, jordan_decompose,
                      scale_component, weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
                       GramLattice, interesting_primes, require_dense)
@@ -171,14 +172,14 @@ class WeilOperator:
         Each distinct scalar of _cell_table is encoded once, then every cell
         gets a dict and lists of its own."""
         cells, table = self._cell_table()
-        exact = {}
+        encoded = {}
         for key, x in cells.items():
             data = x.to_json()
-            exact[key] = (data["order"], data["coeffs"])
+            encoded[key] = (data["order"], data["coeffs"])
         return {
             "dim": self.dim,
             "entries": [[{"order": order, "coeffs": coeffs[:]}
-                         for order, coeffs in map(exact.__getitem__, keys)]
+                         for order, coeffs in map(encoded.__getitem__, keys)]
                         for keys in table],
         }
 
@@ -645,7 +646,11 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
     so a (c alpha^2/2) is well defined although q is only defined mod 1/2;
     for odd c its x_c is reported as zero (the half-sum is not dual) and
     xi_2 picks up zeta_8^(-a_2 c_2 t_1), t_1 the oddity of the scale-1
-    component.  The scalar's root of unity e(s/8) is split canonically:
+    component.  x_c is read from the component at scale 2^(v_2(c)) of the
+    2-adic Jordan basis only for even c or an odd lattice: for odd c that
+    component is the unimodular one, which on an even lattice is of type
+    II, so x_c = 0 and there is no oddity, with no decomposition made.
+    The scalar's root of unity e(s/8) is split canonically:
     with g = gcd(8, N) and (q, r) = divmod(s mod 8, 8/g), coeff is
     e(r/8) sqrt(1/|D/D_c|), 0 <= r < 8/g, and e(q/g) adds q N/g to every
     phase.  No two such scalars differ by an N-th root of unity, so (coeff,
@@ -661,7 +666,10 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
         s, x_c = _c0_scalar(form.signature, mat.a, eps), form.zero()
     else:
         s = _xi_product(lattice, mat, eps)
-        x_c, t1 = choose_xc(jordan_decompose(lattice, 2), mat.c)
+        if lattice.is_even and mat.c % 2:
+            x_c, t1 = form.zero(), None
+        else:
+            x_c, t1 = choose_xc(jordan_decompose(lattice, 2), mat.c)
         if mat.c % 2 and t1 is not None:
             s -= unit_part(mat.a, 2) * unit_part(mat.c, 2) * t1
     coset = form.coset_Dcstar(mat.c, x_c)
@@ -764,7 +772,7 @@ def braun_check(lattice: GramLattice, c: int) -> bool:
     if c == 0 or c % N:
         raise ValueError("Braun's formula needs a nonzero c with N | c")
     m = lattice.rank
-    if abs(c) ** m > BRUTE_CAP:
+    if abs(c) ** m > exact.BRUTE_CAP:
         raise CapExceededError("M/cM has %d^%d elements" % (abs(c), m))
     g = lattice.gram
     sign = 1 if c > 0 else -1

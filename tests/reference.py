@@ -34,9 +34,10 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from exactweil import exact
 from exactweil.exact import (_ZERO, ExactScalar, _make, euler_phi, from_powers, from_rational,
                              root_of_unity, sqrt_rat)
-from exactweil.jordan import (BRUTE_CAP, JordanComponent, JordanDecomposition,
+from exactweil.jordan import (JordanComponent, JordanDecomposition,
                               _check_prime, _pair, _pairs, _sweep, _val, _validate_blocks,
                               choose_xc, jordan_decompose, xc_vector)
 from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
@@ -208,7 +209,7 @@ def r0_direct(lattice: GramLattice, mat: SL2) -> DenseOperator:
     if mat.c == 0:
         raise ValueError("the r0 sum requires c != 0")
     m = lattice.rank
-    if abs(mat.c) ** m > BRUTE_CAP:
+    if abs(mat.c) ** m > exact.BRUTE_CAP:
         raise CapExceededError("M/cM has %d^%d elements" % (abs(mat.c), m))
     form = lattice.discriminant_form()
     require_dense(form.delta)

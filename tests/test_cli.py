@@ -307,15 +307,14 @@ E8 = ("[[2,-1,0,0,0,0,0,0],[-1,2,-1,0,0,0,0,0],[0,-1,2,-1,0,0,0,-1],"
 
 
 def test_cli_verify_reports_capped_suites(capsys, monkeypatch):
-    import exactweil.jordan as jordan_mod
-    import exactweil.weilrep as weilrep_mod
+    import exactweil.exact as exact_mod
 
     # Under the default caps E8's gauss-sums suite passes the brute cap at
     # p = 5 (5^8 terms) and its braun suite at c = 6 (6^8 terms), after
     # minutes; a cap of 2^9 reaches both at once.  The other suites still
-    # run and pass, and the exit code says a cap was met.
-    for mod in (jordan_mod, weilrep_mod):
-        monkeypatch.setattr(mod, "BRUTE_CAP", 2 ** 9)
+    # run and pass, and the exit code says a cap was met.  The cap has one
+    # binding, exact.BRUTE_CAP, read by every check when it runs.
+    monkeypatch.setattr(exact_mod, "BRUTE_CAP", 2 ** 9)
     code, out = invoke(capsys, ["verify", "--lattice", E8])
     payload = json.loads(out)
     assert code == EXIT_CAP

@@ -311,6 +311,50 @@ def test_xc_membership_in_coset():
                     assert value.denominator == 1
 
 
+def _draw_even_gram(data, n, max_det):
+    """An even Gram matrix of rank n with 0 < |det| <= max_det."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 * data.draw(st.integers(-5, 5))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(-4, 4))
+    assume(0 < abs(workloads.det(rows)) <= max_det)
+    return rows
+
+
+ODD_C = (1, -1, 3, -3, 5, -7, 9, -15)
+
+
+def _assert_xc_is_zero_at_odd_c(gram):
+    """At odd c the component of scale 2^(v_2(c)) is the unimodular one, of
+    type II on an even lattice: choose_xc gives (0, None), and 0 meets its
+    coset condition c N q(mu) = 0 mod N on the kernel of c.  rho_closed
+    takes x_c = 0 there without a decomposition."""
+    lat = GramLattice(gram)
+    assert lat.is_even, gram
+    df = lat.discriminant_form()
+    d = jordan_decompose(lat, 2)
+    for c in ODD_C:
+        assert choose_xc(d, c) == (df.zero(), None), (gram, c)
+        for mu in df.kernel_generators(c):
+            assert c * df.q_num(mu) % df.level == 0, (gram, c, mu)
+
+
+def test_xc_is_zero_at_odd_c_on_even_lattices():
+    perfbench = [g for w in workloads.WORKLOADS.values() for g in w.grams
+                 if workloads.is_even(g)]
+    fresh = [gram for gram, _, _ in workloads.pool(workloads.WORKLOADS["rho-fresh"])[0][:60]]
+    for gram in EVEN_GRAMS + perfbench + fresh + [[[10, 5], [5, 10]],
+                                                 [[2, 0, 0], [0, 6, 0], [0, 0, 10]]]:
+        _assert_xc_is_zero_at_odd_c(gram)
+
+
+@given(data=st.data(), n=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_xc_is_zero_at_odd_c_hypothesis(data, n):
+    _assert_xc_is_zero_at_odd_c(_draw_even_gram(data, n, 300))
+
+
 def test_xc_phase_examples_and_direct_evaluation():
     d = jordan_decompose(GramLattice([[2]]), 2)
     z8 = root_of_unity(1, 8)
@@ -377,13 +421,7 @@ def test_local_exponents_are_form_gauss_sums():
 @given(data=st.data(), n=st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_local_exponents_are_form_gauss_sums_hypothesis(data, n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2 * data.draw(st.integers(-5, 5))
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = data.draw(st.integers(-4, 4))
-    assume(0 < abs(workloads.det(rows)) <= 600)
-    _assert_local_exponents_are_form_gauss_sums(rows, Counter())
+    _assert_local_exponents_are_form_gauss_sums(_draw_even_gram(data, n, 600), Counter())
 
 
 def test_gauss_sum_examples():

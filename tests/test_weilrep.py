@@ -546,6 +546,36 @@ def test_rho_closed_checks_the_dense_cap_before_the_scalar(monkeypatch):
             rho_closed(GramLattice(gram), MP_S)
 
 
+def test_rho_closed_skips_the_xc_decomposition_at_odd_c_on_even_lattices(monkeypatch):
+    import exactweil.jordan as jordan_mod
+    import exactweil.weilrep as weilrep_mod
+
+    # xi_2 takes two 2-adic decompositions (its components and gamma_2);
+    # x_c takes a third, except at odd c on an even lattice, where it is 0.
+    calls = []
+
+    def counted(lattice, p):
+        calls.append(p)
+        return jordan_decompose(lattice, p)
+
+    monkeypatch.setattr(jordan_mod, "jordan_decompose", counted)
+    monkeypatch.setattr(weilrep_mod, "jordan_decompose", counted)
+    mats = [SL2(2, 1, 1, 1), SL2(1, 1, -3, -2), SL2(1, 0, 2, 1), SL2(1, 0, -2, 1),
+            SL2(3, 1, 8, 3), SL2(1, 0, 6, 1), SL2(0, -1, 1, 0)]
+    seen = set()
+    for gram in EVEN_GRAMS + ODD_GRAMS:
+        lattice = GramLattice(gram)
+        for mat in mats:
+            if not lattice.is_even and not gamma_odd_member(mat):
+                continue
+            calls.clear()
+            rho_closed(lattice, MpElement(mat, 1))
+            skipped = lattice.is_even and mat.c % 2
+            assert calls == [2] * (2 if skipped else 3), (gram, mat)
+            seen.add((lattice.is_even, mat.c % 2))
+    assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
 def test_dense_operators_are_capped(monkeypatch):
     import exactweil.lattice as lattice_mod
 
