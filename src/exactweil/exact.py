@@ -16,7 +16,8 @@ over one common denominator, reduced by a single gcd.  A scalar known to be
 a rational multiple of one root of unity, q * zeta_L^k, also carries its
 exponent, so products with it are rotations rather than convolutions.
 A sum of roots of unity e(k/n) over integer exponents k is one count per
-power of zeta_n and one reduction (root_sum).
+power of zeta_n and one reduction (root_sum).  Factoring and the cap
+error come from numth, the one layer below.
 """
 
 from __future__ import annotations
@@ -24,51 +25,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import cos, gcd, lcm, pi, prod
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-RationalLike = Union[int, Fraction]
+from .numth import CapExceededError, RationalLike, factorize
 
 _cyclo_cache: dict[int, tuple[int, ...]] = {}
 _phi_cache: dict[int, int] = {}
 
-# Trial division tries no divisor above this, so every n <= 10**12 factors.
-TRIAL_DIVISION_CAP = 10 ** 6
 # Working precision above which a numeric enclosure is refused.
 PRECISION_CAP = 2 ** 14
 # Terms a brute-force sum may add, and p^2 for sqrt(p), whose check costs
 # O(p^2) in Q(zeta_4p).
 BRUTE_CAP = 10 ** 6
-
-
-class CapExceededError(RuntimeError):
-    """An operation would exceed one of the package's resource caps."""
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """The pairs (p, e) with p^e exactly dividing |n| (n != 0), p ascending.
-
-    Trial division stops at TRIAL_DIVISION_CAP: a cofactor above its
-    square with no divisor up to it raises CapExceededError.
-    """
-    n = abs(n)
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    out = []
-    d = 2
-    while d * d <= n:
-        if d > TRIAL_DIVISION_CAP:
-            raise CapExceededError("%d has no prime factor up to the trial-division "
-                                   "cap %d" % (n, TRIAL_DIVISION_CAP))
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def euler_phi(n: int) -> int:
@@ -189,13 +157,6 @@ class ExactScalar:
         self._den = den
         self._mono = mono
 
-    @staticmethod
-    def from_rational(r: RationalLike) -> "ExactScalar":
-        n, d = _as_ratio(r)
-        if not n:
-            return _ZERO
-        return ExactScalar(1, (n,), d, (0, n))
-
     # -- embedding ---------------------------------------------------------
 
     def _embedded_vec(self, M: int) -> list[int]:
@@ -303,7 +264,7 @@ class ExactScalar:
             k, c = self._mono
             L = self.order
             return _monomial(L, k * e % L, c ** e, self._den ** e)
-        result = ExactScalar.from_rational(1)
+        result = from_rational(1)
         base = self
         while e:
             if e & 1:
@@ -324,7 +285,7 @@ class ExactScalar:
             k, c = self._mono
             d = self._den
             return _monomial(L, -k % L, -d if c < 0 else d, abs(c))
-        others = ExactScalar.from_rational(1)
+        others = from_rational(1)
         for k in range(2, L):
             if gcd(k, L) == 1:
                 others = others * self._galois(k)
@@ -518,7 +479,7 @@ def _coerce(x) -> "ExactScalar":
     if isinstance(x, ExactScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return ExactScalar.from_rational(x)
+        return from_rational(x)
     return NotImplemented
 
 
@@ -556,7 +517,10 @@ def root_multiples(x: ExactScalar, ks: Iterable[int], n: int) -> dict:
 
 
 def from_rational(r: RationalLike) -> ExactScalar:
-    return ExactScalar.from_rational(r)
+    n, d = _as_ratio(r)
+    if not n:
+        return _ZERO
+    return ExactScalar(1, (n,), d, (0, n))
 
 
 def root_sum(ks: Iterable[int], n: int) -> ExactScalar:
@@ -630,7 +594,7 @@ def sqrt_rat(r: RationalLike) -> ExactScalar:
         raise ValueError("sqrt_rat requires a positive rational, got %s" % r)
     factors = factorize(r.numerator * r.denominator)
     square = prod(p ** (e // 2) for p, e in factors)
-    result = ExactScalar.from_rational(Fraction(square, r.denominator))
+    result = from_rational(Fraction(square, r.denominator))
     for p, e in factors:
         if e % 2:
             result = result * _sqrt_prime(p)

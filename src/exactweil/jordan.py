@@ -375,18 +375,6 @@ def scale_component(comp: JordanComponent, x) -> JordanComponent:
                            comp.eps * two_over(u) ** comp.n, t)
 
 
-def weil_index_scaled(comp: JordanComponent, a: int) -> int:
-    """k mod 8 for the Weil index of the component scaled by a unit, in
-    closed form: gamma (a / p)^(e n) at odd p, gamma^a (2/a)^(e n) at p = 2."""
-    if a % comp.p == 0:
-        raise ValueError("scaling unit must be coprime to p")
-    k = weil_index_component(comp)
-    en = comp.e * comp.n
-    if comp.p != 2:
-        return (k + 2 * (1 - legendre(a, comp.p) ** en)) % 8
-    return (k * a + 2 * (1 - two_over(a) ** en)) % 8
-
-
 def weil_index_lattice(lattice: GramLattice, p: int) -> int:
     """k mod 8 for gamma_p(f), the product of the components' Weil indices."""
     return sum(map(weil_index_component, jordan_components(lattice, p))) % 8

@@ -1,4 +1,4 @@
-"""Valuations, Legendre-Jacobi symbols, and Hilbert symbols.
+"""Valuations, Legendre-Jacobi symbols, Hilbert symbols, and factorization.
 
 Conventions matter here and are easy to get silently wrong, so they are
 spelled out once:
@@ -11,6 +11,9 @@ spelled out once:
 * The symbol accepts p-adic unit rationals in the numerator when the
   denominator is +-p^k: the unit is reduced mod p (mod 8 when powers of two
   appear in the numerator), which is the continuous extension.
+
+factorize stops at TRIAL_DIVISION_CAP with CapExceededError, the error of
+every cap in the package.  This module, the lowest layer, imports none.
 """
 
 from __future__ import annotations
@@ -19,11 +22,16 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
 
-from .exact import ExactScalar, factorize, from_rational, root_of_unity
-
 RationalLike = Union[int, Fraction]
 
 REAL_PLACE = "real"
+
+# Trial division tries no divisor above this, so every n <= 10**12 factors.
+TRIAL_DIVISION_CAP = 10 ** 6
+
+
+class CapExceededError(RuntimeError):
+    """An operation would exceed one of the package's resource caps."""
 
 
 class ValUnit(NamedTuple):
@@ -55,11 +63,6 @@ def unit_part(x: int, p: int) -> int:
     return valuation_split(x, p).unit_part if x else 1
 
 
-def sigma(x: RationalLike) -> int:
-    """Sign bit: 1 for negative arguments, 0 otherwise."""
-    return 1 if x < 0 else 0
-
-
 def eps_parity(K: RationalLike) -> int:
     """(K-1)/2 mod 2 for odd K (integer or 2-adic unit rational)."""
     num, den = K.numerator, K.denominator
@@ -68,21 +71,6 @@ def eps_parity(K: RationalLike) -> int:
     # reduce the unit mod 4 through the inverse of the denominator
     r = (num * pow(den, -1, 4)) % 4
     return ((r - 1) // 2) % 2
-
-
-class EpsData(NamedTuple):
-    eps_scalar: ExactScalar  # 1 or i
-    eps: int  # bit
-    sigma: int  # bit
-
-
-def eps_data(K: int) -> EpsData:
-    """The (eps_K, eps(K), sigma(K)) bookkeeping for an odd integer K."""
-    if K % 2 == 0:
-        raise ValueError("eps_data requires an odd integer")
-    e = eps_parity(K)
-    scalar = root_of_unity(1, 4) if e else from_rational(1)
-    return EpsData(scalar, e, sigma(K))
 
 
 def _unit_mod(x: RationalLike, modulus: int) -> int:
@@ -134,12 +122,6 @@ def legendre(x: RationalLike, y: int) -> int:
     return _jacobi(_unit_mod(x, n), n)
 
 
-def zeta8_identity_check(x: int) -> bool:
-    """Self-test of the identity (2/x) * eps_x = zeta8^(1-x) for odd x."""
-    lhs = from_rational(two_over(x)) * eps_data(x).eps_scalar
-    return lhs == root_of_unity(1 - x, 8)
-
-
 def hilbert(a: RationalLike, b: RationalLike, place) -> int:
     """Hilbert symbol (a,b) at a place of Q.
 
@@ -170,18 +152,35 @@ def hilbert(a: RationalLike, b: RationalLike, place) -> int:
     return result
 
 
-def hilbert_product_check(a: int, b: int) -> bool:
-    """Product formula over all places: always true, exposed as a self-test."""
-    if a == 0 or b == 0:
-        raise ValueError("needs nonzero integers")
-    product = hilbert(a, b, REAL_PLACE)
-    for p in set(prime_factors(2 * a) + prime_factors(2 * b)):
-        product *= hilbert(a, b, p)
-    return product == 1
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, e) with p^e exactly dividing |n| (n != 0), p ascending.
+
+    Trial division stops at TRIAL_DIVISION_CAP: a cofactor above its
+    square with no divisor up to it raises CapExceededError.
+    """
+    n = abs(n)
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    out = []
+    d = 2
+    while d * d <= n:
+        if d > TRIAL_DIVISION_CAP:
+            raise CapExceededError("%d has no prime factor up to the trial-division "
+                                   "cap %d" % (n, TRIAL_DIVISION_CAP))
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def prime_factors(n: int) -> list[int]:
-    """Sorted prime divisors of |n| (n != 0); see exact.factorize for the cap."""
+    """Sorted prime divisors of |n| (n != 0); see factorize for the cap."""
     return [p for p, _ in factorize(n)]
 
 

@@ -260,7 +260,9 @@ def rho_T(form: DiscriminantForm) -> PhaseOperator:
     if not form.is_even:
         raise ValueError("rho(T) requires an even lattice; "
                          "T is outside the parity subgroup of an odd one")
-    return _t_diagonal(form)
+    n = form.delta
+    PhaseOperator.require(_ONE, form, n)
+    return _one_per_column(form, _ONE, range(n), form.q_table())
 
 
 def _one_per_column(form: DiscriminantForm, coeff: ExactScalar, rows: Sequence[int],
@@ -272,13 +274,6 @@ def _one_per_column(form: DiscriminantForm, coeff: ExactScalar, rows: Sequence[i
     for j, (i, k) in enumerate(zip(rows, phases)):
         table[i][j] = k
     return PhaseOperator(coeff, table, form)
-
-
-def _t_diagonal(form: DiscriminantForm) -> PhaseOperator:
-    """The diagonal matrix of e(gamma^2/2), read off form.q_table()."""
-    n = form.delta
-    PhaseOperator.require(_ONE, form, n)
-    return _one_per_column(form, _ONE, range(n), form.q_table())
 
 
 def _fourier(form: DiscriminantForm, coeff: ExactScalar) -> PhaseOperator:
@@ -320,7 +315,7 @@ def rho_p_generators(lattice: GramLattice, p: int) -> Tuple[PhaseOperator, Phase
     part = lattice.discriminant_form().p_part(p)
     require_dense(part.delta)
     coeff = root_of_unity(-weil_index_lattice(lattice, p), 8) * sqrt_rat(Fraction(1, part.delta))
-    return _t_diagonal(part), _fourier(part, coeff)
+    return rho_T(part), _fourier(part, coeff)
 
 
 # -- the generator-word oracle ---------------------------------------------

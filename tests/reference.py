@@ -24,7 +24,12 @@ the Gauss sum of a form, read off the histogram of N q(x) with no lattice
 basis: the reference for the Jordan route's local exponents.
 rational_jordan is a Jordan decomposition with its basis at every prime:
 at odd p the elimination over rationals, the reference for
-jordan_components' integer route.
+jordan_components' integer route.  The symbol self-checks are here too:
+sigma, the sign bit of the reciprocity law; eps_data, the (eps_K, eps(K),
+sigma(K)) bookkeeping of an odd K, and zeta8_identity_check, the identity
+(2/x) eps_x = zeta8^(1-x) on it; hilbert_product_check, the product
+formula over every place; and weil_index_scaled, the closed form of a
+scaled component's Weil index, the reference for scale_component.
 """
 
 from collections import Counter
@@ -32,19 +37,20 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from exactweil import exact
 from exactweil.exact import (_ZERO, ExactScalar, _make, euler_phi, from_powers, from_rational,
                              root_of_unity, sqrt_rat)
 from exactweil.jordan import (JordanComponent, JordanDecomposition,
                               _check_prime, _pair, _pairs, _sweep, _val, _validate_blocks,
-                              choose_xc, jordan_decompose, xc_vector)
+                              choose_xc, jordan_decompose, weil_index_component, xc_vector)
 from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
                                DiscriminantForm, GramLattice, require_dense,
                                smith_normal_form)
 from exactweil.metaplectic import MP_ONE, MP_S, SL2, MpElement, Word, mp_inv, mp_mul
-from exactweil.numth import _unit_mod, legendre, valuation_split
+from exactweil.numth import (REAL_PLACE, _unit_mod, eps_parity, hilbert, legendre,
+                             prime_factors, two_over, valuation_split)
 from exactweil.weilrep import ZERO_PHASE, PhaseOperator
 
 Vector = Tuple[Fraction, ...]
@@ -443,3 +449,51 @@ def gauss_by_terms(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar:
             arg += Fraction(a, c) * _pair(gram, xc, eta)
         terms.append(char_p_value(arg, p))
     return scalar_sum(terms)
+
+
+def sigma(x) -> int:
+    """Sign bit: 1 for negative arguments, 0 otherwise."""
+    return 1 if x < 0 else 0
+
+
+class EpsData(NamedTuple):
+    eps_scalar: ExactScalar  # 1 or i
+    eps: int  # bit
+    sigma: int  # bit
+
+
+def eps_data(K: int) -> EpsData:
+    """The (eps_K, eps(K), sigma(K)) bookkeeping for an odd integer K."""
+    if K % 2 == 0:
+        raise ValueError("eps_data requires an odd integer")
+    e = eps_parity(K)
+    scalar = root_of_unity(1, 4) if e else from_rational(1)
+    return EpsData(scalar, e, sigma(K))
+
+
+def zeta8_identity_check(x: int) -> bool:
+    """The identity (2/x) * eps_x = zeta8^(1-x) for odd x."""
+    lhs = from_rational(two_over(x)) * eps_data(x).eps_scalar
+    return lhs == root_of_unity(1 - x, 8)
+
+
+def hilbert_product_check(a: int, b: int) -> bool:
+    """The product formula: (a, b) over all places of Q multiplies to 1."""
+    if a == 0 or b == 0:
+        raise ValueError("needs nonzero integers")
+    product = hilbert(a, b, REAL_PLACE)
+    for p in set(prime_factors(2 * a) + prime_factors(2 * b)):
+        product *= hilbert(a, b, p)
+    return product == 1
+
+
+def weil_index_scaled(comp: JordanComponent, a: int) -> int:
+    """k mod 8 for the Weil index of the component scaled by a unit, in
+    closed form: gamma (a / p)^(e n) at odd p, gamma^a (2/a)^(e n) at p = 2."""
+    if a % comp.p == 0:
+        raise ValueError("scaling unit must be coprime to p")
+    k = weil_index_component(comp)
+    en = comp.e * comp.n
+    if comp.p != 2:
+        return (k + 2 * (1 - legendre(a, comp.p) ** en)) % 8
+    return (k * a + 2 * (1 - two_over(a) ** en)) % 8

@@ -25,12 +25,11 @@ from exactweil.jordan import (
     scale_component,
     weil_index_component,
     weil_index_lattice,
-    weil_index_scaled,
     xc_vector,
 )
 from exactweil.lattice import CapExceededError, GramLattice, direct_sum
 from reference import (char_p_value, form_gauss_sum, lift, pairing_of_lifts, q_of_lift,
-                       rational_jordan, xc_phase)
+                       rational_jordan, weil_index_scaled, xc_phase)
 from exactweil.numth import legendre, prime_factors, valuation_split
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

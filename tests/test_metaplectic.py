@@ -32,8 +32,8 @@ from exactweil.metaplectic import (
     mp_mul,
     word_mp,
 )
-from exactweil.numth import REAL_PLACE, hilbert, legendre, sigma
-from reference import peel_by_fraction, word_mp_by_cocycle
+from exactweil.numth import REAL_PLACE, hilbert, legendre
+from reference import peel_by_fraction, sigma, word_mp_by_cocycle
 
 PLACES = (REAL_PLACE, 2, 3, 5)
 

@@ -9,20 +9,17 @@ from hypothesis import given, settings, strategies as st
 from exactweil.exact import CapExceededError, from_rational, root_of_unity
 from exactweil.numth import (
     REAL_PLACE,
-    eps_data,
     eps_parity,
     hilbert,
-    hilbert_product_check,
     is_prime,
     legendre,
     prime_factors,
-    sigma,
     two_over,
     unit_part,
     valuation_split,
-    zeta8_identity_check,
 )
-from reference import char_p_exponent
+from reference import (char_p_exponent, eps_data, hilbert_product_check, sigma,
+                       zeta8_identity_check)
 
 
 def test_valuation_split_examples():
@@ -236,6 +233,7 @@ def test_prime_factors():
 
 def test_prime_factors_trial_division_is_capped():
     import exactweil.lattice as lattice_mod
+    import exactweil.numth as numth_mod
     from exactweil.exact import CapExceededError
 
     # every n <= 10**12 still factors fully
@@ -245,6 +243,7 @@ def test_prime_factors_trial_division_is_capped():
     with pytest.raises(CapExceededError):
         prime_factors(10000019 * 10000079)
     assert lattice_mod.CapExceededError is CapExceededError
+    assert numth_mod.CapExceededError is CapExceededError
 
 
 @given(num=st.integers(-150, 150).filter(bool), den=st.integers(1, 150))

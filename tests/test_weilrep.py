@@ -676,6 +676,12 @@ def test_closed_equals_oracle_even():
             assert op == rho_oracle(lattice, x), (gram, x.mat, x.eps)
             if k == 0:
                 assert op.is_unitary()
+        # c = 2 mod 4, where x_c is read from the 2-adic component at scale 2
+        # (odd on [[2]] and [[6]])
+        for mat in (SL2(1, 0, 2, 1), SL2(1, 0, -2, 1), SL2(3, 1, 2, 1), SL2(-1, 0, 6, -1)):
+            for eps in (1, -1):
+                x = MpElement(mat, eps)
+                assert rho_closed(lattice, x) == rho_oracle(lattice, x), (gram, mat, eps)
 
 
 def neg_symmetric(op):
@@ -1685,7 +1691,7 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     (st * st).is_identity(), (st * s_op) == s_op * st, s_op.is_unitary()
     weilrep_mod._fourier(form, coeff)
     part = form.p_part(2)
-    weilrep_mod._t_diagonal(part), weilrep_mod._fourier(part, coeff)
+    rho_T(part), weilrep_mod._fourier(part, coeff)
 
 
 def test_local_factors_build_no_fraction(monkeypatch):
