@@ -6,14 +6,17 @@ jordan_components reads it off by integer elimination modulo that power,
 with no Fraction and no basis.  At p = 2 the symbol comes from
 jordan_decompose, the one decomposition with a basis: it works over
 rationals with odd denominators, so every step is exact, and it keeps the
-basis that x_c is read from.  A
+basis that x_c is read from at even c (at odd c the closed formula takes
+x_c = 0, and xi_2 reads the unimodular oddity off the components).  A
 scale that mixes diagonal and even 2x2 blocks is fused and fully
 diagonalized, and the trace of the resulting diagonal units mod 8 is the
 oddity index t.  jordan_decompose evaluates each pairing of its working
 basis once per scan, over unordered pairs, and checks the finished blocks
 against one Gram matrix of the final basis, b_i . (G b_j), with integer
 determinants.  Symbols at p = 2 are not canonical across different
-decompositions, but every value derived from them downstream is.
+decompositions, but every value derived from them downstream is.  Only
+jordan_decompose and jordan_components build a JordanComponent: the Weil
+index of a scaled component is read off its symbol and the scale.
 """
 
 from fractions import Fraction
@@ -355,24 +358,24 @@ def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ..
 # a sign -1 is 4, a product is a sum and a conjugate is -k.
 
 
-def weil_index_component(comp: JordanComponent) -> int:
-    """k mod 8 with e(k/8) the Weil index of one Jordan component: n (1 - q)
-    at odd p and the oddity t (0 for type II) at p = 2, plus 4 when eps^e = -1."""
-    k = comp.n * (1 - comp.q) if comp.p != 2 else comp.t or 0
-    return (k + (0 if comp.eps ** comp.e == 1 else 4)) % 8
-
-
-def scale_component(comp: JordanComponent, x) -> JordanComponent:
-    """The component of M(x): the form scaled by a nonzero rational x."""
-    v, u = valuation_split(x, comp.p)
-    if comp.e + v < 0:
+def weil_index_component(comp: JordanComponent, x=1) -> int:
+    """k mod 8 with e(k/8) the Weil index of the component of M(x), the form
+    scaled by a nonzero rational x = p^v u.  That component has scale p^(e+v),
+    sign eps (u/p)^n at odd p and eps (2/u)^n at p = 2, and oddity t u; its
+    index is n (1 - p^(e+v)) at odd p and the oddity (0 for type II) at
+    p = 2, plus 4 when the sign to the power e + v is -1."""
+    p = comp.p
+    v, u = valuation_split(x, p)
+    e = comp.e + v
+    if e < 0:
         raise ValueError("scaling would produce a negative exponent")
-    if comp.p != 2:
-        return JordanComponent(comp.p, comp.e + v, comp.n,
-                               comp.eps * legendre(u, comp.p) ** comp.n)
-    t = None if comp.t is None else (comp.t * _unit_mod(u, 8)) % 8
-    return JordanComponent(2, comp.e + v, comp.n,
-                           comp.eps * two_over(u) ** comp.n, t)
+    if p != 2:
+        eps = comp.eps * legendre(u, p) ** comp.n
+        k = comp.n * (1 - p ** e)
+    else:
+        eps = comp.eps * two_over(u) ** comp.n
+        k = 0 if comp.t is None else comp.t * _unit_mod(u, 8)
+    return (k + (0 if eps ** e == 1 else 4)) % 8
 
 
 def weil_index_lattice(lattice: GramLattice, p: int) -> int:
@@ -393,29 +396,27 @@ def xc_vector(decomp: JordanDecomposition, v: int) -> Optional[Vector]:
     return None
 
 
-def choose_xc(decomp: JordanDecomposition, c: int) -> Tuple[DFElement, Optional[int]]:
-    """The distinguished coset element x_c and its oddity index.
+def choose_xc(decomp: JordanDecomposition, c: int) -> DFElement:
+    """The distinguished coset element x_c, read at even c.
 
-    Returns the zero class with index None when the component at scale
-    2^(v_2(c)) is absent or of type II.  For an odd lattice and odd c the
-    class is also reported as zero (the true half-sum is not dual); the
-    caller compensates through the returned index.
+    It is the class of half the sum of the basis of the component at scale
+    2^(v_2(c)) when that component is of odd type, and zero when it is
+    absent or of type II.  At odd c the closed formula takes x_c = 0 and
+    xi_2 carries the oddity of the unimodular component; on an odd lattice
+    the half-sum at odd c is not dual, and class_from_dual_vector raises
+    ValueError.
     """
     if c == 0:
         raise ValueError("x_0 = 0 by convention; no component lookup")
     df = decomp.lattice.discriminant_form()
-    v = valuation_split(c, 2).valuation
-    comp = decomp.component_at(v)
-    if comp is None or comp.t is None:
-        return df.zero(), None
-    if v == 0:
-        return df.zero(), comp.t
-    vec = xc_vector(decomp, v)
+    vec = xc_vector(decomp, valuation_split(c, 2).valuation)
+    if vec is None:
+        return df.zero()
     cls = df.class_from_dual_vector(vec, 2)
     for mu in df.kernel_generators(c):
         if (c * df.q_num(mu) + df.pairing_num(cls, mu)) % df.level:
             raise ArithmeticError("x_c must lie in the c-star coset")
-    return cls, comp.t
+    return cls
 
 
 def _local_kernel_size(components: Sequence[JordanComponent], v: int) -> int:
@@ -423,7 +424,7 @@ def _local_kernel_size(components: Sequence[JordanComponent], v: int) -> int:
     return prod(c.q ** c.n if c.e <= v else c.p ** (v * c.n) for c in components)
 
 
-def _gauss_valuation(lattice: GramLattice, p: int, a: int, c: int) -> int:
+def _gauss_valuation(p: int, a: int, c: int) -> int:
     """v_p(c), once the arguments of a local Gauss sum are checked."""
     _check_prime(p)
     if c == 0:
@@ -440,12 +441,11 @@ def gauss_sum_closed(lattice: GramLattice, p: int, a: int, c: int) -> ExactScala
     Its one costly step is sqrt(p) in Q(zeta_4p), taken when the power of p
     under the root is odd; exact._sqrt_prime caps it at p^2 <= exact.BRUTE_CAP.
     """
-    v = _gauss_valuation(lattice, p, a, c)
+    v = _gauss_valuation(p, a, c)
     components = jordan_components(lattice, p)
     radicand = p ** (lattice.rank * v) * _local_kernel_size(components, v)
     a_p = unit_part(a, p)
-    delta = sum(weil_index_component(scale_component(comp, a_p * c))
-                for comp in components if comp.e < v)
+    delta = sum(weil_index_component(comp, a_p * c) for comp in components if comp.e < v)
     return sqrt_rat(radicand) * root_of_unity(delta, 8)
 
 
@@ -459,7 +459,7 @@ def gauss_sum_brute(lattice: GramLattice, p: int, a: int, c: int) -> ExactScalar
     root_sum.  The p^(v m) terms cost O(p^(v m)) steps and a vector of p^j
     counts, and p^(v (m + 1)) must stay within exact.BRUTE_CAP.
     """
-    v = _gauss_valuation(lattice, p, a, c)
+    v = _gauss_valuation(p, a, c)
     m = lattice.rank
     if p ** (v * (m + 1)) > exact.BRUTE_CAP:
         raise CapExceededError("a Gauss sum of %d^%d terms in Q(zeta_%d^%d) exceeds "

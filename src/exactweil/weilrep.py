@@ -59,8 +59,8 @@ from typing import List, Optional, Sequence, Tuple
 from . import exact
 from .exact import (ExactScalar, euler_phi, from_powers, from_rational, reduce_powers,
                     root_multiples, root_of_unity, root_sum, sqrt_rat)
-from .jordan import (choose_xc, jordan_components, jordan_decompose,
-                     scale_component, weil_index_component, weil_index_lattice)
+from .jordan import (choose_xc, jordan_components, jordan_decompose, weil_index_component,
+                     weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
                       GramLattice, interesting_primes, require_dense)
 from .metaplectic import MpElement, SL2, Word, decompose, gamma_odd_member
@@ -555,11 +555,14 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
     For odd p this is the quadratic symbol (a_p / Delta_p) times the product
     of conjugate Weil indices of the components of scale q not dividing c,
     scaled by a_p c.  At p = 2 the quadratic symbols in a_2 and c_2 and the
-    power gamma(f_2)^(a_2 - 1) enter as well.  A symbol -1 adds 4 to k, a
+    power gamma(f_2)^(a_2 - 1) enter as well, and at odd c, where x_c = 0,
+    so does e(-a_2 c_2 t_1/8), t_1 the oddity of the unimodular component
+    (0 for type II, so on every even lattice).  A symbol -1 adds 4 to k, a
     Weil index e(j/8) adds j.  For a = 0 the unit a_p is taken to be 1 (the
     value does not depend on the choice); for c = 0 the component product is
     empty and c_2 = +1 by convention.  The components come from
-    jordan_components.
+    jordan_components, and weil_index_component reads each scaled index off
+    a component's symbol.
     """
     m = lattice.rank
     a, c = mat.a, mat.c
@@ -567,7 +570,7 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
     a_p = unit_part(a, p)
     # v_p(c) compared against component scales; c = 0 is divisible by all q.
     v = valuation_split(c, p).valuation if c else None
-    comp_prod = -sum(weil_index_component(scale_component(comp, a_p * c))
+    comp_prod = -sum(weil_index_component(comp, a_p * c)
                      for comp in components if c and comp.e > v)
     delta_p = p ** sum(comp.e * comp.n for comp in components)
     if p != 2:
@@ -580,7 +583,8 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
     sign *= two_over(a_p) ** (v2 * m)
     sign *= legendre(delta_p, a_p)
     gamma2 = weil_index_lattice(lattice, 2)
-    return (2 * (1 - sign) + gamma2 * (a_p - 1) + comp_prod) % 8
+    t1 = (components[0].t or 0) if v == 0 and components[0].e == 0 else 0
+    return (2 * (1 - sign) + gamma2 * (a_p - 1) + comp_prod - a_p * c2 * t1) % 8
 
 
 def _xi_product(lattice: GramLattice, mat: SL2, eps: int) -> int:
@@ -638,18 +642,16 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
     c = 0 the coset is {0} and the scalar is delta^(-sgn) (see _c0_scalar).
     Delta_{M,c}/Delta_M = 1/|D/D_c| is read off the enumerated coset.  An
     odd lattice needs x in the parity subgroup, where odd c forces even a,
-    so a (c alpha^2/2) is well defined although q is only defined mod 1/2;
-    for odd c its x_c is reported as zero (the half-sum is not dual) and
-    xi_2 picks up zeta_8^(-a_2 c_2 t_1), t_1 the oddity of the scale-1
-    component.  x_c is read from the component at scale 2^(v_2(c)) of the
-    2-adic Jordan basis only for even c or an odd lattice: for odd c that
-    component is the unimodular one, which on an even lattice is of type
-    II, so x_c = 0 and there is no oddity, with no decomposition made.
-    The scalar's root of unity e(s/8) is split canonically:
-    with g = gcd(8, N) and (q, r) = divmod(s mod 8, 8/g), coeff is
-    e(r/8) sqrt(1/|D/D_c|), 0 <= r < 8/g, and e(q/g) adds q N/g to every
-    phase.  No two such scalars differ by an N-th root of unity, so (coeff,
-    phases) is a function of the operator alone.
+    so a (c alpha^2/2) is well defined although q is only defined mod 1/2.
+    At odd c, x_c = 0 with no decomposition made: on an even lattice the
+    unimodular 2-adic component is of type II, and on an odd lattice its
+    half-sum is not dual and xi_2 carries its oddity instead.  At even c,
+    x_c is read by choose_xc from the component at scale 2^(v_2(c)) of the
+    2-adic Jordan basis.  The scalar's root of unity e(s/8) is split
+    canonically: with g = gcd(8, N) and (q, r) = divmod(s mod 8, 8/g),
+    coeff is e(r/8) sqrt(1/|D/D_c|), 0 <= r < 8/g, and e(q/g) adds q N/g to
+    every phase.  No two such scalars differ by an N-th root of unity, so
+    (coeff, phases) is a function of the operator alone.
     """
     if not lattice.is_even and not gamma_odd_member(x.mat):
         raise ValueError("matrix outside the parity subgroup: "
@@ -661,12 +663,7 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
         s, x_c = _c0_scalar(form.signature, mat.a, eps), form.zero()
     else:
         s = _xi_product(lattice, mat, eps)
-        if lattice.is_even and mat.c % 2:
-            x_c, t1 = form.zero(), None
-        else:
-            x_c, t1 = choose_xc(jordan_decompose(lattice, 2), mat.c)
-        if mat.c % 2 and t1 is not None:
-            s -= unit_part(mat.a, 2) * unit_part(mat.c, 2) * t1
+        x_c = form.zero() if mat.c % 2 else choose_xc(jordan_decompose(lattice, 2), mat.c)
     coset = form.coset_Dcstar(mat.c, x_c)
     g = gcd(8, form.level)
     q, r = divmod(s % 8, 8 // g)

@@ -29,7 +29,7 @@ sigma, the sign bit of the reciprocity law; eps_data, the (eps_K, eps(K),
 sigma(K)) bookkeeping of an odd K, and zeta8_identity_check, the identity
 (2/x) eps_x = zeta8^(1-x) on it; hilbert_product_check, the product
 formula over every place; and weil_index_scaled, the closed form of a
-scaled component's Weil index, the reference for scale_component.
+scaled component's Weil index, the reference for weil_index_component(comp, a).
 """
 
 from collections import Counter
@@ -44,7 +44,7 @@ from exactweil.exact import (_ZERO, ExactScalar, _make, euler_phi, from_powers, 
                              root_of_unity, sqrt_rat)
 from exactweil.jordan import (JordanComponent, JordanDecomposition,
                               _check_prime, _pair, _pairs, _sweep, _val, _validate_blocks,
-                              choose_xc, jordan_decompose, weil_index_component, xc_vector)
+                              jordan_decompose, weil_index_component, xc_vector)
 from exactweil.lattice import (ENUMERATION_CAP, CapExceededError, DFElement,
                                DiscriminantForm, GramLattice, require_dense,
                                smith_normal_form)
@@ -244,12 +244,12 @@ def r0_direct(lattice: GramLattice, mat: SL2) -> DenseOperator:
 
 def xc_phase(decomp: JordanDecomposition, a: int, c: int) -> ExactScalar:
     """chi_2(a/c * x_c^2/2) as the root of unity zeta_8^(a2 c2 t)."""
-    _, t = choose_xc(decomp, c)
-    if t is None:
+    comp = decomp.component_at(valuation_split(c, 2).valuation)
+    if comp is None or comp.t is None:
         return from_rational(1)
     a2 = _unit_mod(valuation_split(a, 2).unit_part, 8) if a else 0
     c2 = _unit_mod(valuation_split(c, 2).unit_part, 8)
-    return root_of_unity(a2 * c2 * t, 8)
+    return root_of_unity(a2 * c2 * comp.t, 8)
 
 
 def peel_by_fraction(mat: SL2, step: int) -> Word:

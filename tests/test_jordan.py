@@ -11,7 +11,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import EVEN_GRAMS, ODD_GRAMS
+from conftest import E8_GRAM, EVEN_GRAMS, ODD_GRAMS
 from exactweil.exact import from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
     JordanComponent,
@@ -22,7 +22,6 @@ from exactweil.jordan import (
     gauss_sum_closed,
     jordan_components,
     jordan_decompose,
-    scale_component,
     weil_index_component,
     weil_index_lattice,
     xc_vector,
@@ -36,10 +35,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from perfbench import workloads  # noqa: E402
 
 ALL_GRAMS = EVEN_GRAMS + ODD_GRAMS
-E8_GRAM = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
-           [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
-           [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
-           [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
 
 
 def test_decomposition_examples():
@@ -50,6 +45,13 @@ def test_decomposition_examples():
     assert jordan_decompose(GramLattice(i8), 2).symbol() == "1^+8_0"
     d4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
     assert jordan_decompose(GramLattice(d4), 2).symbol() == "1^-2_II 2^-2_II"
+    # the sign of a type II scale multiplies the determinants of all its blocks
+    for g1, g2 in (([[-4, 2], [2, -4]], [[0, 2], [2, 0]]), ([[0, 2], [2, 0]], [[-4, 2], [2, -4]])):
+        total = direct_sum(GramLattice(g1), GramLattice(g2))
+        assert jordan_decompose(total, 2).symbol() == "2^-4_II", (g1, g2)
+    # the lowest valuation is met only by a pair four places apart
+    far = [[4 * (i == j) + 2 * ({i, j} == {0, 4}) for j in range(5)] for i in range(5)]
+    assert jordan_decompose(GramLattice(far), 2).symbol() == "2^-2_II 4^+3_3"
     d = rational_jordan(GramLattice([[2, 1], [1, 2]]), 3)
     assert [c.q for c in d.components] == [1, 3]
     assert sum(c.n for c in d.components) == 2
@@ -221,7 +223,7 @@ _components = st.one_of(
 def test_weil_index_scaled_matches_symbol_route(comp, a):
     if a % comp.p == 0:
         return
-    assert weil_index_scaled(comp, a) == weil_index_component(scale_component(comp, a))
+    assert weil_index_scaled(comp, a) == weil_index_component(comp, a)
 
 
 @given(comp=_components)
@@ -234,8 +236,7 @@ def test_weil_index_stable_under_p_squared(comp):
 @given(comp=_components)
 @settings(max_examples=100, deadline=None)
 def test_weil_index_negation_conjugates(comp):
-    flipped = scale_component(comp, -1)
-    assert weil_index_component(flipped) == -weil_index_component(comp) % 8
+    assert weil_index_component(comp, -1) == -weil_index_component(comp) % 8
 
 
 def test_weil_index_square_odd_p():
@@ -284,10 +285,14 @@ def test_multiplicative_over_direct_sums():
 
 def test_choose_xc_examples():
     d = jordan_decompose(GramLattice([[2]]), 2)
-    assert choose_xc(d, 2) == ((1,), 1)
-    assert choose_xc(d, 1) == ((0,), None)
+    assert choose_xc(d, 2) == (1,) and d.component_at(1).t == 1
+    assert choose_xc(d, 1) == (0,) and d.component_at(0) is None
     du = jordan_decompose(GramLattice([[0, 1], [1, 0]]), 2)
-    assert choose_xc(du, 6) == ((), None)
+    assert choose_xc(du, 6) == () and du.component_at(1) is None
+    # at odd c on an odd lattice the half-sum is not dual: x_c = 0 there,
+    # and xi_2 carries the oddity
+    with pytest.raises(ValueError):
+        choose_xc(jordan_decompose(GramLattice([[3]]), 2), 3)
     with pytest.raises(ValueError):
         choose_xc(d, 0)
     with pytest.raises(ValueError):
@@ -300,7 +305,7 @@ def test_xc_membership_in_coset():
         df = lat.discriminant_form()
         d = jordan_decompose(lat, 2)
         for c in (1, 2, 4, 8, -2, 6):
-            xc, _ = choose_xc(d, c)
+            xc = choose_xc(d, c)
             # the definition of D^{c*} on the lifts: c q(mu) + (x_c, mu) in Z
             # for every mu with c mu = 0
             for mu in df.elements():
@@ -326,15 +331,16 @@ ODD_C = (1, -1, 3, -3, 5, -7, 9, -15)
 
 def _assert_xc_is_zero_at_odd_c(gram):
     """At odd c the component of scale 2^(v_2(c)) is the unimodular one, of
-    type II on an even lattice: choose_xc gives (0, None), and 0 meets its
-    coset condition c N q(mu) = 0 mod N on the kernel of c.  rho_closed
-    takes x_c = 0 there without a decomposition."""
+    type II on an even lattice, so it has no oddity: choose_xc gives 0, and
+    0 meets its coset condition c N q(mu) = 0 mod N on the kernel of c.
+    rho_closed takes x_c = 0 there without a decomposition."""
     lat = GramLattice(gram)
     assert lat.is_even, gram
     df = lat.discriminant_form()
     d = jordan_decompose(lat, 2)
+    assert d.component_at(0) is None or d.component_at(0).t is None, gram
     for c in ODD_C:
-        assert choose_xc(d, c) == (df.zero(), None), (gram, c)
+        assert choose_xc(d, c) == df.zero(), (gram, c)
         for mu in df.kernel_generators(c):
             assert c * df.q_num(mu) % df.level == 0, (gram, c, mu)
 
@@ -393,15 +399,14 @@ def _assert_local_exponents_are_form_gauss_sums(gram, seen):
         seen["i"] += 1
         for v, u in product(range(4), [u for u in (1, -1, 2, 3, 5, 7) if u % p]):
             s = u * p ** v
-            k = sum(weil_index_component(scale_component(comp, s))
-                    for comp in components if comp.e > v)
+            k = sum(weil_index_component(comp, s) for comp in components if comp.e > v)
             value = sqrt_rat(part.delta * prod(gcd(s, q) for q in part.orders)) \
                 * root_of_unity(k, 8)
             if p == 2 and any(comp.e == v and comp.t is not None for comp in components):
                 assert form_gauss_sum(part, s).is_zero(), (gram, s)
                 seen["iii"] += 1
                 if v >= 1:
-                    x_c = part.project(choose_xc(jordan_decompose(lat, 2), s)[0])
+                    x_c = part.project(choose_xc(jordan_decompose(lat, 2), s))
                     assert form_gauss_sum(part, s, x_c) == value, (gram, s)
                     seen["iii shifted"] += 1
             else:

@@ -340,7 +340,7 @@ def test_coset_dcstar_is_coset_of_image():
         for c in range(-8, 9):
             if c == 0:
                 continue
-            x_c, _ = choose_xc(jordan_decompose(lat, 2), c)
+            x_c = choose_xc(jordan_decompose(lat, 2), c)
             star = [beta for beta, _ in df.coset_Dcstar(c, x_c)]
             _, image = subsets_c(df, c)
             assert len(star) == len(set(star)) == len(image) > 0
@@ -355,10 +355,14 @@ def test_coset_dcstar_is_coset_of_image():
 
 def test_coset_dcstar_odd_lattice_odd_c():
     # [[3]]: D = Z/3, level 6, q(1) = 1/6 mod 1/2.  For odd c, x_c is
-    # reported as zero and the coset is cD: 3D = {0} and 1D = D.
+    # taken as zero (the half-sum is not dual, and xi_2 carries the oddity
+    # 3 of the unimodular component) and the coset is cD: 3D = {0} and 1D = D.
     lat = GramLattice([[3]])
     df = lat.discriminant_form()
-    assert choose_xc(jordan_decompose(lat, 2), 3) == ((0,), 3)
+    decomp = jordan_decompose(lat, 2)
+    assert decomp.component_at(0).t == 3
+    with pytest.raises(ValueError):
+        choose_xc(decomp, 3)
     assert df.coset_Dcstar(3, (0,)) == [((0,), 0)]
     assert df.coset_Dcstar(1, (0,)) == [((0,), 0), ((1,), 1), ((2,), 1)]
     assert len(df.coset_Dcstar(2, (0,))) == 3
@@ -374,7 +378,7 @@ def test_beta_c_sq_half_examples_and_well_defined():
         lat = GramLattice(gram)
         df = lat.discriminant_form()
         for c in (1, 2, 3, 4, 6, -2):
-            x_c, _ = choose_xc(jordan_decompose(lat, 2), c)
+            x_c = choose_xc(jordan_decompose(lat, 2), c)
             for beta, h in df.coset_Dcstar(c, x_c):
                 # every preimage alpha of (beta - x_c)/c gives the same value
                 seen = set()
@@ -543,7 +547,8 @@ def test_cosets_match_lift_enumeration():
                 def two_power(v):
                     return v.denominator & (v.denominator - 1) == 0
                 expected = [b for b in df.elements() if all(map(two_power, values[b]))]
-            x_c = choose_xc(jordan_decompose(lat, 2), c)[0] if c else df.zero()
+            # x_c as rho_closed takes it: 0 at c = 0 and at odd c
+            x_c = choose_xc(jordan_decompose(lat, 2), c) if c and c % 2 == 0 else df.zero()
             # each beta once, and exactly the betas of the definition
             assert sorted(beta for beta, _ in df.coset_Dcstar(c, x_c)) == expected
 
@@ -555,7 +560,7 @@ def test_beta_c_sq_half_matches_lift_enumeration():
         for c in range(-12, 13):
             if c == 0:
                 continue
-            x_c, _ = choose_xc(jordan_decompose(lat, 2), c)
+            x_c = df.zero() if c % 2 else choose_xc(jordan_decompose(lat, 2), c)
             odd_c = not lat.is_even and c % 2
             box = list(product(*(range(d // gcd(c, d)) for d in df.orders)))
             for beta, h in df.coset_Dcstar(c, x_c):

@@ -21,14 +21,13 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import EVEN_GRAMS, ODD_GRAMS
+from conftest import E8_GRAM, EVEN_GRAMS, ODD_GRAMS
 from exactweil.exact import ExactScalar, from_powers, from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
     choose_xc,
     gauss_sum_brute,
     jordan_components,
     jordan_decompose,
-    scale_component,
     weil_index_component,
     weil_index_lattice,
 )
@@ -546,12 +545,13 @@ def test_rho_closed_checks_the_dense_cap_before_the_scalar(monkeypatch):
             rho_closed(GramLattice(gram), MP_S)
 
 
-def test_rho_closed_skips_the_xc_decomposition_at_odd_c_on_even_lattices(monkeypatch):
+def test_rho_closed_decomposes_twice_at_odd_c_and_three_times_at_even_c(monkeypatch):
     import exactweil.jordan as jordan_mod
     import exactweil.weilrep as weilrep_mod
 
     # xi_2 takes two 2-adic decompositions (its components and gamma_2);
-    # x_c takes a third, except at odd c on an even lattice, where it is 0.
+    # x_c takes a third at even c only.  At odd c it is 0, and on an odd
+    # lattice xi_2 carries the oddity from its own components.
     calls = []
 
     def counted(lattice, p):
@@ -570,10 +570,33 @@ def test_rho_closed_skips_the_xc_decomposition_at_odd_c_on_even_lattices(monkeyp
                 continue
             calls.clear()
             rho_closed(lattice, MpElement(mat, 1))
-            skipped = lattice.is_even and mat.c % 2
-            assert calls == [2] * (2 if skipped else 3), (gram, mat)
+            assert calls == [2] * (2 if mat.c % 2 else 3), (gram, mat)
             seen.add((lattice.is_even, mat.c % 2))
     assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
+def test_rho_closed_builds_jordan_components_only_in_the_decompositions(monkeypatch):
+    # A scaled Weil index is read off the symbol: during rho_closed every
+    # JordanComponent is built by jordan_decompose or jordan_components.
+    import exactweil.jordan as jordan_mod
+
+    built = []
+    init = jordan_mod.JordanComponent.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(sys._getframe(1).f_code.co_name)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(jordan_mod.JordanComponent, "__init__", recorded)
+    mats = [SL2(2, 1, 1, 1), SL2(1, 1, -3, -2), SL2(1, 0, 2, 1), SL2(3, 1, 8, 3),
+            SL2(-1, 0, 6, -1), SL2(-1, 3, 0, -1)]
+    for gram in EVEN_GRAMS + ODD_GRAMS + RHO_MID + [A2_5, DIAG_2_6_10]:
+        lattice = GramLattice(gram)
+        for mat in mats:
+            if lattice.is_even or gamma_odd_member(mat):
+                for eps in (1, -1):
+                    rho_closed(lattice, MpElement(mat, eps))
+    assert built and set(built) <= {"jordan_decompose", "jordan_components"}, set(built)
 
 
 def test_dense_operators_are_capped(monkeypatch):
@@ -877,7 +900,7 @@ def r0_scalar(lattice, x):
     k = 0
     for p in sorted(set(prime_factors(2 * lattice.delta() * abs(c)))):
         for comp in rational_jordan(lattice, p).components:
-            k -= weil_index_component(scale_component(comp, c))
+            k -= weil_index_component(comp, c)
     return from_rational(sym) * root_of_unity(k, 8)
 
 
@@ -950,7 +973,7 @@ def test_column_support():
             if x.mat.c == 0:
                 continue
             op = rho_closed(lattice, x)
-            x_c, _ = choose_xc(jordan_decompose(lattice, 2), x.mat.c)
+            x_c = choose_xc(jordan_decompose(lattice, 2), x.mat.c)
             coset = [beta for beta, _ in form.coset_Dcstar(x.mat.c, x_c)]
             cells = op.entries
             for g in form.elements():
@@ -1390,6 +1413,25 @@ def test_group_law_and_unitarity_at_large_discriminants():
         assert s * s == z and st * st * st == z and (z * z * z * z).is_identity()
 
 
+def _unimodular(m, moves, flips, mix=False):
+    """U: elementary column moves i += k j, then sign changes of the
+    columns, applied to the identity, or with mix to the identity plus
+    e_{m-1,0}, whose first move adds the first coordinate into the last."""
+    u = [[int(i == j or (mix and (i, j) == (m - 1, 0))) for j in range(m)] for i in range(m)]
+    for i, j, k in moves:
+        if i % m != j % m:
+            for row in u:
+                row[i % m] += k * row[j % m]
+    return [[-a if flip else a for a, flip in zip(row, flips)] for row in u]
+
+
+def _moved(lattice, u):
+    """The lattice with Gram matrix U^T G U."""
+    gram, m = lattice.gram, lattice.rank
+    return GramLattice([[sum(u[k][i] * gram[k][l] * u[l][j] for k in range(m) for l in range(m))
+                         for j in range(m)] for i in range(m)])
+
+
 # Even blocks of rank 1 and 2, with |det| 1 to 75, summed into lattices of
 # rank <= 4 and Delta <= 300.
 EVEN_BLOCKS = ([[2]], [[-2]], [[4]], [[6]], [[-10]], [[12]], [[2, 1], [1, 2]],
@@ -1421,14 +1463,8 @@ def test_closed_formula_is_isometry_equivariant(blocks, moves, flips, c, d):
     gram, m = lattice.gram, lattice.rank
     assume(m <= 4 and gcd(c, d) == 1)
     assume(lattice.delta() <= 300)
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    for i, j, k in moves:
-        if i % m != j % m:
-            for row in u:
-                row[i % m] += k * row[j % m]
-    u = [[-a if flip else a for a, flip in zip(row, flips)] for row in u]
-    moved = GramLattice([[sum(u[k][i] * gram[k][l] * u[l][j] for k in range(m) for l in range(m))
-                          for j in range(m)] for i in range(m)])
+    u = _unimodular(m, moves, flips)
+    moved = _moved(lattice, u)
     form, other = lattice.discriminant_form(), moved.discriminant_form()
     sigma = [form.index(class_of_dual_vector(form, [sum(map(mul, row, v)) for row in u]))
              for v in (lift(other, g) for g in other.elements())]
@@ -1474,14 +1510,8 @@ def test_closed_formula_of_a_direct_sum_is_the_tensor_product(g1, g2, moves, fli
     assume(m <= 4 and gcd(c, d) == 1 and total.delta() <= 480)
     mat = bezout_sl2(c, d)
     assume(total.is_even or gamma_odd_member(mat))
-    u = [[int(i == j or (i, j) == (m - 1, 0)) for j in range(m)] for i in range(m)]
-    for i, j, k in moves:
-        if i % m != j % m:
-            for row in u:
-                row[i % m] += k * row[j % m]
-    u = [[-a if flip else a for a, flip in zip(row, flips)] for row in u]
-    moved = GramLattice([[sum(u[k][i] * gram[k][l] * u[l][j] for k in range(m) for l in range(m))
-                          for j in range(m)] for i in range(m)])
+    u = _unimodular(m, moves, flips, mix=True)
+    moved = _moved(total, u)
     form, f1, f2 = moved.discriminant_form(), l1.discriminant_form(), l2.discriminant_form()
     local = [[], []]
     for g in form.elements():
@@ -1497,6 +1527,50 @@ def test_closed_formula_of_a_direct_sum_is_the_tensor_product(g1, g2, moves, fli
             reject()  # the dense cap is checked before any work
         assert op == _kronecker(form, [rho_closed(l1, x), rho_closed(l2, x)], local), \
             (g1, g2, u, mat, eps)
+
+
+U_GRAM = [[0, 1], [1, 0]]
+
+
+def test_closed_formula_depends_only_on_the_discriminant_form():
+    # rho_{L + K} = rho_L for K even unimodular of signature 0 mod 8: U,
+    # U + U and E8.  L + K is moved by a unimodular U whose first move mixes
+    # the summands; D(L + K) maps to D(L) by v' -> U v' cut to L's
+    # coordinates, and coeff and phases agree exactly, at even and odd c
+    # with both signs.  No oracle: x_c is read from a 2-adic basis of rank
+    # up to 10 (E8 on L of rank <= 2, two draws at about 0.2 s an op, where
+    # x_c != 0 at scales 2 and 4).
+    rng = random.Random(37)
+    even = [g for g in ORACLE_GRAMS if GramLattice(g).is_even]
+    u_sums = [U_GRAM, direct_sum(GramLattice(U_GRAM), GramLattice(U_GRAM)).gram]
+    draws = [(g, k, rng.choice((2, -2, 4, 6, -12, 8))) for k in u_sums
+             for g in rng.sample(even, 5)]
+    draws += [([[2]], E8_GRAM, 6), ([[2, 0], [0, 4]], E8_GRAM, -4)]
+    seen = set()
+    for l_gram, k_gram, c_even in draws:
+        small = GramLattice(l_gram)
+        total = direct_sum(small, GramLattice(k_gram))
+        m, m1 = total.rank, small.rank
+        moves = [(rng.randrange(m), rng.randrange(m), rng.choice((-1, 1))) for _ in range(3)]
+        u = _unimodular(m, moves, [rng.random() < 0.5 for _ in range(m)], mix=True)
+        moved = _moved(total, u)
+        form, local = moved.discriminant_form(), small.discriminant_form()
+        sigma = [local.index(class_of_dual_vector(local, [sum(map(mul, row, lift(form, g)))
+                                                          for row in u][:m1]))
+                 for g in form.elements()]
+        assert sorted(sigma) == list(range(local.delta)), (l_gram, u)
+        for c in (c_even, rng.choice((1, -3, 5, 7, -9))):
+            d = rng.choice([d for d in range(-40, 41) if gcd(c, d) == 1])
+            if c % 2 == 0 and choose_xc(jordan_decompose(small, 2), c) != local.zero():
+                seen.add(("x_c", len(k_gram)))
+            for eps in (1, -1):
+                x = MpElement(bezout_sl2(c, d), eps)
+                op, image = rho_closed(small, x), rho_closed(moved, x)
+                assert (image.coeff, image.level) == (op.coeff, op.level), (l_gram, u, x)
+                assert image.phases == [[op.phases[si][sj] for sj in sigma] for si in sigma], \
+                    (l_gram, u, x)
+                seen.add((len(k_gram), c % 2))
+    assert seen >= {(k, parity) for k in (2, 4, 8) for parity in (0, 1)} | {("x_c", 8)}, seen
 
 
 def test_closed_split_is_canonical():
@@ -1662,7 +1736,7 @@ def test_phase_paths_build_no_fraction(monkeypatch):
     prepared = []
     for lattice, m in ((even, mat), (odd, odd_mat), (odd, SL2(1, 0, 2, 1))):
         form = lattice.discriminant_form()
-        x_c, _ = weilrep_mod.choose_xc(jordan_decompose(lattice, 2), m.c)
+        x_c = form.zero() if m.c % 2 else weilrep_mod.choose_xc(jordan_decompose(lattice, 2), m.c)
         prepared.append((form, m, x_c))
     coeff = root_of_unity(1, 8) * sqrt_rat(Fraction(1, 3))
     s_op = rho_S(even.discriminant_form())
