@@ -7,14 +7,17 @@ with no Fraction and no basis.  At p = 2 the symbol comes from
 jordan_decompose, the one decomposition with a basis: it works over
 rationals with odd denominators, so every step is exact, and it keeps the
 basis that x_c is read from at even c (at odd c the closed formula takes
-x_c = 0, and xi_2 reads the unimodular oddity off the components).  A
-scale that mixes diagonal and even 2x2 blocks is fused and fully
-diagonalized, and the trace of the resulting diagonal units mod 8 is the
-oddity index t.  jordan_decompose evaluates each pairing of its working
+x_c = 0, and xi_2 reads the unimodular oddity off the components).  Each
+scale keeps the blocks the elimination leaves, 1x1 pivots and even 2x2
+blocks, and reads its symbol off them as Conway and Sloane do (ch. 15):
+the sign is (2/u), u the product of the blocks' determinant units, and the
+oddity t is the sum of the 1x1 units mod 8, since even 2x2 blocks add
+nothing to it.  jordan_decompose evaluates each pairing of its working
 basis once per scan, over unordered pairs, and checks the finished blocks
 against one Gram matrix of the final basis, b_i . (G b_j), with integer
-determinants.  Symbols at p = 2 are not canonical across different
-decompositions, but every value derived from them downstream is.  Only
+determinants, and checks that the basis is integral.  Symbols at p = 2 are
+not canonical across different decompositions, but every value derived
+from them downstream is.  Only
 jordan_decompose and jordan_components build a JordanComponent: the Weil
 index of a scaled component is read off its symbol and the scale.
 """
@@ -93,22 +96,22 @@ class JordanComponent:
 
 
 class JordanDecomposition:
-    __slots__ = ("lattice", "p", "components", "basis", "_spans")
+    """Components, the basis realizing them, and each component's blocks:
+    tuples of basis indices, (i,) for a 1x1 pivot and (i, j) for an even
+    2x2 block."""
+    __slots__ = ("lattice", "p", "components", "basis", "blocks")
 
     def __init__(self, lattice: GramLattice, p: int,
-                 components: Sequence[JordanComponent],
-                 basis: Sequence[Vector], spans: Sequence[Tuple[int, ...]]):
+                 components: Sequence[JordanComponent], basis: Sequence[Vector],
+                 blocks: Sequence[Sequence[Tuple[int, ...]]]):
         self.lattice = lattice
         self.p = p
         self.components = tuple(components)
         self.basis = tuple(basis)
-        self._spans = tuple(spans)
+        self.blocks = tuple(map(tuple, blocks))
 
     def component_at(self, e: int) -> Optional[JordanComponent]:
         return next((c for c in self.components if c.e == e), None)
-
-    def component_vectors(self, idx: int) -> Tuple[Vector, ...]:
-        return tuple(self.basis[i] for i in self._spans[idx])
 
     def symbol(self) -> str:
         return " ".join(c.symbol() for c in self.components)
@@ -137,10 +140,14 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
     """Split the 2-adic lattice into scaled unimodular blocks.
 
     Returns components with strictly increasing exponent whose ranks sum
-    to the rank of the lattice, plus the rational basis realizing them.
-    Every scan of the working basis evaluates each pairing once, over the
-    unordered pairs; the blocks are then checked, independently of the
-    elimination, from one Gram product of the final basis.  p must be 2:
+    to the rank of the lattice, plus the rational basis realizing them and
+    the blocks the elimination found.  Every scale 2^e has one rule: n is
+    the size of its blocks, eps = (2/u) with u the product of its 1x1 units
+    (over 2^e) and 2x2 determinants (over 4^e), and t is the sum of its 1x1
+    units mod 8, or None (type II) when it has no 1x1 block.  Every scan of
+    the working basis evaluates each pairing once, over the unordered
+    pairs; the blocks are then checked, independently of the elimination,
+    from one Gram product of the final basis.  p must be 2:
     at odd p, jordan_components gives the symbol.
     """
     if p != 2:
@@ -159,13 +166,13 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
         return min(_val(x, 2) for x in entries if x)
 
     active = list(range(m))
-    raw_blocks: List[Tuple[int, List[int]]] = []
+    raw_blocks: List[Tuple[int, Tuple[int, ...]]] = []
     while active:
         v_min = min_valuation(active)
         diag = next((i for i in active if _val(pr(i, i), 2) == v_min), None)
         if diag is not None:
             _sweep(gram, vecs, diag, active)
-            raw_blocks.append((v_min, [diag]))
+            raw_blocks.append((v_min, (diag,)))
             active.remove(diag)
         else:
             i, j = next((i, j) for i, j in _pairs(active)
@@ -181,37 +188,26 @@ def jordan_decompose(lattice: GramLattice, p: int) -> JordanDecomposition:
                     y = (kj * gii - ki * gij) / det
                     vecs[k] = [a - x * b - y * c
                                for a, b, c in zip(vecs[k], vecs[i], vecs[j])]
-            raw_blocks.append((v_min, [i, j]))
+            raw_blocks.append((v_min, (i, j)))
             active.remove(i)
             active.remove(j)
 
-    scales = sorted({e for e, _ in raw_blocks})
     components: List[JordanComponent] = []
-    spans: List[Tuple[int, ...]] = []
-    for e in scales:
-        idxs = [i for be, block in raw_blocks for i in block if be == e]
-        has_odd_diag = any(len(block) == 1 for be, block in raw_blocks if be == e)
-        if has_odd_diag and len(idxs) > 1:
-            _fuse_scale(gram, vecs, idxs, e)
-        scale = 2 ** e
-        n = len(idxs)
-        if has_odd_diag:
-            units = [pr(i, i) / scale for i in idxs]
-            t = sum(_unit_mod(u, 8) for u in units) % 8
-            eps = two_over(prod(units, start=Fraction(1)))
-            components.append(JordanComponent(2, e, n, eps, t))
-        else:
-            det_unit = Fraction(1)
-            for be, block in raw_blocks:
-                if be == e:
-                    i, j = block
-                    det_unit *= (pr(i, i) * pr(j, j) - pr(i, j) ** 2) / scale ** 2
-            components.append(JordanComponent(2, e, n, two_over(det_unit), None))
-        spans.append(tuple(idxs))
+    blocks: List[List[Tuple[int, ...]]] = []
+    for e in sorted({e for e, _ in raw_blocks}):
+        scale_blocks = [block for be, block in raw_blocks if be == e]
+        # a 1x1 pivot is 2^e times a unit, an even 2x2 block has determinant
+        # 4^e times a unit, and only the pivots carry oddity
+        units = [pr(b[0], b[0]) / 2 ** e for b in scale_blocks if len(b) == 1]
+        dets = [(pr(i, i) * pr(j, j) - pr(i, j) ** 2) / 4 ** e
+                for i, j in (b for b in scale_blocks if len(b) == 2)]
+        t = sum(_unit_mod(u, 8) for u in units) % 8 if units else None
+        n = sum(map(len, scale_blocks))
+        components.append(JordanComponent(2, e, n, two_over(prod(units + dets)), t))
+        blocks.append(scale_blocks)
 
     decomp = JordanDecomposition(
-        lattice, 2, components,
-        [tuple(vecs[i]) for i in range(m)], spans)
+        lattice, 2, components, [tuple(vecs[i]) for i in range(m)], blocks)
     _validate_blocks(decomp)
     return decomp
 
@@ -225,32 +221,6 @@ def _sweep(gram, vecs, i: int, idxs: List[int]) -> None:
             if f:
                 f /= d
                 vecs[k] = [x - f * y for x, y in zip(vecs[k], vecs[i])]
-
-
-def _fuse_scale(gram, vecs, idxs: List[int], e: int) -> None:
-    """Fully diagonalize one 2-adic scale that has an odd diagonal entry."""
-
-    def pr(i, j):
-        return _pair(gram, vecs[i], vecs[j])
-
-    todo = list(idxs)
-    last: Optional[int] = None
-    while todo:
-        i = next((i for i in todo if _val(pr(i, i), 2) == e), None)
-        if i is None:
-            # residual is even type: mix the last pivot back in to restore
-            # an odd diagonal, and put that pivot back into play
-            if last is None:
-                raise ArithmeticError("an even-type 2-adic scale of valuation %d "
-                                      "has no odd pivot to mix back in" % e)
-            j = next(j for j, k in _pairs(todo) if j != k and _val(pr(j, k), 2) == e)
-            vecs[j] = [x + y for x, y in zip(vecs[j], vecs[last])]
-            todo.append(last)
-            last = None
-            continue
-        _sweep(gram, vecs, i, todo)
-        todo.remove(i)
-        last = i
 
 
 def _validate_blocks(decomp: JordanDecomposition) -> None:
@@ -267,7 +237,7 @@ def _validate_blocks(decomp: JordanDecomposition) -> None:
     images = [[sum(g * x for g, x in zip(row, b)) for row in lattice.gram]
               for b in basis]
     gram = [[sum(x * y for x, y in zip(u, w)) for w in images] for u in basis]
-    spans = decomp._spans
+    spans = [[i for block in blocks for i in block] for blocks in decomp.blocks]
     for idx, comp in enumerate(decomp.components):
         block = [[gram[i][j] for j in spans[idx]] for i in spans[idx]]
         # the determinant of the block cleared of its denominators, over the
@@ -288,6 +258,9 @@ def _validate_blocks(decomp: JordanDecomposition) -> None:
                 raise ArithmeticError("Jordan components %d and %d at "
                                       "p = %d are not orthogonal"
                                       % (idx, jdx, p))
+    # over Z_p: a basis with p in a denominator spans another lattice
+    if any(x.denominator % p == 0 for b in basis for x in b):
+        raise ArithmeticError("the Jordan basis at p = %d is not integral" % p)
 
 
 def jordan_components(lattice: GramLattice, p: int) -> Tuple[JordanComponent, ...]:
@@ -387,21 +360,25 @@ def weil_index_lattice(lattice: GramLattice, p: int) -> int:
 
 
 def xc_vector(decomp: JordanDecomposition, v: int) -> Optional[Vector]:
-    """Half the sum of the basis of the scale-2^v component, if odd type."""
-    for idx, comp in enumerate(decomp.components):
+    """Half the sum of the 1x1 pivots of the scale-2^v component, if it has
+    any (odd type).  The sum is a characteristic vector of that component
+    with its form divided by 2^v."""
+    for comp, blocks in zip(decomp.components, decomp.blocks):
         if comp.e == v and comp.t is not None:
-            vec = decomp.component_vectors(idx)
-            m = decomp.lattice.rank
-            return tuple(sum(w[r] for w in vec) / 2 for r in range(m))
+            vecs = [decomp.basis[i] for block in blocks if len(block) == 1 for i in block]
+            return tuple(sum(col) / 2 for col in zip(*vecs))
     return None
 
 
 def choose_xc(decomp: JordanDecomposition, c: int) -> DFElement:
     """The distinguished coset element x_c, read at even c.
 
-    It is the class of half the sum of the basis of the component at scale
-    2^(v_2(c)) when that component is of odd type, and zero when it is
-    absent or of type II.  At odd c the closed formula takes x_c = 0 and
+    It is the class of half the sum of the 1x1 pivots of the component at
+    scale 2^(v_2(c)) when that component is of odd type, and zero when it is
+    absent or of type II.  The pivots' sum is a characteristic vector of
+    that component with its form divided by 2^v, and characteristic vectors
+    are unique modulo 2 L_v, so the class does not depend on how the scale
+    was split into blocks.  At odd c the closed formula takes x_c = 0 and
     xi_2 carries the oddity of the unimodular component; on an odd lattice
     the half-sum at odd c is not dual, and class_from_dual_vector raises
     ValueError.

@@ -388,13 +388,13 @@ def rational_jordan(lattice: GramLattice, p: int) -> JordanDecomposition:
         _sweep(gram, vecs, diag, active)
         pivots.append((v_min, diag))
         active.remove(diag)
-    components, spans = [], []
+    components, blocks = [], []
     for e in sorted({e for e, _ in pivots}):
         idxs = [i for be, i in pivots if be == e]
         det_unit = prod((pr(i, i) / p ** e for i in idxs), start=Fraction(1))
         components.append(JordanComponent(p, e, len(idxs), legendre(det_unit, p)))
-        spans.append(tuple(idxs))
-    decomp = JordanDecomposition(lattice, p, components, [tuple(v) for v in vecs], spans)
+        blocks.append([(i,) for i in idxs])
+    decomp = JordanDecomposition(lattice, p, components, [tuple(v) for v in vecs], blocks)
     _validate_blocks(decomp)
     return decomp
 

@@ -11,7 +11,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import E8_GRAM, EVEN_GRAMS, ODD_GRAMS
+from conftest import E8_GRAM, EVEN_GRAMS, MIXED_SCALE_GRAMS, ODD_GRAMS
 from exactweil.exact import from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
     JordanComponent,
@@ -52,11 +52,22 @@ def test_decomposition_examples():
     # the lowest valuation is met only by a pair four places apart
     far = [[4 * (i == j) + 2 * ({i, j} == {0, 4}) for j in range(5)] for i in range(5)]
     assert jordan_decompose(GramLattice(far), 2).symbol() == "2^-2_II 4^+3_3"
+    # a scale with a 1x1 pivot and an even 2x2 block: the sign multiplies
+    # the pivot's unit and the block's determinant, and the oddity is the
+    # pivot's unit
+    symbols = ["2^+3_1", "2^-3_1", "2^+3_3", "1^-3_1"]
+    for gram, symbol in zip(MIXED_SCALE_GRAMS, symbols):
+        assert jordan_decompose(GramLattice(gram), 2).symbol() == symbol, gram
     d = rational_jordan(GramLattice([[2, 1], [1, 2]]), 3)
     assert [c.q for c in d.components] == [1, 3]
     assert sum(c.n for c in d.components) == 2
     with pytest.raises(ValueError):
         jordan_decompose(GramLattice([[2]]), 4)
+
+
+def pivots(*spans):
+    """The blocks of components made of 1x1 pivots only, one span each."""
+    return [[(i,) for i in span] for span in spans]
 
 
 def test_block_check_rejects_tampered_decompositions():
@@ -66,12 +77,12 @@ def test_block_check_rejects_tampered_decompositions():
     assert (unit.q, nine.q) == (1, 9)
     e0, e1 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
 
-    def check(components, basis, spans, message):
-        decomp = JordanDecomposition(lat, 3, components, basis, spans)
+    def check(components, basis, spans, message, lattice=lat, p=3):
+        decomp = JordanDecomposition(lattice, p, components, basis, pivots(*spans))
         with pytest.raises(ArithmeticError, match=message):
             _validate_blocks(decomp)
 
-    _validate_blocks(JordanDecomposition(lat, 3, (unit, nine), (e0, e1), ((0,), (1,))))
+    _validate_blocks(JordanDecomposition(lat, 3, (unit, nine), (e0, e1), pivots((0,), (1,))))
     check((unit,), (e0, e1), ((0,),), "do not have total rank 2")
     check((unit, JordanComponent(3, 1, 1, 1)), (e0, e1), ((0,), (1,)),
           "do not multiply to the p-part of delta")
@@ -83,6 +94,12 @@ def test_block_check_rejects_tampered_decompositions():
     # 3 e0 + e1 has norm 36, so each block passes, but pairs to 6 with e0
     check((unit, nine), (e0, (Fraction(3), Fraction(1))), ((0,), (1,)),
           "components 0 and 1 at p = 3 are not orthogonal")
+    # diag(2, 2) is 2^+2_2, but (1/2, 1/2) and (1, -1), of norms 1 and 4,
+    # pass every block check as 1^+1_1 4^+1_1: they span another lattice
+    halves = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(-1)))
+    check((JordanComponent(2, 0, 1, 1, 1), JordanComponent(2, 2, 1, 1, 1)), halves,
+          ((0,), (1,)), "the Jordan basis at p = 2 is not integral",
+          lattice=GramLattice([[2, 0], [0, 2]]), p=2)
 
 
 def test_jordan_decompose_is_the_two_adic_route():
@@ -103,10 +120,10 @@ def test_block_check_clears_denominators():
     with pytest.raises(ArithmeticError, match="component 0 at p = 3 has the wrong "
                                               "determinant valuation"):
         _validate_blocks(JordanDecomposition(lat, 3, (unit, nine), (third, half),
-                                             ((0,), (1,))))
+                                             pivots((0,), (1,))))
     # denominators prime to p leave the valuations alone: 18/4 has v_3 = 2
     _validate_blocks(JordanDecomposition(lat, 3, (unit, nine), ((Fraction(1, 2), Fraction(0)),
-                                                                half), ((0,), (1,))))
+                                                                half), pivots((0,), (1,))))
 
 
 def _assert_components_match_reference(gram):
@@ -183,7 +200,7 @@ def test_recomposition_blocks():
             # block Grams have the declared scale and a p-unit determinant,
             # and distinct blocks are orthogonal (checked inside, reprove here)
             for idx, comp in enumerate(d.components):
-                vec = d.component_vectors(idx)
+                vec = [d.basis[i] for block in d.blocks[idx] for i in block]
                 df = lat.discriminant_form()
                 block = [[pairing_of_lifts(df, u, v) for v in vec] for u in vec]
                 for i, row in enumerate(block):
@@ -289,6 +306,9 @@ def test_choose_xc_examples():
     assert choose_xc(d, 1) == (0,) and d.component_at(0) is None
     du = jordan_decompose(GramLattice([[0, 1], [1, 0]]), 2)
     assert choose_xc(du, 6) == () and du.component_at(1) is None
+    # half the 1x1 pivot of a scale that also holds an even 2x2 block
+    assert choose_xc(jordan_decompose(GramLattice(MIXED_SCALE_GRAMS[0]), 2), 2) == (1, 0, 0)
+    assert choose_xc(jordan_decompose(GramLattice(MIXED_SCALE_GRAMS[2]), 2), 2) == (0, 3, 0)
     # at odd c on an odd lattice the half-sum is not dual: x_c = 0 there,
     # and xi_2 carries the oddity
     with pytest.raises(ValueError):
@@ -451,6 +471,13 @@ def test_gauss_sum_closed_vs_brute_small_sweep():
                     continue
                 assert gauss_sum_closed(lat, p, a, c) == \
                     gauss_sum_brute(lat, p, a, c), (gram, p, a, c)
+    # t and eps of a mixed 2-adic scale, apart from their symbol strings
+    for gram in MIXED_SCALE_GRAMS:
+        lat = GramLattice(gram)
+        for a, c in product(range(-4, 5), range(-4, 5)):
+            if c and (a % 2 or c % 2):
+                assert gauss_sum_closed(lat, 2, a, c) == \
+                    gauss_sum_brute(lat, 2, a, c), (gram, a, c)
 
 
 def test_gauss_sum_under_change_of_basis():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import E8_GRAM, EVEN_GRAMS, ODD_GRAMS
+from conftest import E8_GRAM, EVEN_GRAMS, MIXED_SCALE_GRAMS, ODD_GRAMS
 from exactweil.exact import ExactScalar, from_powers, from_rational, root_of_unity, sqrt_rat
 from exactweil.jordan import (
     choose_xc,
@@ -689,6 +689,10 @@ def test_closed_examples():
     assert rho_closed(A1, MP_Z) == dense_identity(f, root_of_unity(-1, 4))
 
 
+# c = 2, -2, 4, 6, in the parity subgroup
+MIXED_SCALE_MATS = (SL2(5, 2, 2, 1), SL2(1, 0, -2, 1), SL2(1, 2, 4, 9), SL2(-1, 0, 6, -1))
+
+
 def test_closed_equals_oracle_even():
     rng = random.Random(2)
     for gram in EVEN_GRAMS:
@@ -702,6 +706,13 @@ def test_closed_equals_oracle_even():
         # c = 2 mod 4, where x_c is read from the 2-adic component at scale 2
         # (odd on [[2]] and [[6]])
         for mat in (SL2(1, 0, 2, 1), SL2(1, 0, -2, 1), SL2(3, 1, 2, 1), SL2(-1, 0, 6, -1)):
+            for eps in (1, -1):
+                x = MpElement(mat, eps)
+                assert rho_closed(lattice, x) == rho_oracle(lattice, x), (gram, mat, eps)
+    # x_c from a scale 2 with a 1x1 pivot and an even 2x2 block
+    for gram in MIXED_SCALE_GRAMS[:2]:
+        lattice = GramLattice(gram)
+        for mat in MIXED_SCALE_MATS:
             for eps in (1, -1):
                 x = MpElement(mat, eps)
                 assert rho_closed(lattice, x) == rho_oracle(lattice, x), (gram, mat, eps)
@@ -816,6 +827,12 @@ def test_closed_odd_equals_oracle():
             assert op == rho_oracle(lattice, x), (gram, x.mat, x.eps)
             if k == 0:
                 assert op.is_unitary()
+    # a unimodular 2-adic scale with a 1x1 pivot and an even 2x2 block
+    lattice = GramLattice(MIXED_SCALE_GRAMS[3])
+    for mat in MIXED_SCALE_MATS:
+        for eps in (1, -1):
+            x = MpElement(mat, eps)
+            assert rho_closed_odd(lattice, x) == rho_oracle(lattice, x), (mat, eps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1675,6 +1692,16 @@ _CORRUPTIONS = {
         from exactweil.lattice import GramLattice
         jordan._det_int = lambda rows: 3
         jordan.jordan_decompose(GramLattice([[2]]), 2)
+    """),
+    "jordan basis integrality": ("ArithmeticError: the Jordan basis at p = 2 is not integral", """
+        from fractions import Fraction
+        from exactweil.jordan import JordanComponent, JordanDecomposition, _validate_blocks
+        from exactweil.lattice import GramLattice
+        half, one = Fraction(1, 2), Fraction(1)
+        _validate_blocks(JordanDecomposition(
+            GramLattice([[2, 0], [0, 2]]), 2,
+            (JordanComponent(2, 0, 1, 1, 1), JordanComponent(2, 2, 1, 1, 1)),
+            ((half, half), (one, -one)), (((0,),), ((1,),))))
     """),
     "jordan symbol valuation": ("ArithmeticError", """
         from exactweil import jordan
