@@ -6,10 +6,11 @@ jordan_components reads it off by integer elimination modulo that power,
 with no Fraction and no basis.  At p = 2 the symbol comes from
 jordan_decompose, the one decomposition with a basis: it works over
 rationals with odd denominators, so every step is exact, and it keeps the
-basis that x_c is read from at even c (at odd c the closed formula takes
-x_c = 0, and xi_2 reads the unimodular oddity off the components).  Each
-scale keeps the blocks the elimination leaves, 1x1 pivots and even 2x2
-blocks, and reads its symbol off them as Conway and Sloane do (ch. 15):
+basis that x_c is read from at even c, off the same decomposition whose
+components give xi_2 (at odd c the closed formula takes x_c = 0, and xi_2
+reads the unimodular oddity off the components).  Each scale keeps the
+blocks the elimination leaves, 1x1 pivots and even 2x2 blocks, and reads
+its symbol off them as Conway and Sloane do (ch. 15):
 the sign is (2/u), u the product of the blocks' determinant units, and the
 oddity t is the sum of the 1x1 units mod 8, since even 2x2 blocks add
 nothing to it.  jordan_decompose evaluates each pairing of its working
@@ -378,10 +379,11 @@ def choose_xc(decomp: JordanDecomposition, c: int) -> DFElement:
     absent or of type II.  The pivots' sum is a characteristic vector of
     that component with its form divided by 2^v, and characteristic vectors
     are unique modulo 2 L_v, so the class does not depend on how the scale
-    was split into blocks.  At odd c the closed formula takes x_c = 0 and
-    xi_2 carries the oddity of the unimodular component; on an odd lattice
-    the half-sum at odd c is not dual, and class_from_dual_vector raises
-    ValueError.
+    was split into blocks.  rho_closed passes the decomposition whose
+    components gave xi_2, so x_c costs no decomposition of its own.  At odd
+    c the closed formula takes x_c = 0 and xi_2 carries the oddity of the
+    unimodular component; on an odd lattice the half-sum at odd c is not
+    dual, and class_from_dual_vector raises ValueError.
     """
     if c == 0:
         raise ValueError("x_0 = 0 by convention; no component lookup")

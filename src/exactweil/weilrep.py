@@ -59,8 +59,8 @@ from typing import List, Optional, Sequence, Tuple
 from . import exact
 from .exact import (ExactScalar, euler_phi, from_powers, from_rational, reduce_powers,
                     root_multiples, root_of_unity, root_sum, sqrt_rat)
-from .jordan import (choose_xc, jordan_components, jordan_decompose, weil_index_component,
-                     weil_index_lattice)
+from .jordan import (JordanComponent, choose_xc, jordan_components, jordan_decompose,
+                     weil_index_component, weil_index_lattice)
 from .lattice import (CapExceededError, DFElement, DiscriminantForm,
                       GramLattice, interesting_primes, require_dense)
 from .metaplectic import MpElement, SL2, Word, decompose, gamma_odd_member
@@ -549,7 +549,8 @@ def rho_oracle(lattice: GramLattice, x: MpElement) -> RingOperator:
 # -- local factors ---------------------------------------------------------
 
 
-def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
+def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int,
+         components: Sequence[JordanComponent]) -> int:
     """The local root of unity xi_p = e(k/8) of the closed formula, as k mod 8.
 
     For odd p this is the quadratic symbol (a_p / Delta_p) times the product
@@ -560,13 +561,13 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
     (0 for type II, so on every even lattice).  A symbol -1 adds 4 to k, a
     Weil index e(j/8) adds j.  For a = 0 the unit a_p is taken to be 1 (the
     value does not depend on the choice); for c = 0 the component product is
-    empty and c_2 = +1 by convention.  The components come from
-    jordan_components, and weil_index_component reads each scaled index off
-    a component's symbol.
+    empty and c_2 = +1 by convention.  `components` are the p-adic Jordan
+    components of the lattice, jordan_components(lattice, p) or, at p = 2,
+    the components of a 2-adic decomposition the caller already holds;
+    weil_index_component reads each scaled index off a component's symbol.
     """
     m = lattice.rank
     a, c = mat.a, mat.c
-    components = jordan_components(lattice, p)
     a_p = unit_part(a, p)
     # v_p(c) compared against component scales; c = 0 is divisible by all q.
     v = valuation_split(c, p).valuation if c else None
@@ -587,11 +588,15 @@ def xi_p(lattice: GramLattice, mat: SL2, eps: int, p: int) -> int:
     return (2 * (1 - sign) + gamma2 * (a_p - 1) + comp_prod - a_p * c2 * t1) % 8
 
 
-def _xi_product(lattice: GramLattice, mat: SL2, eps: int) -> int:
+def _xi_product(lattice: GramLattice, mat: SL2, eps: int,
+                two_adic: Sequence[JordanComponent]) -> int:
     """k mod 8 for the product of the xi_p; xi_p = 1 for p not dividing
-    2 Delta (tested), so the sum is finite."""
-    return sum(xi_p(lattice, mat, eps, p)
-               for p in sorted(interesting_primes(lattice) | {2})) % 8
+    2 Delta (tested), so the sum is finite.  xi_2 reads `two_adic`, the
+    components of the 2-adic decomposition rho_closed made, and each odd p
+    its own jordan_components(lattice, p)."""
+    return (xi_p(lattice, mat, eps, 2, two_adic)
+            + sum(xi_p(lattice, mat, eps, p, jordan_components(lattice, p))
+                  for p in interesting_primes(lattice) - {2})) % 8
 
 
 # -- the closed formula ----------------------------------------------------
@@ -643,15 +648,18 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
     Delta_{M,c}/Delta_M = 1/|D/D_c| is read off the enumerated coset.  An
     odd lattice needs x in the parity subgroup, where odd c forces even a,
     so a (c alpha^2/2) is well defined although q is only defined mod 1/2.
-    At odd c, x_c = 0 with no decomposition made: on an even lattice the
-    unimodular 2-adic component is of type II, and on an odd lattice its
-    half-sum is not dual and xi_2 carries its oddity instead.  At even c,
-    x_c is read by choose_xc from the component at scale 2^(v_2(c)) of the
-    2-adic Jordan basis.  The scalar's root of unity e(s/8) is split
-    canonically: with g = gcd(8, N) and (q, r) = divmod(s mod 8, 8/g),
-    coeff is e(r/8) sqrt(1/|D/D_c|), 0 <= r < 8/g, and e(q/g) adds q N/g to
-    every phase.  No two such scalars differ by an N-th root of unity, so
-    (coeff, phases) is a function of the operator alone.
+    For c != 0 one 2-adic decomposition, jordan_decompose(lattice, 2), serves
+    both consumers: its components give xi_2, and at even c choose_xc reads
+    x_c from its component at scale 2^(v_2(c)).  At odd c, x_c = 0: on an
+    even lattice the unimodular 2-adic component is of type II, and on an
+    odd lattice its half-sum is not dual and xi_2 carries its oddity
+    instead.  gamma_2 inside xi_2 takes the one other decomposition, through
+    weil_index_lattice(lattice, 2); c = 0 takes none.  The scalar's root of
+    unity e(s/8) is split canonically: with g = gcd(8, N) and
+    (q, r) = divmod(s mod 8, 8/g), coeff is e(r/8) sqrt(1/|D/D_c|),
+    0 <= r < 8/g, and e(q/g) adds q N/g to every phase.  No two such
+    scalars differ by an N-th root of unity, so (coeff, phases) is a
+    function of the operator alone.
     """
     if not lattice.is_even and not gamma_odd_member(x.mat):
         raise ValueError("matrix outside the parity subgroup: "
@@ -662,8 +670,9 @@ def rho_closed(lattice: GramLattice, x: MpElement) -> PhaseOperator:
     if mat.c == 0:
         s, x_c = _c0_scalar(form.signature, mat.a, eps), form.zero()
     else:
-        s = _xi_product(lattice, mat, eps)
-        x_c = form.zero() if mat.c % 2 else choose_xc(jordan_decompose(lattice, 2), mat.c)
+        decomp = jordan_decompose(lattice, 2)
+        s = _xi_product(lattice, mat, eps, decomp.components)
+        x_c = form.zero() if mat.c % 2 else choose_xc(decomp, mat.c)
     coset = form.coset_Dcstar(mat.c, x_c)
     g = gcd(8, form.level)
     q, r = divmod(s % 8, 8 // g)

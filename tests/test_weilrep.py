@@ -545,34 +545,52 @@ def test_rho_closed_checks_the_dense_cap_before_the_scalar(monkeypatch):
             rho_closed(GramLattice(gram), MP_S)
 
 
-def test_rho_closed_decomposes_twice_at_odd_c_and_three_times_at_even_c(monkeypatch):
+def test_rho_closed_decomposes_twice_at_every_nonzero_c(monkeypatch):
     import exactweil.jordan as jordan_mod
     import exactweil.weilrep as weilrep_mod
 
-    # xi_2 takes two 2-adic decompositions (its components and gamma_2);
-    # x_c takes a third at even c only.  At odd c it is 0, and on an odd
-    # lattice xi_2 carries the oddity from its own components.
-    calls = []
+    # At c != 0 rho_closed makes one 2-adic decomposition, whose components
+    # give xi_2 and which choose_xc reads at even c; gamma_2 takes the
+    # other, through weil_index_lattice.  At c = 0 neither is made.
+    calls, xi2_read, xc_read = [], [], []
 
     def counted(lattice, p):
         calls.append(p)
         return jordan_decompose(lattice, p)
 
+    def xi(lattice, mat, eps, p, components):
+        if p == 2:
+            xi2_read.append(components)
+        return xi_p(lattice, mat, eps, p, components)
+
+    def xc(decomp, c):
+        xc_read.append(decomp)
+        return choose_xc(decomp, c)
+
     monkeypatch.setattr(jordan_mod, "jordan_decompose", counted)
     monkeypatch.setattr(weilrep_mod, "jordan_decompose", counted)
+    monkeypatch.setattr(weilrep_mod, "xi_p", xi)
+    monkeypatch.setattr(weilrep_mod, "choose_xc", xc)
     mats = [SL2(2, 1, 1, 1), SL2(1, 1, -3, -2), SL2(1, 0, 2, 1), SL2(1, 0, -2, 1),
-            SL2(3, 1, 8, 3), SL2(1, 0, 6, 1), SL2(0, -1, 1, 0)]
+            SL2(3, 1, 8, 3), SL2(1, 0, 6, 1), SL2(0, -1, 1, 0), SL2(1, 0, 4, 1),
+            SL2(1, 5, 0, 1), SL2(-1, 2, 0, -1)]
     seen = set()
-    for gram in EVEN_GRAMS + ODD_GRAMS:
+    for gram in EVEN_GRAMS + ODD_GRAMS + MIXED_SCALE_GRAMS:
         lattice = GramLattice(gram)
         for mat in mats:
             if not lattice.is_even and not gamma_odd_member(mat):
                 continue
-            calls.clear()
-            rho_closed(lattice, MpElement(mat, 1))
-            assert calls == [2] * (2 if mat.c % 2 else 3), (gram, mat)
-            seen.add((lattice.is_even, mat.c % 2))
-    assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+            for eps in (1, -1):
+                del calls[:], xi2_read[:], xc_read[:]
+                rho_closed(lattice, MpElement(mat, eps))
+                assert calls == ([2, 2] if mat.c else []), (gram, mat, eps)
+                assert len(xi2_read) == (1 if mat.c else 0), (gram, mat, eps)
+                assert len(xc_read) == (1 if mat.c % 2 == 0 and mat.c else 0), (gram, mat, eps)
+                if xc_read:
+                    assert xc_read[0].components is xi2_read[0], (gram, mat, eps)
+                c_class = 0 if mat.c == 0 else (1 if mat.c % 2 else 2 + (mat.c % 4 == 0))
+                seen.add((lattice.is_even, c_class))
+    assert seen == {(even, c_class) for even in (True, False) for c_class in range(4)}
 
 
 def test_rho_closed_builds_jordan_components_only_in_the_decompositions(monkeypatch):
@@ -957,15 +975,17 @@ def test_r0_entry_ratio_constant():
 
 def test_xi_values():
     # xi_p = e(k/8) is returned as its exponent k mod 8
-    assert xi_p(A1, S_MAT, 1, 2) == -1 % 8
-    assert xi_p(A1, SL2(1, 0, 4, 1), 1, 2) == 0
+    a1_two_adic = jordan_components(A1, 2)
+    assert xi_p(A1, S_MAT, 1, 2, a1_two_adic) == -1 % 8
+    assert xi_p(A1, SL2(1, 0, 4, 1), 1, 2, a1_two_adic) == 0
     mats = (S_MAT, SL2(1, 1, 1, 2), SL2(2, 1, 3, 2), SL2(1, 0, 0, 1))
     for gram in EVEN_GRAMS:
         lattice = GramLattice(gram)
         p = next(q for q in (5, 7, 11) if lattice.delta() % q)
+        components = jordan_components(lattice, p)
         for mat in mats:
             for eps in (1, -1):
-                assert xi_p(lattice, mat, eps, p) == 0
+                assert xi_p(lattice, mat, eps, p, components) == 0
 
 
 def test_xi_product_at_s():
@@ -976,7 +996,7 @@ def test_xi_product_at_s():
             mat = SL2(0, -1, 1, k)
             total = 0
             for p in primes:
-                total += xi_p(lattice, mat, 1, p)
+                total += xi_p(lattice, mat, 1, p, jordan_components(lattice, p))
             assert root_of_unity(total, 8) == root_of_unity(-lattice.signature(), 8)
 
 
@@ -1829,8 +1849,8 @@ def test_local_factors_build_no_fraction(monkeypatch):
             for eps in (1, -1):
                 x = MpElement(mat, eps)
                 for p in (2, 3, 5):
-                    xi_p(lattice, mat, eps, p)
-                weilrep_mod._xi_product(lattice, mat, eps)
+                    xi_p(lattice, mat, eps, p, components[id(lattice), p])
+                weilrep_mod._xi_product(lattice, mat, eps, components[id(lattice), 2])
                 if mat.c % lattice.level() == 0:
                     phi_char(lattice, x)
         kernel_descriptor(lattice)
